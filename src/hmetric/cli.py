@@ -67,9 +67,10 @@ def _config_options(fn):
         click.option("--mode", default="calibrated", show_default=True,
                      help="Threshold rule: 'calibrated' or 'optimal'."),
         click.option("--method", default="quadrature", show_default=True,
-                     help="Integration: 'quadrature' or 'monte-carlo'."),
+                     help="Cost integration: 'quadrature' or 'monte-carlo' "
+                          "(fixed and empirical priors only)."),
         click.option("--resolution", type=int, default=4096, show_default=True,
-                     help="Grid resolution for curves and quadrature validation."),
+                     help="Grid resolution for curves."),
         click.option("--mc-samples", type=int, default=10000, show_default=True,
                      help="Monte Carlo sample count."),
         click.option("--seed", type=int, default=None,

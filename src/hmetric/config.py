@@ -2,8 +2,9 @@
 
 A config freezes every choice that affects a metric value: cost weight,
 prior handling, threshold rule, integration method, Monte Carlo budgets
-and seed, tie convention and score normalization.  Reports echo the full
-config so every number they contain is reproducible.
+and seed, and score normalization (AUC ties always earn half credit).
+Reports echo the full config so every number they contain is
+reproducible.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ WEIGHT_KINDS = ("default", "beta", "tabulated")
 PRIOR_KINDS = ("empirical", "fixed", "beta")
 METHODS = ("quadrature", "monte_carlo")
 MODES = ("calibrated", "optimal")
-TIE_CONVENTIONS = ("half_credit",)
 
 
 def _parse_u_dist(spec: str):
@@ -55,7 +55,6 @@ class EvalConfig:
     mc_samples: int = 10000
     outer_samples: int = 10000
     seed: int | None = None
-    ties: str = "half_credit"
     normalization: str = "reject"
     screen_proportions: tuple[float, ...] = ()
     u_dists: tuple[str, ...] = ()
@@ -90,14 +89,17 @@ class EvalConfig:
             raise ConfigError(f"unknown threshold mode {self.threshold_mode!r}; expected {MODES}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected {METHODS}")
+        if self.prior == "beta" and self.method == "monte_carlo":
+            raise ConfigError(
+                "method 'monte_carlo' applies to fixed and empirical priors only; "
+                "the beta prior integrates over costs exactly at each prior draw"
+            )
         if self.resolution < 1024:
             raise ConfigError(f"resolution must be at least 1024, got {self.resolution}")
         if self.mc_samples < 1:
             raise ConfigError("mc_samples must be at least 1")
         if self.outer_samples < 1:
             raise ConfigError("outer_samples must be at least 1")
-        if self.ties not in TIE_CONVENTIONS:
-            raise ConfigError(f"unsupported tie convention {self.ties!r}")
         if self.normalization not in NORMALIZATIONS:
             raise ConfigError(f"unknown normalization {self.normalization!r}")
         for p in self.screen_proportions:

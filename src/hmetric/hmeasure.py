@@ -11,7 +11,9 @@ When the class proportions themselves are uncertain, pi0 is drawn from a
 beta distribution (Beta(2, 2) by default), the cost weight becomes the
 conditional Beta(2 - pi0, 1 + pi0), and H is one minus the expected
 loss-to-reference ratio over the prior draws, estimated by seeded Monte
-Carlo with a deterministic chunk layout.
+Carlo with a deterministic chunk layout.  At each drawn prior the loss and
+the reference are exact: shape-shifted regularized incomplete betas from
+scipy.special.betainc, evaluated for all draws of a chunk at once.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc
 
 from ._mc import combine_mean_stderr, run_chunks
 from .config import EvalConfig
-from .distributions import BetaParams, BetaWeight, WeightFunction, _betainc_arr
+from .distributions import BetaParams, BetaWeight, WeightFunction
 from .empirical import ClassPriors, EmpiricalCdfPair, LabeledScores, empirical_cdfs, empirical_priors
 from .errors import ConfigError
-from .loss import expected_min_loss, optimal_envelope, reference_loss
+from .loss import expected_min_loss, reference_loss
 
 __all__ = [
     "PriorSpec",
@@ -97,8 +100,8 @@ def h_measure_fixed(
 
     priors defaults to the empirical class proportions and w to
     default_weight(priors).  The loss comes from expected_min_loss under
-    the config's threshold mode and method; the reference loss uses the
-    closed form for beta weights and exact integration otherwise.
+    the config's threshold mode and method; the reference loss comes from
+    the weight's exact partial moments at pi1.
     """
     config.validate()
     cdfs = empirical_cdfs(data)
@@ -112,13 +115,11 @@ def h_measure_fixed(
         w,
         mode=config.threshold_mode,
         method=config.method,
-        resolution=config.resolution,
         mc_samples=config.mc_samples,
         seed=config.seed,
         n_workers=config.n_workers,
     )
-    ref_method = "closed_form" if isinstance(w, BetaWeight) else "quadrature"
-    ref = reference_loss(priors, w, method=ref_method)
+    ref = reference_loss(priors, w)
     h = 1.0 - loss / ref
     prior_spec = PriorSpec(kind="fixed", pi0=priors.pi0)
     return HResult(
@@ -141,81 +142,31 @@ def _reference_loss_batch(pi0s: np.ndarray) -> np.ndarray:
     """Closed-form no-skill loss at each prior, under the conditional weight."""
     a, b = _conditional_shapes(pi0s)
     pi1s = 1.0 - pi0s
-    m0 = (a / (a + b)) * _betainc_arr(pi1s, a + 1.0, b)
-    m1 = (b / (a + b)) * (1.0 - _betainc_arr(pi1s, a, b + 1.0))
+    m0 = (a / (a + b)) * betainc(a + 1.0, b, pi1s)
+    m1 = (b / (a + b)) * (1.0 - betainc(a, b + 1.0, pi1s))
     return pi0s * m0 + pi1s * m1
 
 
-def _calibrated_loss_and_reference_batch(
-    pi0s: np.ndarray, cdfs: EmpiricalCdfPair
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact calibrated loss and its no-skill reference at each prior draw.
+def _calibrated_loss_batch(pi0s: np.ndarray, cdfs: EmpiricalCdfPair) -> np.ndarray:
+    """Exact calibrated loss at each prior draw.
 
     The loss uses the same per-score partial-moment form as the scalar
-    quadrature path, L = pi0 mean m0(s0) + pi1 mean m1(s1), with the
-    weight shapes varying per draw; the reference needs the same shifted
-    shapes at pi1, so both ride one incomplete-beta evaluation per shift.
+    path, L = pi0 mean m0(s0) + pi1 mean m1(s1), with the weight shapes
+    varying per draw.
     """
     a, b = _conditional_shapes(pi0s)
-    pi1s = 1.0 - pi0s
-    k = pi0s.size
-    n0 = cdfs.sorted0.size
-    n1 = cdfs.sorted1.size
     col_a, col_b = a[:, None], b[:, None]
-
-    x0 = np.empty((k, n0 + 1))
-    x0[:, :n0] = cdfs.sorted0[None, :]
-    x0[:, n0] = pi1s
-    i0 = _betainc_arr(x0, col_a + 1.0, col_b).reshape(k, n0 + 1)
-    m0 = (a / (a + b))[:, None] * i0
-
-    x1 = np.empty((k, n1 + 1))
-    x1[:, :n1] = cdfs.sorted1[None, :]
-    x1[:, n1] = pi1s
-    i1 = _betainc_arr(x1, col_a, col_b + 1.0).reshape(k, n1 + 1)
-    m1 = (b / (a + b))[:, None] * (1.0 - i1)
-
-    loss = pi0s * m0[:, :n0].mean(axis=1) + pi1s * m1[:, :n1].mean(axis=1)
-    ref = pi0s * m0[:, n0] + pi1s * m1[:, n1]
-    return loss, ref
+    i0 = betainc(col_a + 1.0, col_b, cdfs.sorted0[None, :]).mean(axis=1)
+    i1 = betainc(col_a, col_b + 1.0, cdfs.sorted1[None, :]).mean(axis=1)
+    return pi0s * (a / (a + b)) * i0 + (1.0 - pi0s) * (b / (a + b)) * (1.0 - i1)
 
 
-def _loss_ratio_batch(
-    pi0s: np.ndarray,
-    cdfs: EmpiricalCdfPair,
-    mode: str,
-    inner_mc: bool = False,
-    inner_samples: int = 0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Loss-to-reference ratio at each sampled prior.
-
-    The inner cost expectation is exact piecewise quadrature by default;
-    inner Monte Carlo (one batch of cost draws per prior draw) is kept as
-    an option for cross-validating the quadrature path.
-    """
-    if not inner_mc and mode == "calibrated":
-        loss, refs = _calibrated_loss_and_reference_batch(pi0s, cdfs)
-        return loss / refs
+def _loss_ratio_batch(pi0s: np.ndarray, cdfs: EmpiricalCdfPair, mode: str) -> np.ndarray:
+    """Loss-to-reference ratio at each sampled prior, with the inner cost
+    expectation integrated exactly."""
     refs = _reference_loss_batch(pi0s)
-    if inner_mc:
-        a, b = _conditional_shapes(pi0s)
-        losses = np.empty(pi0s.size)
-        # bound the (priors x costs) workspace
-        block = max(1, int(4_000_000 // max(inner_samples, 1)))
-        for start in range(0, pi0s.size, block):
-            sl = slice(start, min(start + block, pi0s.size))
-            costs = rng.beta(a[sl][:, None], b[sl][:, None], size=(sl.stop - sl.start, inner_samples))
-            p0 = pi0s[sl][:, None]
-            if mode == "calibrated":
-                vals = costs * p0 * (1.0 - cdfs.f0(costs)) + (1.0 - costs) * (1.0 - p0) * cdfs.f1(costs)
-            else:
-                vals = np.empty_like(costs)
-                for i in range(sl.stop - sl.start):
-                    env = optimal_envelope(ClassPriors(pi0=float(pi0s[sl][i])), cdfs)
-                    vals[i] = env.value(costs[i])
-            losses[sl] = vals.mean(axis=1)
-        return losses / refs
+    if mode == "calibrated":
+        return _calibrated_loss_batch(pi0s, cdfs) / refs
     losses = np.empty(pi0s.size)
     for i, p0 in enumerate(pi0s):
         priors_i = ClassPriors(pi0=float(p0))
@@ -234,29 +185,23 @@ def h_measure_uncertain_priors(
 
     For each prior draw the cost weight is the conditional
     Beta(2 - pi0, 1 + pi0), the loss and its closed-form no-skill
-    reference are evaluated at that prior, and H is one minus the mean
-    ratio.  mc_stderr is the standard error of that mean over the outer
-    draws, which covers inner Monte Carlo noise as well when that option
-    is active.  The empirical CDFs stay fixed while the prior varies;
+    reference are evaluated exactly at that prior, and H is one minus the
+    mean ratio.  mc_stderr is the standard error of that mean over the
+    prior draws.  The empirical CDFs stay fixed while the prior varies;
     only the class weighting changes.
     """
     config.validate()
     if config.seed is None:
         raise ConfigError("a seed is required for the prior-uncertain H-measure")
+    if config.method != "quadrature":
+        raise ConfigError("the prior-uncertain H-measure integrates over costs exactly; "
+                          "method 'monte_carlo' applies to fixed and empirical priors only")
     cdfs = empirical_cdfs(data)
-    inner_mc = config.method == "monte_carlo"
     tiny = np.finfo(float).tiny
 
     def one_chunk(rng, count):
         pi0s = np.clip(rng.beta(prior_dist.alpha, prior_dist.beta, size=count), tiny, 1.0 - 1e-16)
-        ratios = _loss_ratio_batch(
-            pi0s,
-            cdfs,
-            config.threshold_mode,
-            inner_mc=inner_mc,
-            inner_samples=config.mc_samples,
-            rng=rng,
-        )
+        ratios = _loss_ratio_batch(pi0s, cdfs, config.threshold_mode)
         return float(np.sum(ratios)), float(np.sum(ratios * ratios)), count
 
     parts = run_chunks(one_chunk, config.seed, config.outer_samples, n_workers=config.n_workers)

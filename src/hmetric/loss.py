@@ -10,7 +10,10 @@ thresholds.  Expectations over a cost weight are computed exactly: the
 empirical CDFs are step functions, so the integral splits at the pooled
 scores into pieces where the integrand is affine in c times the weight
 density, and each piece reduces to partial moments of the weight.  This
-removes any grid-resolution dependence from the headline metrics.
+removes any grid-resolution dependence from the headline metrics.  The
+no-skill reference loss comes from the same partial moments, taken at
+pi1; the test suite checks it against adaptive quadrature of the
+defining integral.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._mc import combine_mean_stderr, run_chunks
-from .distributions import BetaWeight, EmpiricalMixtureWeight, TabulatedWeight, WeightFunction
+from .distributions import EmpiricalMixtureWeight, WeightFunction
 from .empirical import ClassPriors, EmpiricalCdfPair
 from .errors import ConfigError, InputError
 
@@ -36,7 +38,6 @@ __all__ = [
 ]
 
 THRESHOLD_MODES = ("calibrated", "optimal")
-MIN_RESOLUTION = 1024
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,6 @@ def expected_min_loss(
     w: WeightFunction,
     mode: str = "calibrated",
     method: str = "quadrature",
-    resolution: int = 4096,
     mc_samples: int = 10000,
     seed: int | None = None,
     n_workers: int = 1,
@@ -210,16 +210,13 @@ def expected_min_loss(
     """Expected minimum loss over the cost weight.
 
     quadrature evaluates the integral exactly piece by piece (see module
-    docstring); the resolution argument is validated against the config
-    contract but the result does not depend on it.  monte_carlo averages
-    the minimum loss at sampled costs over deterministic substreams and
-    returns the standard error of the mean as the second element.
+    docstring).  monte_carlo averages the minimum loss at sampled costs
+    over deterministic substreams and returns the standard error of the
+    mean as the second element.
     """
     if mode not in THRESHOLD_MODES:
         raise ConfigError(f"unknown threshold mode {mode!r}; expected one of {THRESHOLD_MODES}")
     if method == "quadrature":
-        if resolution < MIN_RESOLUTION:
-            raise ConfigError(f"quadrature resolution must be at least {MIN_RESOLUTION}")
         if w.atomic:
             return _atomic_expected_loss(priors, cdfs, w, mode), None
         if mode == "calibrated":
@@ -244,33 +241,20 @@ def expected_min_loss(
     return mean, stderr
 
 
-def reference_loss(priors: ClassPriors, w: WeightFunction, method: str = "closed_form") -> float:
+def reference_loss(priors: ClassPriors, w: WeightFunction) -> float:
     """Expected minimum loss of a no-skill scorer (identical class CDFs).
 
     With indistinguishable classes the best rule sends everything to
     class 0 when the cost is below pi1 and to class 1 otherwise, giving
 
-        L_ref = pi0 int_0^pi1 c w(c) dc + pi1 int_pi1^1 (1 - c) w(c) dc.
+        L_ref = pi0 int_0^pi1 c w(c) dc + pi1 int_pi1^1 (1 - c) w(c) dc
+              = pi0 m0(pi1) + pi1 m1(pi1)
 
-    closed_form (beta weights only) evaluates the partial moments through
-    shape-shifted regularized incomplete betas; quadrature integrates the
-    defining formula numerically and exists as an independent cross-check.
-    See the README for how the two were reconciled.
+    from the weight's exact partial moments; for a beta weight these are
+    shape-shifted regularized incomplete betas.  See the README for how
+    that closed form was checked against the defining integral.
     """
     pi1 = priors.pi1
-    if method == "closed_form":
-        if not isinstance(w, BetaWeight):
-            raise ConfigError("closed-form reference loss requires a beta weight")
-        m0, m1 = w.partial_moments(pi1)
-        return float(priors.pi0 * m0 + pi1 * m1)
-    if method != "quadrature":
-        raise ConfigError(f"unknown method {method!r}; expected 'closed_form' or 'quadrature'")
-    if isinstance(w, BetaWeight):
-        m0 = quad(lambda c: c * w.density(c), 0.0, pi1, epsabs=1e-13, epsrel=1e-12)[0]
-        m1 = quad(lambda c: (1.0 - c) * w.density(c), pi1, 1.0, epsabs=1e-13, epsrel=1e-12)[0]
-        return float(priors.pi0 * m0 + pi1 * m1)
-    # tabulated and atomic weights: their partial moments are already the
-    # exact integrals of their own representation
     m0, m1 = w.partial_moments(pi1)
     return float(priors.pi0 * m0 + pi1 * m1)
 

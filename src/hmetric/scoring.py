@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .distributions import WeightFunction
 from .errors import ConfigError, InputError
@@ -62,6 +61,10 @@ class _QuadratureWeight:
     """
 
     def __init__(self, density: Callable[[float], float], eps: float = UNBOUNDED_WEIGHT_EPS):
+        # scipy.integrate is imported here, not at module level, so that
+        # importing the package does not pay for it
+        from scipy.integrate import IntegrationWarning, quad
+
         self._density = density
         self.eps = eps
         try:
@@ -81,6 +84,8 @@ class _QuadratureWeight:
 
     def _cumulative(self, uppers: np.ndarray, integrand) -> np.ndarray:
         """Cumulative integral from eps to each upper, by segment quads."""
+        from scipy.integrate import quad
+
         flat = np.atleast_1d(uppers).astype(float)
         order = np.argsort(flat)
         points = np.clip(flat[order], self.eps, 1.0 - self.eps)

@@ -3,12 +3,17 @@
 Everything here recomputes expected values from first principles with
 tools disjoint from the implementation paths under test: direct counting,
 exhaustive pair enumeration, dense midpoint grids, scipy adaptive
-quadrature and scipy's own incomplete beta.  Nothing imports the package.
+quadrature of the beta density, and mpmath's arbitrary-precision
+incomplete beta and binomial sums.  The package computes incomplete betas
+with scipy.special.betainc, so no oracle here uses that routine.  Nothing
+imports the package.
 """
 
+from functools import lru_cache
+
+import mpmath
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import betainc as sp_betainc
 from scipy.special import betaln as sp_betaln
 
 
@@ -57,18 +62,51 @@ def brute_force_auc(s0, s1):
 
 
 def closed_reference_loss(pi0, a, b):
-    """No-skill loss via scipy's incomplete beta (independent of the
-    package's continued fraction)."""
+    """No-skill loss pi0 m0(pi1) + pi1 m1(pi1) of a Beta(a, b) weight, with
+    the partial moments from adaptive quadrature of the density."""
     pi1 = 1.0 - pi0
-    m0 = a / (a + b) * sp_betainc(a + 1, b, pi1)
-    m1 = b / (a + b) * (1.0 - sp_betainc(a, b + 1, pi1))
+    m0, m1 = quad_partial_moments(pi1, a, b)
     return pi0 * m0 + pi1 * m1
+
+
+def _mp_betainc(a, b, x):
+    return float(mpmath.betainc(a, b, 0, x, regularized=True))
+
+
+def binomial_tail_betainc(a, b, x, dps=40):
+    """I_x(a, b) for integer shapes as the binomial tail
+    P(Bin(a + b - 1, x) >= a), summed term by term at dps digits.
+
+    Terms follow t(k+1) = t(k) (n - k) / (k + 1) x / (1 - x) from k = a and
+    stop once past the mode they drop below 10^-(dps + 5) of the sum.
+    """
+    with mpmath.workdps(dps):
+        n = a + b - 1
+        xm = mpmath.mpf(float(x))
+        ratio = xm / (1 - xm)
+        term = mpmath.binomial(n, a) * xm**a * (1 - xm) ** (n - a)
+        total = term
+        tiny = mpmath.mpf(10) ** -(dps + 5)
+        for k in range(a, n):
+            term *= ratio * (n - k) / (k + 1)
+            total += term
+            if k > n * xm and term < tiny * total:
+                break
+        return float(total)
 
 
 def nested_uncertain_h(s0, s1, n_grid=2048):
     """Deterministic two-level oracle for the prior-uncertain H-measure:
     midpoint grid over pi0 against Beta(2, 2), exact piecewise inner
-    integral built from scipy's incomplete beta."""
+    integral built from mpmath's regularized incomplete beta.
+
+    Memoised on (s0, s1, n_grid): one evaluation takes several seconds.
+    """
+    return _nested_uncertain_h(tuple(map(float, s0)), tuple(map(float, s1)), int(n_grid))
+
+
+@lru_cache(maxsize=None)
+def _nested_uncertain_h(s0, s1, n_grid):
     s0 = np.asarray(s0)
     s1 = np.asarray(s1)
     breaks = np.unique(np.concatenate([[0.0, 1.0], s0, s1]))
@@ -82,13 +120,13 @@ def nested_uncertain_h(s0, s1, n_grid=2048):
         p1 = 1.0 - p0
         a, b = 2.0 - p0, 1.0 + p0
         # piece integrals of c w and (1-c) w from shape-shifted CDFs
-        i0 = a / (a + b) * sp_betainc(a + 1, b, breaks)
-        i1 = b / (a + b) * (1.0 - sp_betainc(a, b + 1, breaks))
+        i0 = a / (a + b) * np.array([_mp_betainc(a + 1, b, x) for x in breaks])
+        i1 = b / (a + b) * (1.0 - np.array([_mp_betainc(a, b + 1, x) for x in breaks]))
         dm0 = np.diff(i0)
         dm1 = -np.diff(i1)
         loss = np.sum(p0 * (1 - f0_pieces) * dm0 + p1 * f1_pieces * dm1)
-        ref = p0 * (a / (a + b)) * sp_betainc(a + 1, b, p1) + p1 * (b / (a + b)) * (
-            1.0 - sp_betainc(a, b + 1, p1)
+        ref = p0 * (a / (a + b)) * _mp_betainc(a + 1, b, p1) + p1 * (b / (a + b)) * (
+            1.0 - _mp_betainc(a, b + 1, p1)
         )
         ratios[i] = loss / ref
     v = 6.0 * pi0s * (1.0 - pi0s)

@@ -31,7 +31,7 @@ from hmetric import (
 )
 from hmetric.empirical import ClassPriors, empirical_cdfs, empirical_priors
 from conftest import random_dataset
-from oracles import nested_uncertain_h
+from oracles import closed_reference_loss, nested_uncertain_h
 
 GOLDEN4 = ([0.1, 0.4, 0.3, 0.9], [0, 0, 1, 1])
 
@@ -74,10 +74,10 @@ def test_criterion_2_closed_form_vs_quadrature():
         rng = np.random.default_rng(20260501)
         worst = 0.0
         for _ in range(50):
-            priors = ClassPriors(pi0=float(rng.uniform(0.05, 0.95)))
-            w = BetaWeight(float(rng.uniform(0.5, 5.0)), float(rng.uniform(0.5, 5.0)))
-            cf = reference_loss(priors, w, method="closed_form")
-            qd = reference_loss(priors, w, method="quadrature")
+            pi0 = float(rng.uniform(0.05, 0.95))
+            a, b = float(rng.uniform(0.5, 5.0)), float(rng.uniform(0.5, 5.0))
+            cf = reference_loss(ClassPriors(pi0=pi0), BetaWeight(a, b))
+            qd = closed_reference_loss(pi0, a, b)
             rel = abs(cf - qd) / qd
             worst = max(worst, rel)
             assert rel <= 1e-8

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from jsonschema import validate
 
+import hmetric
 from hmetric import REPORT_SCHEMA
 from hmetric.cli import main
 
@@ -261,3 +266,14 @@ class TestCurves:
         )
         assert result.exit_code == 3
         assert "--column" in result.output
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate is only needed by callable rule-generating weights;
+    # every CLI start would otherwise pay for importing it
+    src = str(Path(hmetric.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, hmetric.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

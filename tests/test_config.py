@@ -23,7 +23,7 @@ def test_default_config_valid():
         ({"resolution": 512}, "1024"),
         ({"mc_samples": 0}, "mc_samples"),
         ({"outer_samples": 0}, "outer_samples"),
-        ({"ties": "first"}, "tie convention"),
+        ({"prior": "beta", "method": "monte_carlo", "seed": 1}, "fixed and empirical"),
         ({"normalization": "zscore"}, "normalization"),
         ({"screen_proportions": (0.0,)}, "proportion"),
         ({"screen_proportions": (1.5,)}, "proportion"),

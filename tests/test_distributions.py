@@ -16,7 +16,7 @@ from hmetric import (
     sample_weight,
     weight_partial_moments,
 )
-from oracles import beta_density, quad_partial_moments
+from oracles import beta_density, binomial_tail_betainc, quad_partial_moments
 
 # frozen from a 40-digit adaptive-quadrature oracle
 BETA_PDF_03_17_13 = 0.94870843763150103869
@@ -84,6 +84,20 @@ class TestRegularizedIncompleteBeta:
             left = regularized_incomplete_beta(x, BetaParams(a, b))
             right = 1.0 - regularized_incomplete_beta(1.0 - x, BetaParams(b, a))
             assert left == pytest.approx(right, abs=1e-12)
+
+    def test_large_integer_shapes_against_binomial_tail(self):
+        # I_x(a, b) = P(Bin(a + b - 1, x) >= a) for integer shapes; 40-digit
+        # sums within 3 sd of the mean of a sharply peaked density, where
+        # series and continued-fraction expansions converge slowly
+        rng = np.random.default_rng(20261018)
+        for _ in range(40):
+            a, b = (int(v) for v in rng.integers(1000, 40001, size=2))
+            mean = a / (a + b)
+            sd = np.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
+            x = float(mean + rng.uniform(-3.0, 3.0) * sd)
+            expected = binomial_tail_betainc(a, b, x)
+            got = regularized_incomplete_beta(x, BetaParams(a, b))
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @given(
         x=st.floats(0.0, 1.0),

@@ -174,7 +174,7 @@ class TestExpectedMinLoss:
         priors, cdfs = _setup(data)
         w = BetaWeight(1.3, 1.7)
         val, _ = expected_min_loss(priors, cdfs, w, mode="calibrated")
-        ref = reference_loss(priors, w, method="closed_form")
+        ref = reference_loss(priors, w)
         assert val == pytest.approx(ref, rel=1e-12)
 
     def test_golden_against_dense_oracle(self, golden4):
@@ -234,11 +234,6 @@ class TestExpectedMinLoss:
         with pytest.raises(ConfigError, match="seed"):
             expected_min_loss(priors, cdfs, BetaWeight(1, 1), method="monte_carlo")
 
-    def test_resolution_validated(self, golden4):
-        priors, cdfs = _setup(golden4)
-        with pytest.raises(ConfigError, match="resolution"):
-            expected_min_loss(priors, cdfs, BetaWeight(1, 1), resolution=100)
-
     def test_atomic_weight_direct_sum(self, golden4):
         priors, cdfs = _setup(golden4)
         w = EmpiricalMixtureWeight(golden4.scores)
@@ -252,7 +247,7 @@ class TestExpectedMinLoss:
 class TestReferenceLoss:
     def test_uniform_balanced(self):
         priors = ClassPriors(pi0=0.5)
-        val = reference_loss(priors, BetaWeight(1, 1), method="closed_form")
+        val = reference_loss(priors, BetaWeight(1, 1))
         assert val == pytest.approx(0.125, rel=1e-12)
 
     def test_positive_for_any_interior_priors(self):
@@ -260,7 +255,7 @@ class TestReferenceLoss:
         for _ in range(20):
             priors = ClassPriors(pi0=float(rng.uniform(0.02, 0.98)))
             w = BetaWeight(rng.uniform(0.5, 5), rng.uniform(0.5, 5))
-            assert reference_loss(priors, w, method="closed_form") > 0.0
+            assert reference_loss(priors, w) > 0.0
 
     def test_closed_form_vs_quadrature(self):
         rng = np.random.default_rng(21)
@@ -268,24 +263,15 @@ class TestReferenceLoss:
             pi0 = rng.uniform(0.05, 0.95)
             a = rng.uniform(0.5, 5.0)
             b = rng.uniform(0.5, 5.0)
-            priors = ClassPriors(pi0=pi0)
-            w = BetaWeight(a, b)
-            cf = reference_loss(priors, w, method="closed_form")
-            qd = reference_loss(priors, w, method="quadrature")
-            assert cf == pytest.approx(qd, rel=1e-8)
-            # and against the fully external scipy-based closed form
-            assert cf == pytest.approx(closed_reference_loss(pi0, a, b), rel=1e-10)
+            cf = reference_loss(ClassPriors(pi0=pi0), BetaWeight(a, b))
+            assert cf == pytest.approx(closed_reference_loss(pi0, a, b), rel=1e-8)
 
     def test_golden_value(self):
         priors = ClassPriors(pi0=0.5)
-        val = reference_loss(priors, BetaWeight(1.5, 1.5), method="closed_form")
+        val = reference_loss(priors, BetaWeight(1.5, 1.5))
         assert val == pytest.approx(GOLDEN_L_REF, rel=1e-12)
         q0, q1 = quad_partial_moments(0.5, 1.5, 1.5)
         assert val == pytest.approx(0.5 * q0 + 0.5 * q1, rel=1e-10)
-
-    def test_closed_form_needs_beta(self):
-        with pytest.raises(ConfigError, match="beta weight"):
-            reference_loss(ClassPriors(pi0=0.5), EmpiricalMixtureWeight([0.5]), "closed_form")
 
 
 class TestLossCurve:
