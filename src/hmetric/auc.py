@@ -1,19 +1,17 @@
-"""AUC by rank statistics and its expected-loss reading.
+"""AUC from tie-grouped counts, and its expected-loss reading.
 
 The AUC is the probability that a random class-0 score falls below a
-random class-1 score (ties counted half), computed in O(n log n) from
-rank sums.  It is also an affine function of the expected minimum loss
-obtained when the cost weight is set to the classifier's own pooled score
-distribution -- a classifier-dependent weight, which is exactly the
-incoherence the H-measure removes.  Both sides of that identity are
-implemented so the correspondence can be demonstrated numerically.
-"""
+random class-1 score (ties counted half), summed exactly over the tie
+groups of the column's table.  It is also an affine function of the
+expected minimum loss obtained when the cost weight is set to the
+classifier's own pooled score distribution -- a classifier-dependent
+weight, which is exactly the incoherence the H-measure removes.  Both
+sides of that identity are implemented so the correspondence can be
+demonstrated numerically."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .distributions import EmpiricalMixtureWeight
 from .empirical import LabeledScores, empirical_cdfs, empirical_priors
@@ -36,44 +34,21 @@ class AucResult:
     equivalent_loss: float
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks starting at 1, ties averaged."""
-    order = np.argsort(values, kind="mergesort")
-    sorted_vals = values[order]
-    # rank bounds for each tie group
-    uniq, start = np.unique(sorted_vals, return_index=True)
-    stop = np.append(start[1:], sorted_vals.size)
-    group_rank = (start + 1 + stop) / 2.0
-    ranks_sorted = np.repeat(group_rank, stop - start)
-    ranks = np.empty_like(ranks_sorted)
-    ranks[order] = ranks_sorted
-    return ranks
-
-
 def auc_mann_whitney(data: LabeledScores) -> AucResult:
-    """AUC from rank sums, with half credit for cross-class ties."""
-    empirical_priors(data)  # raises on single-class data
-    s0 = data.class_scores(0)
-    s1 = data.class_scores(1)
-    n0, n1 = s0.size, s1.size
-
-    pooled = np.concatenate([s0, s1])
-    ranks = _average_ranks(pooled)
-    r1 = float(np.sum(ranks[n0:]))
-    u1 = r1 - n1 * (n1 + 1) / 2.0
-    auc = u1 / (n0 * n1)
-
-    values, counts0 = np.unique(s0, return_counts=True)
-    counts1 = np.searchsorted(np.sort(s1), values, side="right") - np.searchsorted(
-        np.sort(s1), values, side="left"
-    )
-    tie_pairs = int(np.sum(counts0 * counts1))
-
+    """Mann-Whitney AUC from the tie-grouped counts, with half credit for
+    cross-class ties: each class-1 score at u[k] beats the class-0 scores
+    below u[k] and ties the count0[k] at it.  The sums are of half-integers,
+    so they are exact."""
+    cdfs = empirical_cdfs(data)  # raises on single-class data
+    n0, n1 = cdfs.n0, cdfs.n1
+    count0 = cdfs.count0
+    wins = float(cdfs.count1 @ (2 * cdfs.cum0 - count0)) / 2.0
+    auc = wins / (n0 * n1)
     pi0, pi1 = n0 / (n0 + n1), n1 / (n0 + n1)
     return AucResult(
         auc=float(auc),
         n_pairs=n0 * n1,
-        tie_pairs=tie_pairs,
+        tie_pairs=int(count0 @ cdfs.count1),
         equivalent_loss=float(2.0 * pi0 * pi1 * (1.0 - auc)),
     )
 

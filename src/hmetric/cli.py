@@ -247,14 +247,13 @@ def curves(input_csv, column, out_dir, **cfg):
             ((f"{c:.10g}", f"{d:.10g}") for c, d in zip(grid, density)),
         )
 
-        thresholds = np.unique(data.scores)
+        # one row per distinct score t: 1 - F0(t), 1 - F1(t)
+        fpr = (1.0 - cdfs.cum0 / cdfs.n0).tolist()
+        tpr = (1.0 - cdfs.cum1 / cdfs.n1).tolist()
         _write_csv(
             out_path / "roc.csv",
             ["fpr", "tpr"],
-            (
-                (f"{1.0 - cdfs.f0(t):.10g}", f"{1.0 - cdfs.f1(t):.10g}")
-                for t in thresholds
-            ),
+            ((f"{x:.10g}", f"{y:.10g}") for x, y in zip(fpr, tpr)),
         )
         logger.info("wrote curves to %s", out_path)
 

@@ -1,17 +1,21 @@
-"""Labeled score containers, empirical class-conditional CDFs and priors.
+"""Labeled score containers, the tie-grouped table of a column, and priors.
 
 Scores are probability-like values in [0, 1] (enforced or normalized at
 ingestion); labels are binary.  The CDF convention is fixed here once for
 the whole package: F(c) is the fraction of scores less than or equal to c,
 which makes F right-continuous with jumps at the observed scores.  For
 continuous scores a strictly-less reading would differ only on a
-measure-zero set.
+measure-zero set.  Each column is sorted once, into its distinct scores
+with the cumulative class counts at each (EmpiricalCdfPair); every metric
+reads that table, and the optimal rule its ROC hull, which depends on
+neither the priors nor the cost weight.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +58,19 @@ class LabeledScores:
     def class_scores(self, label: int) -> np.ndarray:
         return self.scores[self.labels == label]
 
+    @cached_property
+    def table(self) -> EmpiricalCdfPair:
+        """The tie-grouped table of these scores, built by one sort."""
+        order = np.argsort(self.scores)
+        ranked = self.scores[order]
+        last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+        cum1 = np.cumsum(self.labels[order], dtype=np.int64)[last]
+        cum0 = last + 1 - cum1
+        u = ranked[last]
+        for arr in (u, cum0, cum1):
+            arr.setflags(write=False)
+        return EmpiricalCdfPair(u=u, cum0=cum0, cum1=cum1)
+
 
 @dataclass(frozen=True)
 class ClassPriors:
@@ -73,29 +90,76 @@ class ClassPriors:
 
 @dataclass(frozen=True)
 class EmpiricalCdfPair:
-    """Right-continuous empirical CDFs of the two class-conditional score
-    samples, evaluated by binary search (O(log n) per query)."""
+    """Tie-grouped table of one score column: the distinct pooled scores u
+    in ascending order with the counts cum0 and cum1 of class-0 and
+    class-1 scores at or below each.  The right-continuous class CDFs are
+    F0(c) = cum0[k] / n0 at the last u[k] <= c, and zero below u[0]."""
 
-    sorted0: np.ndarray = field(repr=False)
-    sorted1: np.ndarray = field(repr=False)
+    u: np.ndarray = field(repr=False)
+    cum0: np.ndarray = field(repr=False)
+    cum1: np.ndarray = field(repr=False)
 
     @property
     def n0(self) -> int:
-        return self.sorted0.size
+        return int(self.cum0[-1])
 
     @property
     def n1(self) -> int:
-        return self.sorted1.size
+        return int(self.cum1[-1])
+
+    @property
+    def count0(self) -> np.ndarray:
+        """Class-0 scores equal to each u[k]."""
+        return np.diff(self.cum0, prepend=0)
+
+    @property
+    def count1(self) -> np.ndarray:
+        """Class-1 scores equal to each u[k]."""
+        return np.diff(self.cum1, prepend=0)
+
+    @property
+    def sorted0(self) -> np.ndarray:
+        """Class-0 scores in ascending order."""
+        return np.repeat(self.u, self.count0)
+
+    @property
+    def sorted1(self) -> np.ndarray:
+        """Class-1 scores in ascending order."""
+        return np.repeat(self.u, self.count1)
+
+    def _cdf(self, cum, c):
+        k = np.searchsorted(self.u, c, side="right")
+        out = np.where(k > 0, cum[k - 1], 0) / cum[-1]
+        return float(out) if np.isscalar(c) else out
 
     def f0(self, c):
         """Fraction of class-0 scores <= c."""
-        out = np.searchsorted(self.sorted0, c, side="right") / self.sorted0.size
-        return float(out) if np.isscalar(c) else out
+        return self._cdf(self.cum0, c)
 
     def f1(self, c):
         """Fraction of class-1 scores <= c."""
-        out = np.searchsorted(self.sorted1, c, side="right") / self.sorted1.size
-        return float(out) if np.isscalar(c) else out
+        return self._cdf(self.cum1, c)
+
+    @cached_property
+    def hull(self) -> tuple[np.ndarray, np.ndarray]:
+        """(F0, F1) at the vertices of the lower convex chain through the
+        ROC points (0, 0) and (cum0[k], cum1[k]), from (0, 0) to (1, 1):
+        one monotone-chain pass over points already in lexicographic
+        order, turning on exact integer counts, collinear points dropped."""
+        xs = [0] + self.cum0.tolist()
+        ys = [0] + self.cum1.tolist()
+        chain = [0]
+        for k in range(1, len(xs)):
+            while len(chain) >= 2:
+                i, j = chain[-2], chain[-1]
+                if (xs[j] - xs[i]) * (ys[k] - ys[i]) > (ys[j] - ys[i]) * (xs[k] - xs[i]):
+                    break
+                chain.pop()
+            chain.append(k)
+        f0, f1 = np.asarray(xs)[chain] / self.n0, np.asarray(ys)[chain] / self.n1
+        for arr in (f0, f1):
+            arr.setflags(write=False)
+        return f0, f1
 
 
 def _sigmoid(x):
@@ -178,13 +242,10 @@ def empirical_priors(data: LabeledScores) -> ClassPriors:
 
 
 def empirical_cdfs(data: LabeledScores) -> EmpiricalCdfPair:
-    """Plug-in class-conditional CDF pair (requires both classes)."""
+    """Plug-in class-conditional CDF pair: the column's tie-grouped table,
+    shared by every metric of the column (requires both classes)."""
     _require_both_classes(data)
-    sorted0 = np.sort(data.class_scores(0))
-    sorted1 = np.sort(data.class_scores(1))
-    sorted0.setflags(write=False)
-    sorted1.setflags(write=False)
-    return EmpiricalCdfPair(sorted0=sorted0, sorted1=sorted1)
+    return data.table
 
 
 def read_scores_csv(path: str | Path):

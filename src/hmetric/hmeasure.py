@@ -28,7 +28,7 @@ from .config import EvalConfig
 from .distributions import BetaParams, BetaWeight, WeightFunction
 from .empirical import ClassPriors, EmpiricalCdfPair, LabeledScores, empirical_cdfs, empirical_priors
 from .errors import ConfigError
-from .loss import expected_min_loss, reference_loss
+from .loss import _hull_envelope, expected_min_loss, reference_loss
 
 __all__ = [
     "PriorSpec",
@@ -138,12 +138,18 @@ def _conditional_shapes(pi0s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 - pi0s, 1.0 + pi0s
 
 
+def _partial_moments_batch(pi0s, upper0, upper1):
+    """m0 at upper0 and m1 at upper1 under each draw's conditional weight."""
+    a, b = _conditional_shapes(pi0s)
+    m0 = (a / (a + b)) * betainc(a + 1.0, b, upper0)
+    m1 = (b / (a + b)) * (1.0 - betainc(a, b + 1.0, upper1))
+    return m0, m1
+
+
 def _reference_loss_batch(pi0s: np.ndarray) -> np.ndarray:
     """Closed-form no-skill loss at each prior, under the conditional weight."""
-    a, b = _conditional_shapes(pi0s)
     pi1s = 1.0 - pi0s
-    m0 = (a / (a + b)) * betainc(a + 1.0, b, pi1s)
-    m1 = (b / (a + b)) * (1.0 - betainc(a, b + 1.0, pi1s))
+    m0, m1 = _partial_moments_batch(pi0s, pi1s, pi1s)
     return pi0s * m0 + pi1s * m1
 
 
@@ -152,28 +158,26 @@ def _calibrated_loss_batch(pi0s: np.ndarray, cdfs: EmpiricalCdfPair) -> np.ndarr
 
     The loss uses the same per-score partial-moment form as the scalar
     path, L = pi0 mean m0(s0) + pi1 mean m1(s1), with the weight shapes
-    varying per draw.
+    varying per draw; each distinct score is evaluated once per class it
+    occurs in, weighted by its count.
     """
     a, b = _conditional_shapes(pi0s)
     col_a, col_b = a[:, None], b[:, None]
-    i0 = betainc(col_a + 1.0, col_b, cdfs.sorted0[None, :]).mean(axis=1)
-    i1 = betainc(col_a, col_b + 1.0, cdfs.sorted1[None, :]).mean(axis=1)
+    has0, has1 = cdfs.count0 > 0, cdfs.count1 > 0
+    i0 = betainc(col_a + 1.0, col_b, cdfs.u[has0]) @ cdfs.count0[has0] / cdfs.n0
+    i1 = betainc(col_a, col_b + 1.0, cdfs.u[has1]) @ cdfs.count1[has1] / cdfs.n1
     return pi0s * (a / (a + b)) * i0 + (1.0 - pi0s) * (b / (a + b)) * (1.0 - i1)
 
 
 def _loss_ratio_batch(pi0s: np.ndarray, cdfs: EmpiricalCdfPair, mode: str) -> np.ndarray:
     """Loss-to-reference ratio at each sampled prior, with the inner cost
-    expectation integrated exactly."""
+    expectation integrated exactly.  In optimal mode every draw walks the
+    same ROC hull: one (draws x hull) batch of partial moments."""
     refs = _reference_loss_batch(pi0s)
     if mode == "calibrated":
         return _calibrated_loss_batch(pi0s, cdfs) / refs
-    losses = np.empty(pi0s.size)
-    for i, p0 in enumerate(pi0s):
-        priors_i = ClassPriors(pi0=float(p0))
-        a_i, b_i = _conditional_shapes(np.asarray([p0]))
-        w_i = BetaWeight(float(a_i[0]), float(b_i[0]))
-        losses[i], _ = expected_min_loss(priors_i, cdfs, w_i, mode="optimal")
-    return losses / refs
+    env = _hull_envelope(pi0s[:, None], cdfs.hull)
+    return env.integrate(*_partial_moments_batch(pi0s[:, None], env.breaks, env.breaks)) / refs
 
 
 def h_measure_uncertain_priors(

@@ -11,9 +11,11 @@ empirical CDFs are step functions, so the integral splits at the pooled
 scores into pieces where the integrand is affine in c times the weight
 density, and each piece reduces to partial moments of the weight.  This
 removes any grid-resolution dependence from the headline metrics.  The
+optimal rule walks the column's ROC hull, built once per column: a prior
+only places the costs where one hull vertex gives way to the next.  The
 no-skill reference loss comes from the same partial moments, taken at
-pi1; the test suite checks it against adaptive quadrature of the
-defining integral.
+pi1, so a scorer with no skill gets exactly the reference loss; the test
+suite checks it against adaptive quadrature of the defining integral.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._mc import combine_mean_stderr, run_chunks
-from .distributions import EmpiricalMixtureWeight, WeightFunction
+from .distributions import WeightFunction
 from .empirical import ClassPriors, EmpiricalCdfPair
 from .errors import ConfigError, InputError
 
@@ -69,86 +71,54 @@ def threshold_loss(c, t, priors: ClassPriors, cdfs: EmpiricalCdfPair):
 
 @dataclass(frozen=True)
 class _Envelope:
-    """Lower envelope of the candidate-threshold loss lines, as a
-    piecewise-affine concave function of the cost."""
+    """Minimum loss under the optimal rule, a piecewise-affine concave
+    function of the cost: on segment j, from breaks[j] to breaks[j+1],
+    the best threshold is hull vertex j and the loss is
+    loss1[j] + c * (loss0[j] - loss1[j]).  Built for a column of priors,
+    it holds one envelope per row, for integrate only."""
 
-    breaks: np.ndarray      # K+1 points spanning [0, 1]
-    intercepts: np.ndarray  # K per-segment intercepts
-    slopes: np.ndarray      # K per-segment slopes
+    breaks: np.ndarray  # K+1 nondecreasing costs spanning [0, 1]
+    loss0: np.ndarray   # pi0 (1 - F0_j): class-0 error mass per unit cost
+    loss1: np.ndarray   # pi1 F1_j: class-1 error mass per unit (1 - cost)
 
     def value(self, c):
         c_arr = np.asarray(c, dtype=float)
         idx = np.clip(np.searchsorted(self.breaks, c_arr, side="right") - 1,
-                      0, self.slopes.size - 1)
-        out = self.intercepts[idx] + self.slopes[idx] * c_arr
+                      0, self.loss0.size - 1)
+        out = self.loss1[idx] + (self.loss0[idx] - self.loss1[idx]) * c_arr
         return float(out) if np.isscalar(c) else out
+
+    def integrate(self, m0, m1) -> np.ndarray:
+        """Weight-expectation from the partial moments m0, m1 at the
+        breaks: pi0 (1 - F0_j) dm0 - pi1 F1_j dm1 summed over segments,
+        the same form as reference_loss."""
+        return np.sum(self.loss0 * np.diff(m0) - self.loss1 * np.diff(m1), axis=-1)
+
+
+def _hull_envelope(pi0, hull) -> _Envelope:
+    """Envelope over the ROC hull vertices (F0, F1) at prior pi0 (a float
+    or a column of priors).  Vertex j gives way to vertex j+1 at the cost
+    where their lines cross, pi1 dF1 / (pi0 dF0 + pi1 dF1)."""
+    f0, f1 = hull
+    pi1 = 1.0 - pi0
+    d0 = pi0 * np.diff(f0)
+    d1 = pi1 * np.diff(f1)
+    inner = d1 / (d0 + d1)
+    edge = np.zeros(inner.shape[:-1] + (1,))
+    return _Envelope(
+        breaks=np.concatenate([edge, inner, edge + 1.0], axis=-1),
+        loss0=pi0 * (1.0 - f0),
+        loss1=pi1 * f1,
+    )
 
 
 def optimal_envelope(priors: ClassPriors, cdfs: EmpiricalCdfPair) -> _Envelope:
-    """Envelope of loss(c; t) over the candidate thresholds: the pooled
-    score values, 0 and 1, plus the assign-everything-to-class-1 rule.
-
-    Each candidate t contributes the line
-        loss(c; t) = pi1 F1(t) + c [pi0 (1 - F0(t)) - pi1 F1(t)]
-    and the minimum over t is their concave lower envelope on [0, 1].
-    The explicit all-to-class-1 line (loss c pi0) matters only when
-    scores sit exactly at 0, where no threshold in [0, 1] realizes that
-    rule; without it the no-skill reference could beat the optimum and
-    push H below zero.
-    """
-    cands = np.unique(np.concatenate([[0.0, 1.0], cdfs.sorted0, cdfs.sorted1]))
-    b = priors.pi1 * cdfs.f1(cands)
-    m = priors.pi0 * (1.0 - cdfs.f0(cands)) - b
-    b = np.append(b, 0.0)
-    m = np.append(m, priors.pi0)
-
-    # sort by slope descending (active order as c grows), keep the lowest
-    # intercept among equal slopes
-    order = np.lexsort((b, -m))
-    m, b = m[order], b[order]
-    keep = np.ones(m.size, dtype=bool)
-    keep[1:] = np.abs(np.diff(m)) > 1e-15
-    m, b = m[keep], b[keep]
-
-    stack: list[int] = []
-
-    def crossover(i, j):
-        # cost where line j catches line i (slope_i > slope_j)
-        return (b[j] - b[i]) / (m[i] - m[j])
-
-    for i in range(m.size):
-        while stack:
-            top = stack[-1]
-            if b[i] <= b[top] and m[i] <= m[top]:
-                stack.pop()            # dominated everywhere
-                continue
-            if len(stack) >= 2 and crossover(stack[-2], i) <= crossover(stack[-2], top):
-                stack.pop()            # top never attains the minimum
-                continue
-            break
-        if stack and m[stack[-1]] == m[i]:
-            continue
-        stack.append(i)
-
-    # segment boundaries on [0, 1]
-    xs = [0.0]
-    segs = [stack[0]]
-    for prev, nxt in zip(stack[:-1], stack[1:]):
-        x = crossover(prev, nxt)
-        if x <= xs[-1]:
-            segs[-1] = nxt
-            continue
-        if x >= 1.0:
-            break
-        xs.append(x)
-        segs.append(nxt)
-    xs.append(1.0)
-    segs_arr = np.asarray(segs, dtype=int)
-    return _Envelope(
-        breaks=np.asarray(xs, dtype=float),
-        intercepts=b[segs_arr],
-        slopes=m[segs_arr],
-    )
+    """Envelope of loss(c; t) = c pi0 (1 - F0(t)) + (1 - c) pi1 F1(t)
+    over every threshold t.  The loss is linear in the ROC point
+    (F0(t), F1(t)), so its minimum at any cost is attained at a vertex of
+    the lower convex ROC hull (cdfs.hull), whose first vertex (0, 0) is
+    the assign-everything-to-class-1 rule."""
+    return _hull_envelope(priors.pi0, cdfs.hull)
 
 
 def min_loss(c, priors: ClassPriors, cdfs: EmpiricalCdfPair, mode: str = "calibrated"):
@@ -161,9 +131,8 @@ def min_loss(c, priors: ClassPriors, cdfs: EmpiricalCdfPair, mode: str = "calibr
         raise ConfigError(f"unknown threshold mode {mode!r}; expected one of {THRESHOLD_MODES}")
     if mode == "calibrated":
         return threshold_loss(c, c, priors, cdfs)
-    env = optimal_envelope(priors, cdfs)
-    out = env.value(_check_unit("cost", c))
-    return float(out) if np.isscalar(c) else out
+    _check_unit("cost", c)
+    return optimal_envelope(priors, cdfs).value(c)
 
 
 def _calibrated_expected_loss(priors, cdfs, w: WeightFunction) -> float:
@@ -174,27 +143,12 @@ def _calibrated_expected_loss(priors, cdfs, w: WeightFunction) -> float:
 
         L = pi0 mean_i m0(s0_i) + pi1 mean_j m1(s1_j)
 
-    which is what is evaluated here (exact up to the accuracy of the
-    weight's partial moments).
+    evaluated here once per distinct score, weighted by its class counts
+    (exact up to the accuracy of the weight's partial moments).
     """
-    m0_vals, _ = w.partial_moments(cdfs.sorted0)
-    _, m1_vals = w.partial_moments(cdfs.sorted1)
-    return float(priors.pi0 * np.mean(m0_vals) + priors.pi1 * np.mean(m1_vals))
-
-
-def _envelope_expected_loss(env: _Envelope, w: WeightFunction) -> float:
-    """Exact weight-expectation of a piecewise-affine function of cost."""
-    cdf_vals = w.cdf(env.breaks)
-    m0_vals, _ = w.partial_moments(env.breaks)
-    dW = np.diff(cdf_vals)
-    dM = np.diff(m0_vals)
-    return float(np.sum(env.intercepts * dW + env.slopes * dM))
-
-
-def _atomic_expected_loss(priors, cdfs, w: EmpiricalMixtureWeight, mode: str) -> float:
-    """Discrete weights integrate to a plain atom-weighted sum."""
-    vals = min_loss(w.atoms, priors, cdfs, mode=mode)
-    return float(np.mean(vals))
+    m0_vals, m1_vals = w.partial_moments(cdfs.u)
+    return float(priors.pi0 * (cdfs.count0 @ m0_vals) / cdfs.n0
+                 + priors.pi1 * (cdfs.count1 @ m1_vals) / cdfs.n1)
 
 
 def expected_min_loss(
@@ -217,23 +171,17 @@ def expected_min_loss(
     if mode not in THRESHOLD_MODES:
         raise ConfigError(f"unknown threshold mode {mode!r}; expected one of {THRESHOLD_MODES}")
     if method == "quadrature":
-        if w.atomic:
-            return _atomic_expected_loss(priors, cdfs, w, mode), None
+        if w.atomic:  # discrete weights integrate to a plain atom average
+            return float(np.mean(min_loss(w.atoms, priors, cdfs, mode=mode))), None
         if mode == "calibrated":
             return _calibrated_expected_loss(priors, cdfs, w), None
-        return _envelope_expected_loss(optimal_envelope(priors, cdfs), w), None
+        env = optimal_envelope(priors, cdfs)
+        return float(env.integrate(*w.partial_moments(env.breaks))), None
     if method != "monte_carlo":
         raise ConfigError(f"unknown method {method!r}; expected 'quadrature' or 'monte_carlo'")
 
-    if mode == "calibrated":
-        def evaluate(costs):
-            return threshold_loss(costs, costs, priors, cdfs)
-    else:
-        env = optimal_envelope(priors, cdfs)
-        evaluate = env.value
-
     def one_chunk(rng, count):
-        vals = evaluate(w.sample(count, rng))
+        vals = min_loss(w.sample(count, rng), priors, cdfs, mode)
         return float(np.sum(vals)), float(np.sum(vals * vals)), count
 
     parts = run_chunks(one_chunk, seed, mc_samples, n_workers=n_workers)

@@ -11,12 +11,14 @@ advance and reads off the confusion counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .distributions import TabulatedWeight, WeightFunction
-from .empirical import ClassPriors, LabeledScores, empirical_cdfs, empirical_priors
+from .empirical import ClassPriors, LabeledScores, empirical_cdfs
 from .errors import ConfigError, InputError
 
 __all__ = [
@@ -104,13 +106,13 @@ def _expected_cdfs(u, data: LabeledScores, cdfs) -> tuple[float, float]:
     if isinstance(u, PooledScoreThresholds):
         return float(np.mean(cdfs.f0(data.scores))), float(np.mean(cdfs.f1(data.scores)))
     if isinstance(u, RankUniformClass1):
-        thresholds = np.sort(data.class_scores(1))
+        thresholds = cdfs.sorted1
         w = _rank_weights(u, thresholds.size)
         return float(np.sum(w * cdfs.f0(thresholds))), float(np.sum(w * cdfs.f1(thresholds)))
     if isinstance(u, TabulatedThresholds):
         # F0/F1 are constant between pooled scores, so splitting there and
         # weighting each piece by its u-mass integrates exactly
-        breaks = np.unique(np.concatenate([[0.0, 1.0], data.scores]))
+        breaks = np.concatenate([[0.0], cdfs.u[(cdfs.u > 0.0) & (cdfs.u < 1.0)], [1.0]])
         mids = 0.5 * (breaks[:-1] + breaks[1:])
         masses = np.diff(u.weight.cdf(breaks))
         return (
@@ -142,18 +144,14 @@ def rank_uniform_evaluation(data: LabeledScores, rank_weights=None) -> float:
     optional per-rank weights generalize the average when equal rank
     probabilities are not credible.
     """
-    empirical_priors(data)  # raises on single-class data
-    s0 = np.sort(data.class_scores(0))
-    thresholds = np.sort(data.class_scores(1))
-    below = np.searchsorted(s0, thresholds, side="left")
-    at = np.searchsorted(s0, thresholds, side="right") - below
-    credits = below + 0.5 * at
+    cdfs = empirical_cdfs(data)  # raises on single-class data
+    # class-0 scores below each distinct score, plus half of those tied
+    credits = cdfs.cum0 - 0.5 * cdfs.count0
     if rank_weights is None:
-        # sum of half-integers over one divisor: bit-identical to the
-        # rank-sum AUC, not merely equal in exact arithmetic
-        return float(np.sum(credits) / (s0.size * thresholds.size))
-    w = _rank_weights(RankUniformClass1(weights=tuple(rank_weights)), thresholds.size)
-    return float(np.sum(w * credits) / s0.size)
+        # the same exact sum of half-integers as the AUC: bit-identical
+        return float(cdfs.count1 @ credits / (cdfs.n0 * cdfs.n1))
+    w = _rank_weights(RankUniformClass1(weights=tuple(rank_weights)), cdfs.n1)
+    return float(np.sum(w * np.repeat(credits, cdfs.count1)) / cdfs.n0)
 
 
 def screen_at_proportion(data: LabeledScores, p: float, basis: str = "all_objects") -> ScreeningResult:
@@ -162,28 +160,24 @@ def screen_at_proportion(data: LabeledScores, p: float, basis: str = "all_object
 
     The threshold is the ceil(p * n_basis)-th lowest basis score; scores
     tied with it land on the class-0 side, so the selected set is a
-    deterministic function of the score multiset.
+    deterministic function of the score multiset.  p is read as the
+    decimal it prints as, so 0.07 of 100 is rank 7, not the 8 that the
+    binary product 0.07 * 100 = 7.000000000000001 would round up to.
     """
     if not (0.0 < p < 1.0):
         raise InputError(f"screening proportion must lie strictly inside (0, 1), got {p}")
     if basis not in SCREEN_BASES:
         raise ConfigError(f"unknown screening basis {basis!r}; expected {SCREEN_BASES}")
-    empirical_priors(data)  # raises on single-class data
-    basis_scores = data.scores if basis == "all_objects" else data.class_scores(0)
-    ranked = np.sort(basis_scores)
-    k = int(np.ceil(p * ranked.size))
-    threshold = float(ranked[k - 1])
-
-    predicted_zero = data.scores <= threshold
-    is_zero = data.labels == 0
-    tn = int(np.sum(predicted_zero & is_zero))
-    fp = int(np.sum(~predicted_zero & is_zero))
-    fn = int(np.sum(predicted_zero & ~is_zero))
-    tp = int(np.sum(~predicted_zero & ~is_zero))
+    cdfs = empirical_cdfs(data)  # raises on single-class data
+    ranked = cdfs.cum0 + cdfs.cum1 if basis == "all_objects" else cdfs.cum0
+    k = math.ceil(Fraction(repr(float(p))) * int(ranked[-1]))
+    cut = int(np.searchsorted(ranked, k))  # the tie group holding rank k
+    tn, fn = int(cdfs.cum0[cut]), int(cdfs.cum1[cut])
+    fp, tp = cdfs.n0 - tn, cdfs.n1 - fn
     return ScreeningResult(
         proportion=float(p),
         threshold_rank=k,
-        threshold=threshold,
+        threshold=float(cdfs.u[cut]),
         confusion=(tn, fp, fn, tp),
         class0_recall=tn / (tn + fp),
         misclassification_rate=(fp + fn) / data.n,

@@ -7,6 +7,12 @@ quadrature of the beta density, and mpmath's arbitrary-precision
 incomplete beta and binomial sums.  The package computes incomplete betas
 with scipy.special.betainc, so no oracle here uses that routine.  Nothing
 imports the package.
+
+The rank-sum AUC and the stack-loop optimal envelope at the end are the
+package's earlier algorithms, kept as differential references for the
+tie-grouped table and the ROC hull that replaced them.  They work on raw
+class score arrays; the weight they integrate against is passed in and
+only answers cdf and partial_moments.
 """
 
 from functools import lru_cache
@@ -131,3 +137,96 @@ def _nested_uncertain_h(s0, s1, n_grid):
         ratios[i] = loss / ref
     v = 6.0 * pi0s * (1.0 - pi0s)
     return float(1.0 - np.mean(ratios * v))
+
+
+def rank_sum_auc(s0, s1):
+    """(auc, tie_pairs) from average ranks of the pooled scores and
+    per-value class counts, as the package computed them before."""
+    s0 = np.asarray(s0, dtype=float)
+    s1 = np.asarray(s1, dtype=float)
+    n0, n1 = s0.size, s1.size
+    pooled = np.concatenate([s0, s1])
+    order = np.argsort(pooled, kind="mergesort")
+    _, start = np.unique(pooled[order], return_index=True)
+    stop = np.append(start[1:], pooled.size)
+    ranks = np.empty(pooled.size)
+    ranks[order] = np.repeat((start + 1 + stop) / 2.0, stop - start)
+    u1 = float(np.sum(ranks[n0:])) - n1 * (n1 + 1) / 2.0
+    values, counts0 = np.unique(s0, return_counts=True)
+    ranked1 = np.sort(s1)
+    counts1 = np.searchsorted(ranked1, values, side="right") - np.searchsorted(
+        ranked1, values, side="left"
+    )
+    return u1 / (n0 * n1), int(np.sum(counts0 * counts1))
+
+
+def stack_loop_envelope(s0, s1, pi0):
+    """(breaks, intercepts, slopes) of the lower envelope of the loss
+    lines pi1 F1(t) + c [pi0 (1 - F0(t)) - pi1 F1(t)] over the pooled
+    scores with 0 and 1, plus the all-to-class-1 line c pi0: slopes sorted
+    with a 1e-15 de-duplication, then a stack pass over the lines."""
+    sorted0, sorted1 = np.sort(s0), np.sort(s1)
+    pi1 = 1.0 - pi0
+    cands = np.unique(np.concatenate([[0.0, 1.0], sorted0, sorted1]))
+    b = pi1 * (np.searchsorted(sorted1, cands, side="right") / sorted1.size)
+    m = pi0 * (1.0 - np.searchsorted(sorted0, cands, side="right") / sorted0.size) - b
+    b = np.append(b, 0.0)
+    m = np.append(m, pi0)
+    order = np.lexsort((b, -m))
+    m, b = m[order], b[order]
+    keep = np.ones(m.size, dtype=bool)
+    keep[1:] = np.abs(np.diff(m)) > 1e-15
+    m, b = m[keep], b[keep]
+
+    def crossover(i, j):
+        return (b[j] - b[i]) / (m[i] - m[j])
+
+    stack = []
+    for i in range(m.size):
+        while stack:
+            top = stack[-1]
+            if b[i] <= b[top] and m[i] <= m[top]:
+                stack.pop()
+                continue
+            if len(stack) >= 2 and crossover(stack[-2], i) <= crossover(stack[-2], top):
+                stack.pop()
+                continue
+            break
+        if stack and m[stack[-1]] == m[i]:
+            continue
+        stack.append(i)
+
+    xs, segs = [0.0], [stack[0]]
+    for prev, nxt in zip(stack[:-1], stack[1:]):
+        x = crossover(prev, nxt)
+        if x <= xs[-1]:
+            segs[-1] = nxt
+            continue
+        if x >= 1.0:
+            break
+        xs.append(x)
+        segs.append(nxt)
+    xs.append(1.0)
+    return np.asarray(xs), b[segs], m[segs]
+
+
+def stack_loop_envelope_value(envelope, c):
+    breaks, intercepts, slopes = envelope
+    idx = np.clip(np.searchsorted(breaks, c, side="right") - 1, 0, slopes.size - 1)
+    return intercepts[idx] + slopes[idx] * c
+
+
+def stack_loop_expected_loss(s0, s1, pi0, w):
+    """Optimal-mode expected loss: each envelope segment integrated as
+    intercept dW + slope dm0 from the weight's cdf and partial moment m0."""
+    breaks, intercepts, slopes = stack_loop_envelope(s0, s1, pi0)
+    m0, _ = w.partial_moments(breaks)
+    return float(np.sum(intercepts * np.diff(w.cdf(breaks)) + slopes * np.diff(m0)))
+
+
+def per_score_calibrated_loss(s0, s1, pi0, w):
+    """Calibrated-mode expected loss pi0 mean m0(s0) + pi1 mean m1(s1),
+    one partial-moment evaluation per score."""
+    m0, _ = w.partial_moments(np.asarray(s0, dtype=float))
+    _, m1 = w.partial_moments(np.asarray(s1, dtype=float))
+    return float(pi0 * np.mean(m0) + (1.0 - pi0) * np.mean(m1))

@@ -97,6 +97,26 @@ class TestEmpiricalCdfs:
         cdfs = empirical_cdfs(data)
         assert cdfs.f1(0.3) == pytest.approx(2.0 / 3.0)
 
+    def test_tie_grouped_table(self):
+        data = ingest([0.4, 0.1, 0.4, 0.9, 0.1, 0.4], [0, 1, 1, 1, 0, 0])
+        table = empirical_cdfs(data)
+        assert table.u.tolist() == [0.1, 0.4, 0.9]
+        assert table.cum0.tolist() == [1, 3, 3]
+        assert table.cum1.tolist() == [1, 2, 3]
+        assert table.sorted0.tolist() == [0.1, 0.4, 0.4]
+        assert table.sorted1.tolist() == [0.1, 0.4, 0.9]
+        assert (table.n0, table.n1) == (3, 3)
+        # one sort per column, shared by every metric that asks for it
+        assert empirical_cdfs(data) is table is data.table
+
+    def test_hull_is_lower_convex_chain(self):
+        # ROC points (0,0), (1,0), (1,1), (2,1), (3,1), (3,3): (1,1) and
+        # (2,1) lie above the chain, so it runs (0,0) (1,0) (3,1) (3,3)
+        data = ingest([0.1, 0.2, 0.3, 0.4, 0.5, 0.5], [0, 1, 0, 0, 1, 1])
+        f0, f1 = empirical_cdfs(data).hull
+        assert f0.tolist() == [0.0, 1 / 3, 1.0, 1.0]
+        assert f1.tolist() == [0.0, 0.0, 1 / 3, 1.0]
+
     def test_vectorized_queries(self):
         data = ingest([0.1, 0.4, 0.5], [0, 0, 1])
         cdfs = empirical_cdfs(data)

@@ -10,6 +10,7 @@ from hmetric import (
     h_measure_fixed,
     h_measure_uncertain_priors,
     ingest,
+    read_scores_csv,
 )
 from hmetric.empirical import ClassPriors, empirical_cdfs
 from hmetric.hmeasure import _loss_ratio_batch
@@ -54,6 +55,19 @@ class TestHMeasureFixed:
         data = ingest([0.3] * 10, [0] * 7 + [1] * 3)
         res = h_measure_fixed(data)
         assert abs(res.h) <= 1e-10
+
+    def test_no_skill_is_exactly_zero_in_optimal_mode(self, fixtures_dir):
+        # a constant scorer's ROC hull is the diagonal, and its loss is
+        # integrated in the same partial-moment form as the reference
+        optimal = EvalConfig(threshold_mode="optimal")
+        names, columns, labels = read_scores_csv(fixtures_dir / "constant_at_prior.csv")
+        assert h_measure_fixed(ingest(columns["score"], labels), config=optimal).h == 0.0
+        data = ingest([0.3] * 10, [0] * 7 + [1] * 3)
+        for pi0 in np.arange(1, 100) / 100:
+            res = h_measure_fixed(data, priors=ClassPriors(pi0=float(pi0)), config=optimal)
+            assert res.h == 0.0, pi0
+        cfg = EvalConfig(prior="beta", seed=3, outer_samples=2000, threshold_mode="optimal")
+        assert h_measure_uncertain_priors(data, config=cfg).h == 0.0
 
     def test_golden_fixture(self, golden4):
         res = h_measure_fixed(golden4)
@@ -148,17 +162,21 @@ class TestHMeasureUncertainPriors:
         assert oracle == pytest.approx(GOLDEN_H_UNCERTAIN, abs=1e-6)
 
     def test_single_prior_matches_fixed_h(self, golden4):
-        # one draw of the outer integrand reproduces the fixed-prior H at
-        # that prior with the matching conditional weight
+        # one draw of the outer integrand reproduces the fixed-prior H
+        # at that prior with the matching conditional weight, in both
+        # threshold modes and with several priors in one batch
         cdfs = empirical_cdfs(golden4)
-        for pi0 in [0.2, 0.5, 0.8]:
-            ratio = _loss_ratio_batch(np.asarray([pi0]), cdfs, "calibrated")[0]
-            fixed = h_measure_fixed(
-                golden4,
-                priors=ClassPriors(pi0=pi0),
-                w=BetaWeight(2.0 - pi0, 1.0 + pi0),
-            )
-            assert 1.0 - ratio == pytest.approx(fixed.h, abs=1e-12)
+        pi0s = [0.2, 0.5, 0.8]
+        for mode in ("calibrated", "optimal"):
+            ratios = _loss_ratio_batch(np.asarray(pi0s), cdfs, mode)
+            for pi0, ratio in zip(pi0s, ratios):
+                fixed = h_measure_fixed(
+                    golden4,
+                    priors=ClassPriors(pi0=pi0),
+                    w=BetaWeight(2.0 - pi0, 1.0 + pi0),
+                    config=EvalConfig(threshold_mode=mode),
+                )
+                assert 1.0 - ratio == pytest.approx(fixed.h, abs=1e-12)
 
     def test_reconstructs_from_components(self, golden4):
         res = h_measure_uncertain_priors(golden4, config=self.CFG)

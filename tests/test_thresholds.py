@@ -160,6 +160,17 @@ class TestScreening:
         assert sum(res.confusion) == data.n
         assert res.misclassification_rate == pytest.approx((fp + fn) / 10)
 
+    @pytest.mark.parametrize("p, n, rank", [(0.07, 100, 7), (0.28, 25, 7), (0.55, 100, 55)])
+    def test_rank_is_ceil_of_p_as_printed(self, p, n, rank):
+        # in binary floating point p * n lands just above the integer
+        assert p * n > rank
+        scores = np.arange(n) / n
+        res = screen_at_proportion(ingest(scores, np.arange(n) % 2), p)
+        assert res.threshold_rank == rank
+        assert res.threshold == scores[rank - 1]
+        tn, fp, fn, tp = res.confusion
+        assert tn + fn == rank
+
     def test_ties_at_cut_go_to_class_zero(self):
         data = ingest([0.2, 0.2, 0.2, 0.8], [0, 0, 1, 1])
         res = screen_at_proportion(data, 0.25, basis="all_objects")
