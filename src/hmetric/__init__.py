@@ -7,14 +7,11 @@ from .config import EvalConfig
 from .distributions import (
     BetaParams,
     BetaWeight,
-    EmpiricalMixtureWeight,
     TabulatedWeight,
     WeightFunction,
     beta_pdf,
     load_tabulated_weight,
     regularized_incomplete_beta,
-    sample_weight,
-    weight_partial_moments,
 )
 from .empirical import (
     ClassPriors,
@@ -29,7 +26,6 @@ from .errors import ConfigError, DegenerateDataError, HmetricError, InputError
 from .auc import AucResult, auc_mann_whitney, mixture_weight_loss
 from .hmeasure import (
     HResult,
-    PriorSpec,
     default_weight,
     h_measure_fixed,
     h_measure_uncertain_priors,
@@ -70,12 +66,9 @@ __all__ = [
     "BetaParams",
     "BetaWeight",
     "TabulatedWeight",
-    "EmpiricalMixtureWeight",
     "WeightFunction",
     "beta_pdf",
     "regularized_incomplete_beta",
-    "sample_weight",
-    "weight_partial_moments",
     "load_tabulated_weight",
     "LabeledScores",
     "ClassPriors",
@@ -92,7 +85,6 @@ __all__ = [
     "auc_mann_whitney",
     "mixture_weight_loss",
     "HResult",
-    "PriorSpec",
     "default_weight",
     "h_measure_fixed",
     "h_measure_uncertain_priors",

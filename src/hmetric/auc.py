@@ -7,15 +7,15 @@ expected minimum loss obtained when the cost weight is set to the
 classifier's own pooled score distribution -- a classifier-dependent
 weight, which is exactly the incoherence the H-measure removes.  Both
 sides of that identity are implemented so the correspondence can be
-demonstrated numerically."""
+demonstrated numerically; the pooled score distribution is read off the
+same table, one atom per distinct score weighted by its count."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distributions import EmpiricalMixtureWeight
 from .empirical import LabeledScores, empirical_cdfs, empirical_priors
-from .loss import expected_min_loss
+from .loss import min_loss
 
 __all__ = ["AucResult", "auc_mann_whitney", "mixture_weight_loss"]
 
@@ -60,10 +60,11 @@ def mixture_weight_loss(data: LabeledScores, mode: str = "calibrated") -> float:
     In the continuous limit this equals AucResult.equivalent_loss; on
     finite data the two differ by a discretization term of order
     1/min(n0, n1).  Shipped as the executable demonstration that the AUC
-    embeds a classifier-dependent cost weight.
+    embeds a classifier-dependent cost weight.  That weight puts mass
+    (count0[k] + count1[k]) / n on each distinct score u[k], so the
+    expectation is a count-weighted mean of the minimum loss there.
     """
     priors = empirical_priors(data)
     cdfs = empirical_cdfs(data)
-    w = EmpiricalMixtureWeight(data.scores)
-    value, _ = expected_min_loss(priors, cdfs, w, mode=mode, method="quadrature")
-    return value
+    losses = min_loss(cdfs.u, priors, cdfs, mode=mode)
+    return float((cdfs.count0 + cdfs.count1) @ losses / data.n)

@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .config import EvalConfig
 from .distributions import BetaWeight
@@ -239,12 +238,11 @@ def curves(input_csv, column, out_dir, **cfg):
             ((f"{c:.10g}", f"{v:.10g}") for c, v in zip(curve.grid, curve.loss)),
         )
 
-        grid = (np.arange(config.resolution) + 0.5) / config.resolution
-        density = weight.density(grid)
+        density = weight.density(curve.grid)
         _write_csv(
             out_path / "weight.csv",
             ["c", "density"],
-            ((f"{c:.10g}", f"{d:.10g}") for c, d in zip(grid, density)),
+            ((f"{c:.10g}", f"{d:.10g}") for c, d in zip(curve.grid, density)),
         )
 
         # one row per distinct score t: 1 - F0(t), 1 - F1(t)

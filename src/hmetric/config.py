@@ -13,18 +13,23 @@ from dataclasses import dataclass, asdict
 
 from .empirical import NORMALIZATIONS
 from .errors import ConfigError
+from .loss import THRESHOLD_MODES
+from .thresholds import PointMass, PooledScoreThresholds, RankUniformClass1
 
-__all__ = ["EvalConfig"]
+__all__ = ["EvalConfig", "threshold_law"]
 
 WEIGHT_KINDS = ("default", "beta", "tabulated")
 PRIOR_KINDS = ("empirical", "fixed", "beta")
 METHODS = ("quadrature", "monte_carlo")
-MODES = ("calibrated", "optimal")
 
 
-def _parse_u_dist(spec: str):
-    if spec in ("pooled", "class1-ranks"):
-        return spec
+def threshold_law(spec: str):
+    """The independent threshold distribution a u_dists entry names:
+    'pooled', 'class1-ranks' or 'point:<t>' with t in [0, 1]."""
+    if spec == "pooled":
+        return PooledScoreThresholds()
+    if spec == "class1-ranks":
+        return RankUniformClass1()
     if spec.startswith("point:"):
         try:
             t = float(spec.split(":", 1)[1])
@@ -32,7 +37,7 @@ def _parse_u_dist(spec: str):
             raise ConfigError(f"bad threshold distribution spec {spec!r}") from None
         if not 0.0 <= t <= 1.0:
             raise ConfigError(f"point-mass threshold must lie in [0, 1], got {t}")
-        return spec
+        return PointMass(t=t)
     raise ConfigError(
         f"unknown threshold distribution {spec!r}; "
         "expected 'pooled', 'class1-ranks' or 'point:<t>'"
@@ -85,8 +90,10 @@ class EvalConfig:
                 raise ConfigError("fixed prior requires pi0 strictly inside (0, 1)")
         if self.prior == "beta" and (self.prior_alpha <= 0 or self.prior_beta <= 0):
             raise ConfigError("prior beta shapes must be positive")
-        if self.threshold_mode not in MODES:
-            raise ConfigError(f"unknown threshold mode {self.threshold_mode!r}; expected {MODES}")
+        if self.threshold_mode not in THRESHOLD_MODES:
+            raise ConfigError(
+                f"unknown threshold mode {self.threshold_mode!r}; expected {THRESHOLD_MODES}"
+            )
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected {METHODS}")
         if self.prior == "beta" and self.method == "monte_carlo":
@@ -106,7 +113,7 @@ class EvalConfig:
             if not (0.0 < p < 1.0):
                 raise ConfigError(f"screening proportion must lie in (0, 1), got {p}")
         for spec in self.u_dists:
-            _parse_u_dist(spec)
+            threshold_law(spec)
         if self.n_workers < 1:
             raise ConfigError("n_workers must be at least 1")
         if self.uses_monte_carlo and self.seed is None:

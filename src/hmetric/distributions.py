@@ -2,14 +2,15 @@
 
 Provides the beta family (density, regularized incomplete beta from
 scipy.special.betainc, sampling) plus tabulated piecewise-linear
-weights and the discrete pooled-score mixture weight.  Everything a cost
-weight must answer for the loss pipeline lives behind one interface:
-density, cdf, mean, partial moments and seeded sampling.
+weights.  Everything a cost weight must answer for the loss pipeline
+lives behind one interface: density, cdf, mean, partial moments and
+seeded sampling.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,11 +24,8 @@ __all__ = [
     "WeightFunction",
     "BetaWeight",
     "TabulatedWeight",
-    "EmpiricalMixtureWeight",
     "beta_pdf",
     "regularized_incomplete_beta",
-    "sample_weight",
-    "weight_partial_moments",
     "load_tabulated_weight",
 ]
 
@@ -89,9 +87,6 @@ class WeightFunction:
     and safe to share across threads; random streams are always passed
     in explicitly.
     """
-
-    #: True when the weight is a discrete atomic measure.
-    atomic = False
 
     def density(self, c):
         raise NotImplementedError
@@ -292,65 +287,6 @@ class TabulatedWeight(WeightFunction):
         }
 
 
-class EmpiricalMixtureWeight(WeightFunction):
-    """Discrete weight with one atom of mass 1/n at every pooled score.
-
-    This is the classifier's own pooled score distribution used as the
-    cost weight; it exists only for the AUC-equivalence diagnostic, where
-    plugging it into the expected-loss integral reproduces (up to
-    discretization) the loss quantity the AUC is a linear function of.
-    Boundary convention: an atom exactly at the integration limit counts
-    toward the lower partial moment.
-    """
-
-    atomic = True
-
-    def __init__(self, scores: np.ndarray):
-        scores = np.asarray(scores, dtype=float)
-        if scores.ndim != 1 or scores.size == 0:
-            raise InputError("pooled scores must be a nonempty one-dimensional array")
-        if np.any(~np.isfinite(scores)) or np.any(scores < 0.0) or np.any(scores > 1.0):
-            raise InputError("pooled scores must be finite and lie in [0, 1]")
-        self.atoms = np.sort(scores)
-
-    def cdf(self, c):
-        c_arr = np.asarray(c, dtype=float)
-        out = np.searchsorted(self.atoms, c_arr, side="right") / self.atoms.size
-        return float(out) if np.isscalar(c) else out
-
-    def mean(self) -> float:
-        return float(self.atoms.mean())
-
-    def partial_moments(self, upper):
-        u = _check_upper(upper)
-        csum = np.concatenate([[0.0], np.cumsum(self.atoms)])
-        k = np.searchsorted(self.atoms, u, side="right")
-        n = self.atoms.size
-        m0 = csum[k] / n
-        m1 = ((n - k) - (csum[n] - csum[k])) / n
-        if np.isscalar(upper):
-            return float(m0), float(m1)
-        return m0, m1
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if n < 1:
-            raise InputError("sample size must be at least 1")
-        return self.atoms[rng.integers(0, self.atoms.size, size=n)]
-
-    def describe(self) -> dict:
-        return {"kind": "empirical_mixture", "n": int(self.atoms.size)}
-
-
-def sample_weight(w: WeightFunction, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n i.i.d. costs from w, deterministically for a given stream."""
-    return w.sample(n, rng)
-
-
-def weight_partial_moments(w: WeightFunction, upper: float):
-    """Exact partial moments (m0, m1) of a weight at the split point upper."""
-    return w.partial_moments(upper)
-
-
 def load_tabulated_weight(path: str | Path) -> TabulatedWeight:
     """Read a tabulated weight from a two-column CSV with header ``c,density``."""
     path = Path(path)
@@ -367,10 +303,16 @@ def load_tabulated_weight(path: str | Path) -> TabulatedWeight:
                 if len(row) != 2:
                     raise InputError(f"{path}:{lineno}: expected two columns, got {len(row)}")
                 try:
-                    grid.append(float(row[0]))
-                    dens.append(float(row[1]))
+                    c, d = float(row[0]), float(row[1])
                 except ValueError as exc:
                     raise InputError(f"{path}:{lineno}: non-numeric value: {exc}") from exc
+                for name, raw, value in (("c", row[0], c), ("density", row[1], d)):
+                    if not math.isfinite(value):
+                        raise InputError(
+                            f"{path}:{lineno}: non-finite value {raw.strip()!r} in column {name!r}"
+                        )
+                grid.append(c)
+                dens.append(d)
     except OSError as exc:
         raise InputError(f"cannot read tabulated weight file {path}: {exc}") from exc
     return TabulatedWeight(np.asarray(grid), np.asarray(dens))

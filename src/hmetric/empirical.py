@@ -14,6 +14,7 @@ neither the priors nor the cost weight.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -252,8 +253,8 @@ def read_scores_csv(path: str | Path):
     """Read a scored test set from CSV.
 
     Expected layout: header row with a 'label' column (values 0/1) and one
-    or more numeric score columns.  Rows with missing or non-numeric values
-    are rejected with the offending line number.
+    or more numeric score columns.  Rows with missing, non-numeric or
+    non-finite values are rejected with the offending line number.
 
     Returns (column_names, columns, labels) where columns maps each score
     column name to a float array.
@@ -293,11 +294,16 @@ def read_scores_csv(path: str | Path):
                 for name in score_names:
                     value = row[header.index(name)].strip()
                     try:
-                        cols[name].append(float(value))
+                        score = float(value)
                     except ValueError:
                         raise InputError(
                             f"{path}:{lineno}: non-numeric score {value!r} in column {name!r}"
                         ) from None
+                    if not math.isfinite(score):
+                        raise InputError(
+                            f"{path}:{lineno}: non-finite score {value!r} in column {name!r}"
+                        )
+                    cols[name].append(score)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not labels:

@@ -31,7 +31,6 @@ from .errors import ConfigError
 from .loss import _hull_envelope, expected_min_loss, reference_loss
 
 __all__ = [
-    "PriorSpec",
     "HResult",
     "default_weight",
     "h_measure_fixed",
@@ -39,23 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_PRIOR_UNCERTAINTY = BetaParams(2.0, 2.0)
-
-
-@dataclass(frozen=True)
-class PriorSpec:
-    """How pi0 is determined: a fixed value, the empirical class
-    proportions, or a beta distribution over pi0."""
-
-    kind: str  # "fixed" | "empirical" | "beta"
-    pi0: float | None = None
-    params: BetaParams = DEFAULT_PRIOR_UNCERTAINTY
-
-    def describe(self) -> dict:
-        if self.kind == "fixed":
-            return {"kind": "fixed", "pi0": self.pi0}
-        if self.kind == "beta":
-            return {"kind": "beta", "alpha": self.params.alpha, "beta": self.params.beta}
-        return {"kind": "empirical"}
 
 
 @dataclass(frozen=True)
@@ -121,13 +103,12 @@ def h_measure_fixed(
     )
     ref = reference_loss(priors, w)
     h = 1.0 - loss / ref
-    prior_spec = PriorSpec(kind="fixed", pi0=priors.pi0)
     return HResult(
         h=float(h),
         loss=float(loss),
         reference_loss=float(ref),
         weight_used=w.describe(),
-        prior_used=prior_spec.describe(),
+        prior_used={"kind": "fixed", "pi0": priors.pi0},
         mc_stderr=stderr,
         warnings=_warnings_for(h, config.threshold_mode),
     )
@@ -211,13 +192,12 @@ def h_measure_uncertain_priors(
     parts = run_chunks(one_chunk, config.seed, config.outer_samples, n_workers=config.n_workers)
     mean_ratio, stderr = combine_mean_stderr(parts)
     h = 1.0 - mean_ratio
-    prior_spec = PriorSpec(kind="beta", params=prior_dist)
     return HResult(
         h=float(h),
         loss=float(mean_ratio),
         reference_loss=1.0,
         weight_used={"kind": "beta_conditional_on_prior"},
-        prior_used=prior_spec.describe(),
+        prior_used={"kind": "beta", "alpha": prior_dist.alpha, "beta": prior_dist.beta},
         mc_stderr=stderr,
         warnings=_warnings_for(h, config.threshold_mode),
     )

@@ -171,8 +171,6 @@ def expected_min_loss(
     if mode not in THRESHOLD_MODES:
         raise ConfigError(f"unknown threshold mode {mode!r}; expected one of {THRESHOLD_MODES}")
     if method == "quadrature":
-        if w.atomic:  # discrete weights integrate to a plain atom average
-            return float(np.mean(min_loss(w.atoms, priors, cdfs, mode=mode))), None
         if mode == "calibrated":
             return _calibrated_expected_loss(priors, cdfs, w), None
         env = optimal_envelope(priors, cdfs)

@@ -20,18 +20,12 @@ import numpy as np
 
 from . import __version__
 from .auc import auc_mann_whitney, mixture_weight_loss
-from .config import EvalConfig
+from .config import EvalConfig, threshold_law
 from .distributions import BetaParams, BetaWeight, WeightFunction, load_tabulated_weight
 from .empirical import ClassPriors, LabeledScores, empirical_priors, ingest
 from .errors import ConfigError
 from .hmeasure import default_weight, h_measure_fixed, h_measure_uncertain_priors
-from .thresholds import (
-    PointMass,
-    PooledScoreThresholds,
-    RankUniformClass1,
-    independent_threshold_loss,
-    screen_at_proportion,
-)
+from .thresholds import independent_threshold_loss, screen_at_proportion
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -59,14 +53,6 @@ def resolve_weight(config: EvalConfig, priors: ClassPriors) -> WeightFunction:
     if config.weight == "tabulated":
         return load_tabulated_weight(config.weight_path)
     return default_weight(priors)
-
-
-def _threshold_dist(spec: str, data: LabeledScores):
-    if spec == "pooled":
-        return PooledScoreThresholds()
-    if spec == "class1-ranks":
-        return RankUniformClass1()
-    return PointMass(t=float(spec.split(":", 1)[1]))
 
 
 def evaluate_column(
@@ -104,7 +90,7 @@ def evaluate_column(
             {
                 "u": spec,
                 "loss": independent_threshold_loss(
-                    data, aux_priors, aux_weight, _threshold_dist(spec, data)
+                    data, aux_priors, aux_weight, threshold_law(spec)
                 ),
             }
             for spec in config.u_dists

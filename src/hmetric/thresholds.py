@@ -6,7 +6,8 @@ charging every class-0 error the mean cost E(c), so only E_u[F0] and
 E_u[F1] matter.  Choosing u to put equal mass on the class-1 scores makes
 the evaluation equal to the AUC, which is the rank-only reading of that
 measure; screening instead fixes the proportion of objects to flag in
-advance and reads off the confusion counts.
+advance and reads off the confusion counts.  Every law with atoms at the
+scores, and screening, reads the column's tie-grouped table.
 """
 
 from __future__ import annotations
@@ -86,8 +87,6 @@ class ScreeningResult:
 
 
 def _rank_weights(u: RankUniformClass1, n1: int) -> np.ndarray:
-    if u.weights is None:
-        return np.full(n1, 1.0 / n1)
     w = np.asarray(u.weights, dtype=float)
     if w.size != n1:
         raise InputError(f"need one weight per class-1 rank ({n1}), got {w.size}")
@@ -99,16 +98,27 @@ def _rank_weights(u: RankUniformClass1, n1: int) -> np.ndarray:
     return w / total
 
 
-def _expected_cdfs(u, data: LabeledScores, cdfs) -> tuple[float, float]:
-    """E_u[F0(t)] and E_u[F1(t)] for each supported threshold law."""
+def _expected_cdfs(u, cdfs) -> tuple[float, float]:
+    """E_u[F0(t)] and E_u[F1(t)] for each supported threshold law.
+
+    The laws with atoms at the scores read the table: F0 at u[k] is
+    cum0[k] / n0, and the atoms there carry count0[k] + count1[k] (pooled)
+    or count1[k] (class-1 ranks) of the mass, so with equal atoms each
+    expectation is an exact integer sum divided once."""
+    n0, n1 = cdfs.n0, cdfs.n1
     if isinstance(u, PointMass):
         return float(cdfs.f0(u.t)), float(cdfs.f1(u.t))
     if isinstance(u, PooledScoreThresholds):
-        return float(np.mean(cdfs.f0(data.scores))), float(np.mean(cdfs.f1(data.scores)))
+        counts, n = cdfs.count0 + cdfs.count1, n0 + n1
+        return int(counts @ cdfs.cum0) / (n * n0), int(counts @ cdfs.cum1) / (n * n1)
     if isinstance(u, RankUniformClass1):
-        thresholds = cdfs.sorted1
-        w = _rank_weights(u, thresholds.size)
-        return float(np.sum(w * cdfs.f0(thresholds))), float(np.sum(w * cdfs.f1(thresholds)))
+        if u.weights is None:
+            return int(cdfs.count1 @ cdfs.cum0) / (n1 * n0), int(cdfs.count1 @ cdfs.cum1) / n1**2
+        w = _rank_weights(u, n1)
+        return (
+            float(w @ np.repeat(cdfs.cum0, cdfs.count1)) / n0,
+            float(w @ np.repeat(cdfs.cum1, cdfs.count1)) / n1,
+        )
     if isinstance(u, TabulatedThresholds):
         # F0/F1 are constant between pooled scores, so splitting there and
         # weighting each piece by its u-mass integrates exactly
@@ -132,7 +142,7 @@ def independent_threshold_loss(
     cost: E(c) pi0 E_u[1 - F0] + (1 - E(c)) pi1 E_u[F1]."""
     cdfs = empirical_cdfs(data)
     ec = w.mean()
-    e_f0, e_f1 = _expected_cdfs(u, data, cdfs)
+    e_f0, e_f1 = _expected_cdfs(u, cdfs)
     return float(ec * priors.pi0 * (1.0 - e_f0) + (1.0 - ec) * priors.pi1 * e_f1)
 
 

@@ -8,11 +8,12 @@ incomplete beta and binomial sums.  The package computes incomplete betas
 with scipy.special.betainc, so no oracle here uses that routine.  Nothing
 imports the package.
 
-The rank-sum AUC and the stack-loop optimal envelope at the end are the
-package's earlier algorithms, kept as differential references for the
-tie-grouped table and the ROC hull that replaced them.  They work on raw
-class score arrays; the weight they integrate against is passed in and
-only answers cdf and partial_moments.
+The rank-sum AUC, the stack-loop optimal envelope and the per-atom
+mixture-weight and threshold-law sums at the end are the package's
+earlier algorithms, kept as differential references for the tie-grouped
+table and the ROC hull that replaced them.  They work on raw class score
+arrays; the weight they integrate against is passed in and only answers
+cdf and partial_moments.
 """
 
 from functools import lru_cache
@@ -230,3 +231,41 @@ def per_score_calibrated_loss(s0, s1, pi0, w):
     m0, _ = w.partial_moments(np.asarray(s0, dtype=float))
     _, m1 = w.partial_moments(np.asarray(s1, dtype=float))
     return float(pi0 * np.mean(m0) + (1.0 - pi0) * np.mean(m1))
+
+
+def _class_cdfs(s0, s1, t):
+    """F0(t), F1(t) by binary search over the sorted class scores."""
+    sorted0, sorted1 = np.sort(s0), np.sort(s1)
+    return (
+        np.searchsorted(sorted0, t, side="right") / sorted0.size,
+        np.searchsorted(sorted1, t, side="right") / sorted1.size,
+    )
+
+
+def per_atom_mixture_loss(s0, s1, pi0, mode):
+    """Expected minimum loss under the pooled-score weight: the plain mean
+    of the minimum loss at each of the n pooled scores, the calibrated loss
+    from binary-search CDFs or the stack-loop envelope's value."""
+    atoms = np.concatenate([s0, s1]).astype(float)
+    if mode == "calibrated":
+        f0, f1 = _class_cdfs(s0, s1, atoms)
+        losses = atoms * pi0 * (1.0 - f0) + (1.0 - atoms) * (1.0 - pi0) * f1
+    else:
+        losses = stack_loop_envelope_value(stack_loop_envelope(s0, s1, pi0), atoms)
+    return float(np.mean(losses))
+
+
+def per_score_threshold_cdfs(s0, s1, law, weights=None):
+    """(E_u[F0], E_u[F1]) with one CDF evaluation per threshold atom:
+    "pooled" averages over the n pooled scores, "class1-ranks" sums over
+    the ascending class-1 scores with the given per-rank weights
+    (normalized; equal when omitted)."""
+    if law == "pooled":
+        f0, f1 = _class_cdfs(s0, s1, np.concatenate([s0, s1]))
+        return float(np.mean(f0)), float(np.mean(f1))
+    sorted1 = np.sort(s1)
+    w = np.full(sorted1.size, 1.0 / sorted1.size) if weights is None else (
+        np.asarray(weights, dtype=float) / np.sum(weights)
+    )
+    f0, f1 = _class_cdfs(s0, s1, sorted1)
+    return float(np.sum(w * f0)), float(np.sum(w * f1))

@@ -82,6 +82,33 @@ class TestEvaluate:
         assert result.exit_code == 2
         assert "bad.csv:3" in result.output
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_score_exit_2_with_line(self, runner, tmp_path, value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"label,a\n0,0.1\n1,{value}\n", encoding="utf-8")
+        result = runner.invoke(main, ["evaluate", str(bad)])
+        assert result.exit_code == 2
+        assert f"bad.csv:3: non-finite score '{value}' in column 'a'" in result.output
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tabulated_weight_exit_2_with_line(
+        self, runner, fixtures_dir, tmp_path, value
+    ):
+        wpath = tmp_path / "w.csv"
+        wpath.write_text(f"c,density\n0.1,1.0\n0.2,{value}\n", encoding="utf-8")
+        result = runner.invoke(
+            main, ["evaluate", str(fixtures_dir / "golden4.csv"), "--weight", f"tabulated:{wpath}"]
+        )
+        assert result.exit_code == 2
+        assert f"w.csv:3: non-finite value '{value}' in column 'density'" in result.output
+
+    def test_point_mass_outside_unit_interval_exit_3(self, runner, fixtures_dir):
+        result = runner.invoke(
+            main, ["evaluate", str(fixtures_dir / "golden4.csv"), "--u-dist", "point:1.5"]
+        )
+        assert result.exit_code == 3
+        assert "point-mass threshold must lie in [0, 1]" in result.output
+
     def test_missing_file_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, ["evaluate", str(tmp_path / "nope.csv")])
         assert result.exit_code == 2

@@ -1,7 +1,8 @@
 """Differential tests: the tie-grouped table and its ROC hull against the
-rank-sum AUC and the stack-loop optimal envelope they replaced
-(tests/oracles.py), on the fixtures, 100 random datasets and one large
-input whose ROC hull has a long convex stretch between two flat tails."""
+rank-sum AUC, the stack-loop optimal envelope and the per-atom
+mixture-weight and threshold-law sums they replaced (tests/oracles.py),
+on the fixtures, 100 random datasets and one large input whose ROC hull
+has a long convex stretch between two flat tails."""
 
 from pathlib import Path
 
@@ -10,21 +11,27 @@ import pytest
 
 from hmetric import (
     BetaWeight,
+    PooledScoreThresholds,
+    RankUniformClass1,
     TabulatedWeight,
     auc_mann_whitney,
     default_weight,
     empirical_cdfs,
     empirical_priors,
     expected_min_loss,
+    independent_threshold_loss,
     ingest,
     min_loss,
+    mixture_weight_loss,
     rank_uniform_evaluation,
     read_scores_csv,
 )
 
 from conftest import random_dataset
 from oracles import (
+    per_atom_mixture_loss,
     per_score_calibrated_loss,
+    per_score_threshold_cdfs,
     rank_sum_auc,
     stack_loop_envelope,
     stack_loop_envelope_value,
@@ -33,6 +40,8 @@ from oracles import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RTOL = 1e-12
+# sums over the table that replaced sums over every score or atom
+TABLE_RTOL = 1e-14
 
 
 def _fixture_columns():
@@ -156,3 +165,30 @@ def test_hull_of_large_input_drops_flat_and_collinear_points(big):
     assert f0.size == 103
     assert (f0[0], f1[0], f0[-1], f1[-1]) == (0.0, 0.0, 1.0, 1.0)
     assert np.all(np.diff(f0) >= 0) and np.all(np.diff(f1) >= 0)
+
+
+@pytest.mark.parametrize("mode", ["calibrated", "optimal"])
+def test_mixture_weight_loss_matches_per_atom_mean(mode):
+    for data in COLUMNS:
+        ref = per_atom_mixture_loss(*_split(data), empirical_priors(data).pi0, mode)
+        assert mixture_weight_loss(data, mode=mode) == pytest.approx(ref, rel=TABLE_RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("law", ["pooled", "class1-ranks", "weighted-ranks"])
+def test_threshold_laws_match_per_score_cdfs(law):
+    rng = np.random.default_rng(17)
+    for data in COLUMNS:
+        priors = empirical_priors(data)
+        w = default_weight(priors)
+        if law == "pooled":
+            u, oracle_args = PooledScoreThresholds(), ("pooled",)
+        elif law == "class1-ranks":
+            u, oracle_args = RankUniformClass1(), ("class1-ranks",)
+        else:
+            weights = rng.random(data.n1)
+            u, oracle_args = RankUniformClass1(weights=tuple(weights)), ("class1-ranks", weights)
+        e_f0, e_f1 = per_score_threshold_cdfs(*_split(data), *oracle_args)
+        ec = w.mean()
+        ref = ec * priors.pi0 * (1.0 - e_f0) + (1.0 - ec) * priors.pi1 * e_f1
+        got = independent_threshold_loss(data, priors, w, u)
+        assert got == pytest.approx(ref, rel=TABLE_RTOL, abs=0.0)

@@ -7,14 +7,11 @@ from scipy.integrate import quad
 from hmetric import (
     BetaParams,
     BetaWeight,
-    EmpiricalMixtureWeight,
     InputError,
     TabulatedWeight,
     beta_pdf,
     load_tabulated_weight,
     regularized_incomplete_beta,
-    sample_weight,
-    weight_partial_moments,
 )
 from oracles import beta_density, binomial_tail_betainc, quad_partial_moments
 
@@ -121,13 +118,13 @@ class TestRegularizedIncompleteBeta:
 class TestSampling:
     def test_uniform_mean(self):
         w = BetaWeight(1, 1)
-        draws = sample_weight(w, 10**5, np.random.default_rng(1))
+        draws = w.sample(10**5, np.random.default_rng(1))
         se = np.sqrt(1.0 / 12.0 / draws.size)
         assert abs(draws.mean() - 0.5) < 3 * se
 
     def test_beta22_moments(self):
         w = BetaWeight(2, 2)
-        draws = sample_weight(w, 10**5, np.random.default_rng(2))
+        draws = w.sample(10**5, np.random.default_rng(2))
         mean_se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - 0.5) < 3 * mean_se
         sq = (draws - draws.mean()) ** 2
@@ -136,8 +133,8 @@ class TestSampling:
 
     def test_deterministic_given_stream(self):
         w = BetaWeight(1.5, 2.5)
-        a = sample_weight(w, 1000, np.random.default_rng(99))
-        b = sample_weight(w, 1000, np.random.default_rng(99))
+        a = w.sample(1000, np.random.default_rng(99))
+        b = w.sample(1000, np.random.default_rng(99))
         assert np.array_equal(a, b)
 
     def test_tabulated_ks_against_beta31(self):
@@ -162,18 +159,18 @@ class TestSampling:
 class TestPartialMoments:
     def test_upper_zero(self):
         w = BetaWeight(2.0, 3.0)
-        m0, m1 = weight_partial_moments(w, 0.0)
+        m0, m1 = w.partial_moments(0.0)
         assert m0 == 0.0
         assert m1 == pytest.approx(3.0 / 5.0, abs=1e-12)  # E[1 - c]
 
     def test_upper_one(self):
         w = BetaWeight(2.0, 3.0)
-        m0, m1 = weight_partial_moments(w, 1.0)
+        m0, m1 = w.partial_moments(1.0)
         assert m0 == pytest.approx(2.0 / 5.0, abs=1e-12)  # beta mean
         assert m1 == 0.0
 
     def test_oracle_half(self):
-        m0, m1 = weight_partial_moments(BetaWeight(1.5, 1.5), 0.5)
+        m0, m1 = BetaWeight(1.5, 1.5).partial_moments(0.5)
         assert m0 == pytest.approx(M0_05_15, rel=1e-12)
         assert m1 == pytest.approx(M1_05_15, rel=1e-12)
 
@@ -183,7 +180,7 @@ class TestPartialMoments:
             a = rng.uniform(0.5, 5.0)
             b = rng.uniform(0.5, 5.0)
             u = rng.uniform(0.0, 1.0)
-            m0, m1 = weight_partial_moments(BetaWeight(a, b), u)
+            m0, m1 = BetaWeight(a, b).partial_moments(u)
             q0, q1 = quad_partial_moments(u, a, b)
             assert m0 == pytest.approx(q0, rel=1e-8, abs=1e-12)
             assert m1 == pytest.approx(q1, rel=1e-8, abs=1e-12)
@@ -199,7 +196,7 @@ class TestPartialMoments:
 
     def test_domain_error(self):
         with pytest.raises(InputError):
-            weight_partial_moments(BetaWeight(1, 1), 1.2)
+            BetaWeight(1, 1).partial_moments(1.2)
 
 
 class TestTabulatedWeight:
@@ -284,27 +281,3 @@ class TestTabulatedWeight:
         bad_value.write_text("c,density\n0.1,abc\n", encoding="utf-8")
         with pytest.raises(InputError, match="bad2.csv:2"):
             load_tabulated_weight(bad_value)
-
-
-class TestEmpiricalMixtureWeight:
-    def test_cdf_and_mean(self):
-        w = EmpiricalMixtureWeight([0.1, 0.4, 0.4, 0.9])
-        assert w.cdf(0.4) == 0.75
-        assert w.cdf(0.39) == 0.25
-        assert w.mean() == pytest.approx(0.45)
-
-    def test_partial_moments_boundary_convention(self):
-        # atom exactly at the split counts toward the lower moment
-        w = EmpiricalMixtureWeight([0.2, 0.6])
-        m0, m1 = w.partial_moments(0.6)
-        assert m0 == pytest.approx((0.2 + 0.6) / 2)
-        assert m1 == pytest.approx(0.0)
-        m0, m1 = w.partial_moments(0.5)
-        assert m0 == pytest.approx(0.1)
-        assert m1 == pytest.approx(0.4 / 2)
-
-    def test_validation(self):
-        with pytest.raises(InputError):
-            EmpiricalMixtureWeight([])
-        with pytest.raises(InputError):
-            EmpiricalMixtureWeight([0.5, 1.4])

@@ -4,7 +4,6 @@ import pytest
 from hmetric import (
     BetaWeight,
     ConfigError,
-    EmpiricalMixtureWeight,
     expected_min_loss,
     ingest,
     loss_curve,
@@ -233,15 +232,6 @@ class TestExpectedMinLoss:
         priors, cdfs = _setup(golden4)
         with pytest.raises(ConfigError, match="seed"):
             expected_min_loss(priors, cdfs, BetaWeight(1, 1), method="monte_carlo")
-
-    def test_atomic_weight_direct_sum(self, golden4):
-        priors, cdfs = _setup(golden4)
-        w = EmpiricalMixtureWeight(golden4.scores)
-        got, _ = expected_min_loss(priors, cdfs, w, mode="calibrated")
-        expected = np.mean(
-            [min_loss(s, priors, cdfs, "calibrated") for s in golden4.scores]
-        )
-        assert got == pytest.approx(expected, rel=1e-15)
 
 
 class TestReferenceLoss:

@@ -125,3 +125,33 @@ class TestBuildReport:
         f2 = report_mod.fingerprint_arrays(dict(reversed(list(cols.items()))), labels)
         assert f1 == f2
         assert f1.startswith("sha256:")
+
+
+SORTS = ("sort", "argsort", "unique", "lexsort")
+
+
+@pytest.mark.parametrize("prior", ["empirical", "beta"])
+@pytest.mark.parametrize("mode", ["calibrated", "optimal"])
+@pytest.mark.parametrize("compare", [False, True])
+def test_one_sort_per_score_column(monkeypatch, compare, mode, prior):
+    """Every metric reads the column's tie-grouped table, so a report
+    sorts each score column exactly once, whatever the threshold mode,
+    threshold laws and screening proportions."""
+    cols, labels = _columns(4)
+    config = EvalConfig(
+        threshold_mode=mode,
+        prior=prior,
+        seed=3,
+        outer_samples=200,
+        screen_proportions=(0.25, 0.5),
+        u_dists=("pooled", "class1-ranks", "point:0.5"),
+    )
+    calls = []
+    for name in SORTS:
+        def counting(*args, _name=name, _original=getattr(np, name), **kwargs):
+            calls.append((_name, np.shape(args[0])))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    build_report(cols, labels, config, compare=compare)
+    assert calls == [("argsort", labels.shape)] * len(cols)
