@@ -18,7 +18,7 @@ import click
 
 from .config import EvalConfig
 from .distributions import BetaWeight
-from .empirical import empirical_cdfs, ingest, read_scores_csv
+from .empirical import empirical_cdfs, ingest, read_bytes, read_scores_csv
 from .errors import ConfigError, DegenerateDataError, HmetricError
 from .loss import loss_curve
 from .report import build_report, render_report, resolve_priors, resolve_weight
@@ -130,10 +130,13 @@ def _write_report(report: dict, out: str):
         logger.info("wrote report to %s", out)
 
 
-def _fingerprint_file(path: str) -> str:
+def _read_fingerprinted(input_csv: str):
+    """Read INPUT_CSV once; parse those bytes and fingerprint the same bytes."""
     import hashlib
 
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    raw = read_bytes(input_csv)
+    names, columns, labels = read_scores_csv(input_csv, content=raw)
+    return names, columns, labels, "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
 @click.group()
@@ -151,10 +154,8 @@ def evaluate(input_csv, out, **cfg):
 
     def body():
         config = _build_config(**cfg)
-        names, columns, labels = read_scores_csv(input_csv)
-        report = build_report(
-            columns, labels, config, data_fingerprint=_fingerprint_file(input_csv)
-        )
+        names, columns, labels, fingerprint = _read_fingerprinted(input_csv)
+        report = build_report(columns, labels, config, data_fingerprint=fingerprint)
         _write_report(report, out)
 
     _run(body)
@@ -172,7 +173,7 @@ def compare(input_csv, columns, out, **cfg):
 
     def body():
         config = _build_config(**cfg)
-        names, all_columns, labels = read_scores_csv(input_csv)
+        names, all_columns, labels, fingerprint = _read_fingerprinted(input_csv)
         wanted = [token.strip() for token in columns.split(",") if token.strip()]
         missing = [name for name in wanted if name not in all_columns]
         if missing:
@@ -182,7 +183,7 @@ def compare(input_csv, columns, out, **cfg):
             selected,
             labels,
             config,
-            data_fingerprint=_fingerprint_file(input_csv),
+            data_fingerprint=fingerprint,
             compare=True,
         )
         _write_report(report, out)

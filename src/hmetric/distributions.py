@@ -291,7 +291,7 @@ def load_tabulated_weight(path: str | Path) -> TabulatedWeight:
     """Read a tabulated weight from a two-column CSV with header ``c,density``."""
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != ["c", "density"]:

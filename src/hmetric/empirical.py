@@ -9,12 +9,21 @@ measure-zero set.  Each column is sorted once, into its distinct scores
 with the cumulative class counts at each (EmpiricalCdfPair); every metric
 reads that table, and the optimal rule its ROC hull, which depends on
 neither the priors nor the cost weight.
+
+read_scores_csv parses a plain file (every data field bare digits, '.',
+'e', 'E', '+' or '-', labels exactly 0 or 1, rows ending in LF or CRLF, no
+blank row, every value finite: what numpy.savetxt and pandas write) in
+one numpy pass.  Any other file, and any file with a malformed row, goes
+through the line reader, which reports the row by its line number.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -50,11 +59,11 @@ class LabeledScores:
 
     @property
     def n0(self) -> int:
-        return int(np.sum(self.labels == 0))
+        return self.table.n0
 
     @property
     def n1(self) -> int:
-        return int(np.sum(self.labels == 1))
+        return self.table.n1
 
     def class_scores(self, label: int) -> np.ndarray:
         return self.scores[self.labels == label]
@@ -249,63 +258,124 @@ def empirical_cdfs(data: LabeledScores) -> EmpiricalCdfPair:
     return data.table
 
 
-def read_scores_csv(path: str | Path):
+def read_bytes(path: str | Path) -> bytes:
+    """The bytes of an input file; an unreadable file is an InputError."""
+    path = Path(path)
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def read_scores_csv(path: str | Path, *, content: bytes | None = None):
     """Read a scored test set from CSV.
 
     Expected layout: header row with a 'label' column (values 0/1) and one
     or more numeric score columns.  Rows with missing, non-numeric or
-    non-finite values are rejected with the offending line number.
+    non-finite values are rejected with the offending line number.  The
+    text is UTF-8, with or without a byte-order mark.  content, when given,
+    is the file's bytes, already read (path then only names the input in
+    messages); the CLI parses and fingerprints the same bytes this way.
 
     Returns (column_names, columns, labels) where columns maps each score
     column name to a float array.
     """
     path = Path(path)
+    if content is None:
+        content = read_bytes(path)
+    parsed = _read_plain(path, content)
+    return parsed if parsed is not None else _read_lines(path, content)
+
+
+def _read_plain(path: Path, content: bytes):
+    """Parse a plain file in one numpy pass; None sends it to the line reader.
+
+    Plain means: a valid header on the first line, with no quote or lone
+    CR; then rows of bare digits, '.', 'e', 'E', '+' and '-', one field per
+    column, the label exactly 0 or 1, each row ending in LF or CRLF (the
+    last may end the file instead); and every value a finite float.  So
+    whitespace, quotes, empty fields, nan, blank lines and ragged rows all
+    go to the line reader.  numpy and Python's float both round correctly,
+    so the two readers give the same bits.
+    """
+    head, _, body = content.removeprefix(codecs.BOM_UTF8).partition(b"\n")
+    if not head or b'"' in head or b"\r" in head[:-1]:
+        return None
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise InputError(f"{path}: empty file, expected a header row")
-            header = [h.strip() for h in header]
-            if "label" not in header:
-                raise InputError(f"{path}: header must contain a 'label' column")
-            score_names = [h for h in header if h != "label"]
-            if not score_names:
-                raise InputError(f"{path}: need at least one score column besides 'label'")
-            if len(set(header)) != len(header):
-                raise InputError(f"{path}: duplicate column names in header")
-            label_idx = header.index("label")
-            cols: dict[str, list[float]] = {name: [] for name in score_names}
-            labels: list[int] = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise InputError(
-                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                    )
-                for name, value in zip(header, row):
-                    if value.strip() == "":
-                        raise InputError(f"{path}:{lineno}: missing value in column {name!r}")
-                raw_label = row[label_idx].strip()
-                if raw_label not in ("0", "1"):
-                    raise InputError(
-                        f"{path}:{lineno}: label must be 0 or 1, got {raw_label!r}"
-                    )
-                labels.append(int(raw_label))
-                for name in score_names:
-                    value = row[header.index(name)].strip()
-                    try:
-                        score = float(value)
-                    except ValueError:
-                        raise InputError(
-                            f"{path}:{lineno}: non-numeric score {value!r} in column {name!r}"
-                        ) from None
-                    if not math.isfinite(score):
-                        raise InputError(
-                            f"{path}:{lineno}: non-finite score {value!r} in column {name!r}"
-                        )
-                    cols[name].append(score)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        header = _header(path, next(csv.reader([head.decode("utf-8")])))
+    except (UnicodeDecodeError, InputError):
+        return None  # the line reader reports it, after any non-UTF-8 byte
+    label_idx = header.index("label")
+    fields = [rb"[0-9.eE+\-]+"] * len(header)
+    fields[label_idx] = rb"[01]"
+    if re.fullmatch(rb"(?:" + b",".join(fields) + rb"(?:\r?\n|\Z))++", body) is None:
+        return None
+    try:
+        table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    rows = body.count(b"\n") + (not body.endswith(b"\n"))
+    if table.shape != (rows, len(header)) or not np.isfinite(table).all():
+        return None
+    columns = {name: table[:, k].copy() for k, name in enumerate(header) if k != label_idx}
+    return list(columns), columns, table[:, label_idx].astype(np.int8)
+
+
+def _header(path: Path, record: list[str] | None) -> list[str]:
+    if record is None:
+        raise InputError(f"{path}: empty file, expected a header row")
+    header = [h.strip() for h in record]
+    if "label" not in header:
+        raise InputError(f"{path}: header must contain a 'label' column")
+    if header.count("label") == len(header):
+        raise InputError(f"{path}: need at least one score column besides 'label'")
+    if len(set(header)) != len(header):
+        raise InputError(f"{path}: duplicate column names in header")
+    return header
+
+
+def _read_lines(path: Path, content: bytes):
+    """The line reader: record by record, with the csv module.  It is the
+    only code that reports a malformed file, and a malformed row by its
+    line number."""
+    try:
+        content.decode("utf-8-sig")  # whole, so that the error can name its line
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}:{lineno}: not UTF-8 text") from None
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(content), encoding="utf-8-sig", newline=""))
+    header = _header(path, next(reader, None))
+    score_names = [h for h in header if h != "label"]
+    label_idx = header.index("label")
+    cols: dict[str, list[float]] = {name: [] for name in score_names}
+    labels: list[int] = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise InputError(
+                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        for name, value in zip(header, row):
+            if value.strip() == "":
+                raise InputError(f"{path}:{lineno}: missing value in column {name!r}")
+        raw_label = row[label_idx].strip()
+        if raw_label not in ("0", "1"):
+            raise InputError(
+                f"{path}:{lineno}: label must be 0 or 1, got {raw_label!r}"
+            )
+        labels.append(int(raw_label))
+        for name in score_names:
+            value = row[header.index(name)].strip()
+            try:
+                score = float(value)
+            except ValueError:
+                raise InputError(
+                    f"{path}:{lineno}: non-numeric score {value!r} in column {name!r}"
+                ) from None
+            if not math.isfinite(score):
+                raise InputError(
+                    f"{path}:{lineno}: non-finite score {value!r} in column {name!r}"
+                )
+            cols[name].append(score)
     if not labels:
         raise InputError(f"{path}: no data rows")
     columns = {name: np.asarray(vals, dtype=float) for name, vals in cols.items()}

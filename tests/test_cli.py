@@ -113,6 +113,29 @@ class TestEvaluate:
         result = runner.invoke(main, ["evaluate", str(tmp_path / "nope.csv")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_fingerprint_is_of_the_parsed_bytes(self, runner, monkeypatch, tmp_path, command):
+        import hashlib
+
+        import hmetric.cli as cli
+
+        path = tmp_path / "scores.csv"
+        parsed = b"label,a,b\n0,0.1,0.2\n1,0.9,0.8\n"
+        path.write_bytes(parsed)
+        read = cli.read_scores_csv
+
+        def read_then_rewrite(*args, **kwargs):
+            result = read(*args, **kwargs)
+            path.write_bytes(b"label,a,b\n0,0.3,0.2\n1,0.7,0.8\n")
+            return result
+
+        monkeypatch.setattr(cli, "read_scores_csv", read_then_rewrite)
+        extra = ["--columns", "a,b"] if command == "compare" else []
+        result = runner.invoke(main, [command, str(path), *extra])
+        assert result.exit_code == 0, result.output
+        fingerprint = json.loads(result.output)["provenance"]["data_fingerprint"]
+        assert fingerprint == "sha256:" + hashlib.sha256(parsed).hexdigest()
+
     def test_config_error_exit_3(self, runner, fixtures_dir):
         result = runner.invoke(
             main, ["evaluate", str(fixtures_dir / "golden4.csv"), "--mode", "bogus"]

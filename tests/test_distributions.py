@@ -272,6 +272,15 @@ class TestTabulatedWeight:
         w = load_tabulated_weight(path)
         assert w.mean() == pytest.approx(0.5, abs=1e-6)
 
+    def test_csv_byte_order_mark(self, tmp_path):
+        grid, dens = self._beta22_table()
+        path = tmp_path / "w.csv"
+        lines = ["c,density"] + [f"{c:.17g},{d:.17g}" for c, d in zip(grid, dens)]
+        path.write_bytes(b"\xef\xbb\xbf" + "\n".join(lines).encode("utf-8"))
+        w = load_tabulated_weight(path)
+        assert w.grid.tobytes() == grid.tobytes()
+        assert w.density(grid).tobytes() == dens.tobytes()
+
     def test_csv_errors(self, tmp_path):
         bad_header = tmp_path / "bad1.csv"
         bad_header.write_text("x,y\n0.1,1.0\n", encoding="utf-8")

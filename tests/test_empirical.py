@@ -1,8 +1,12 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hmetric import empirical
 from hmetric import (
     DegenerateDataError,
     InputError,
@@ -211,3 +215,160 @@ class TestReadScoresCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="cannot read"):
             read_scores_csv(tmp_path / "nope.csv")
+
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"\xef\xbb\xbflabel,s\n0,0.1\n1,0.9\n")
+        names, columns, labels = read_scores_csv(path)
+        assert names == ["s"]
+        assert columns["s"].tolist() == [0.1, 0.9]
+        assert labels.tolist() == [0, 1]
+
+    def test_not_utf8_line_numbered(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"label,s\n0,0.1\n1,0.9\xff\n")
+        with pytest.raises(InputError, match=r"scores\.csv:3: not UTF-8 text"):
+            read_scores_csv(path)
+
+    def test_content_is_parsed_instead_of_the_file(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("label,s\n0,0.1\n1,0.9\n", encoding="utf-8")
+        _, columns, _ = read_scores_csv(path, content=b"label,s\n0,0.2\n1,0.8\n")
+        assert columns["s"].tolist() == [0.2, 0.8]
+
+
+def _line_reader(path, content):
+    """read_scores_csv with the bulk path switched off: every row goes
+    through the line reader."""
+    with mock.patch.object(empirical, "_read_plain", return_value=None):
+        return read_scores_csv(path, content=content)
+
+
+def _outcome(read, path, content):
+    try:
+        names, columns, labels = read(path, content)
+    except InputError as exc:
+        return str(exc)
+    return (
+        names,
+        [(name, col.dtype.str, col.tobytes()) for name, col in columns.items()],
+        (labels.dtype.str, labels.tobytes()),
+    )
+
+
+_PLAIN_SCORES = st.one_of(
+    st.floats(0.0, 1.0).map(repr),
+    st.floats(-1e6, 1e6).map(lambda x: f"{x:.17g}"),
+    st.integers(0, 1000).map(lambda k: f"{k / 1000:.3f}"),
+    st.sampled_from(["0", "1", "-0", "+.5", "5.", "1e-5", "2.5E+3", "-1e300", "1e-320"]),
+)
+_ODD_SCORES = st.sampled_from(
+    ["", " 0.5", "0.5 ", '"0.5"', "1_0", "nan", "inf", "-inf", "1e999", "abc",
+     "1e", ".", "-", "1-2", "0x1", "0.5\t"]
+)
+_ODD_LABELS = st.sampled_from(["01", "+1", "1.0", "-0", "2", " 1", "", '"1"', "1e0"])
+
+
+@st.composite
+def _csv_texts(draw):
+    n_scores = draw(st.integers(1, 2))
+    names = [f"s{k}" for k in range(n_scores)]
+    label_idx = draw(st.integers(0, n_scores))
+    header = names[:label_idx] + ["label"] + names[label_idx:]
+    if draw(st.integers(0, 9)) == 0:
+        quoted = draw(st.integers(0, n_scores))
+        header[quoted] = f'"{header[quoted]}"'
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["plain"] * 6 + ["odd score", "odd label", "ragged", "blank"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        fields = [draw(_PLAIN_SCORES) for _ in header]
+        fields[label_idx] = draw(st.sampled_from(["0", "1"]))
+        if kind == "odd score":
+            fields[draw(st.sampled_from([k for k in range(len(header)) if k != label_idx]))] = (
+                draw(_ODD_SCORES)
+            )
+        elif kind == "odd label":
+            fields[label_idx] = draw(_ODD_LABELS)
+        elif kind == "ragged":
+            fields = fields[:-1] if draw(st.booleans()) else fields + ["0.5"]
+        lines.append(",".join(fields))
+    newline = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    ends = [
+        draw(st.sampled_from(["\n", "\r\n", "\r"])) if newline == "mixed" else newline
+        for _ in lines
+    ]
+    ends[-1] = draw(st.sampled_from([ends[-1], ""]))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return (bom + text).encode("utf-8")
+
+
+class TestBulkReader:
+    """The bulk numpy path against the line reader: same names, same bits
+    and dtypes, or the same error."""
+
+    @given(_csv_texts())
+    @example(b"label,s\r0,0.5\n1,0.6\n")  # a lone CR ends the header record
+    @example(b"label,s\n0,0.5\r1,0.6\n")  # and a data record
+    @example(b"label,s\n0,0.5\n\n1,0.6\n")
+    @example(b"label,s\n0,0.5\n1,0.6\n\n")
+    @example(b"s,t\n0.1,0.2\xff\n")  # not UTF-8 is reported before a bad header
+    @settings(max_examples=400, deadline=None)
+    def test_matches_line_reader(self, content):
+        path = "in.csv"
+        bulk = _outcome(lambda p, c: read_scores_csv(p, content=c), path, content)
+        assert bulk == _outcome(_line_reader, path, content)
+
+    @staticmethod
+    def _benchmark_like(n, newline):
+        rng = np.random.default_rng(17)
+        labels = (rng.random(n) < 0.3).astype(np.int8)
+        cont = 1.0 / (1.0 + np.exp(-rng.standard_normal(n) - labels))
+        rounded = np.rint(rng.random(n) * 1e3) / 1e3
+        rows = [f"{y},{a:.17g},{b:.3f}" for y, a, b in zip(labels.tolist(), cont, rounded)]
+        text = newline.join(["label,model_a,model_b"] + rows) + newline
+        return text.encode("ascii"), labels, cont, rounded
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_plain_file_skips_line_reader(self, tmp_path, newline):
+        content, labels, cont, rounded = self._benchmark_like(10_000, newline)
+        path = tmp_path / "scores.csv"
+        path.write_bytes(content)
+        with mock.patch.object(
+            empirical, "_read_lines", side_effect=AssertionError("line reader called")
+        ):
+            names, columns, read_labels = read_scores_csv(path)
+        assert names == ["model_a", "model_b"]
+        assert read_labels.dtype == np.int8
+        assert read_labels.tobytes() == labels.tobytes()
+        for name, expected in (("model_a", cont), ("model_b", rounded)):
+            col = columns[name]
+            assert col.dtype == np.float64 and col.flags.c_contiguous
+            assert col.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("1,oops,0.5", "non-numeric score 'oops' in column 'model_a'"),
+            ("1,1-2,0.5", "non-numeric score '1-2' in column 'model_a'"),
+            ("1,1e999,0.5", "non-finite score '1e999' in column 'model_a'"),
+            ("1,0.5,nan", "non-finite score 'nan' in column 'model_b'"),
+            ("1.0,0.5,0.5", "label must be 0 or 1, got '1.0'"),
+            ("1,0.5", "expected 3 fields, got 2"),
+            ("1,0.5,", "missing value in column 'model_b'"),
+            ("", "expected 3 fields, got 0"),
+        ],
+    )
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_bad_row_keeps_its_line_number(self, tmp_path, newline, bad_row, message):
+        content, *_ = self._benchmark_like(10_000, newline)
+        lines = content.decode("ascii").split(newline)
+        lineno = 6_543
+        lines.insert(lineno - 1, bad_row)
+        path = tmp_path / "scores.csv"
+        path.write_bytes(newline.join(lines).encode("ascii"))
+        with pytest.raises(InputError, match=f"^{re.escape(f'{path}:{lineno}: {message}')}$"):
+            read_scores_csv(path)
