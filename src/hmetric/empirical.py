@@ -298,8 +298,9 @@ def _read_plain(path: Path, content: bytes):
     go to the line reader.  numpy and Python's float both round correctly,
     so the two readers give the same bits.
     """
-    head, _, body = content.removeprefix(codecs.BOM_UTF8).partition(b"\n")
-    if not head or b'"' in head or b"\r" in head[:-1]:
+    text = content.removeprefix(codecs.BOM_UTF8)
+    head, _, body = text.partition(b"\n")
+    if not head or not body or b'"' in head or b"\r" in head[:-1]:
         return None
     try:
         header = _header(path, next(csv.reader([head.decode("utf-8")])))
@@ -308,7 +309,11 @@ def _read_plain(path: Path, content: bytes):
     label_idx = header.index("label")
     fields = [rb"[0-9.eE+\-]+"] * len(header)
     fields[label_idx] = rb"[01]"
-    if re.fullmatch(rb"(?:" + b",".join(fields) + rb"(?:\r?\n|\Z))++", body) is None:
+    # one search, from the header's newline, for a newline whose row breaks
+    # the rule: the literal prefix keeps the scan fast, and unlike a repeated
+    # group it keeps no state per row (a possessive one needs Python 3.11)
+    row = b",".join(fields) + rb"(?:\r?\n|\Z)"
+    if re.compile(rb"\n(?!\Z)(?!" + row + rb")").search(text, len(head)):
         return None
     try:
         table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2)

@@ -1,4 +1,6 @@
+import ast
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -372,3 +374,19 @@ class TestBulkReader:
         path.write_bytes(newline.join(lines).encode("ascii"))
         with pytest.raises(InputError, match=f"^{re.escape(f'{path}:{lineno}: {message}')}$"):
             read_scores_csv(path)
+
+
+def test_regexes_need_no_newer_python():
+    """pyproject.toml declares Python 3.10: no pattern in the package may use
+    a possessive quantifier or an atomic group, which re accepts from 3.11
+    on only (on 3.10 they raise re.error when the pattern is compiled)."""
+    newer = re.compile(r"[+*?}]\+|\(\?>")
+    found = []
+    for source in sorted(Path(empirical.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            value = getattr(node, "value", None)
+            if isinstance(node, ast.Constant) and isinstance(value, (str, bytes)):
+                text = value.decode("latin-1") if isinstance(value, bytes) else value
+                if newer.search(text):
+                    found.append(f"{source.name}:{node.lineno}")
+    assert found == []
