@@ -1,117 +1,82 @@
 """Evaluation of binary classifier scores by the H-measure and related
-cost-weighted losses, alongside the AUC."""
+cost-weighted losses, alongside the AUC.
+
+The exports load on first access (PEP 562), so importing the package, its
+config and its errors needs neither numpy nor scipy; those load with the
+first module that computes a number.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .config import EvalConfig
-from .distributions import (
-    BetaParams,
-    BetaWeight,
-    TabulatedWeight,
-    WeightFunction,
-    beta_pdf,
-    load_tabulated_weight,
-    regularized_incomplete_beta,
-)
-from .empirical import (
-    ClassPriors,
-    EmpiricalCdfPair,
-    LabeledScores,
-    empirical_cdfs,
-    empirical_priors,
-    ingest,
-    read_scores_csv,
-)
-from .errors import ConfigError, DegenerateDataError, HmetricError, InputError
-from .auc import AucResult, auc_mann_whitney, mixture_weight_loss
-from .hmeasure import (
-    HResult,
-    default_weight,
-    h_measure_fixed,
-    h_measure_uncertain_priors,
-)
-from .loss import (
-    LossCurve,
-    expected_min_loss,
-    loss_curve,
-    min_loss,
-    reference_loss,
-    threshold_loss,
-)
-from .report import REPORT_SCHEMA, build_report, evaluate_column, render_report
-from .scoring import (
-    PropernessReport,
-    ScoringRule,
-    expected_loss,
-    log_loss_rule,
-    pointwise_loss,
-    properness_check,
-    rule_from_weight,
-    squared_error_rule,
-)
-from .thresholds import (
-    PointMass,
-    PooledScoreThresholds,
-    RankUniformClass1,
-    ScreeningResult,
-    TabulatedThresholds,
-    independent_threshold_loss,
-    rank_uniform_evaluation,
-    screen_at_proportion,
-)
+# export name -> the submodule that defines it
+_EXPORTS = {
+    "EvalConfig": "config",
+    "BetaParams": "distributions",
+    "BetaWeight": "distributions",
+    "TabulatedWeight": "distributions",
+    "WeightFunction": "distributions",
+    "beta_pdf": "distributions",
+    "regularized_incomplete_beta": "distributions",
+    "load_tabulated_weight": "distributions",
+    "LabeledScores": "empirical",
+    "ClassPriors": "empirical",
+    "EmpiricalCdfPair": "empirical",
+    "ingest": "empirical",
+    "empirical_priors": "empirical",
+    "empirical_cdfs": "empirical",
+    "read_scores_csv": "empirical",
+    "HmetricError": "errors",
+    "InputError": "errors",
+    "ConfigError": "errors",
+    "DegenerateDataError": "errors",
+    "AucResult": "auc",
+    "auc_mann_whitney": "auc",
+    "mixture_weight_loss": "auc",
+    "HResult": "hmeasure",
+    "default_weight": "hmeasure",
+    "h_measure_fixed": "hmeasure",
+    "h_measure_uncertain_priors": "hmeasure",
+    "LossCurve": "loss",
+    "threshold_loss": "loss",
+    "min_loss": "loss",
+    "expected_min_loss": "loss",
+    "reference_loss": "loss",
+    "loss_curve": "loss",
+    "REPORT_SCHEMA": "report",
+    "build_report": "report",
+    "evaluate_column": "report",
+    "render_report": "report",
+    "ScoringRule": "scoring",
+    "PropernessReport": "scoring",
+    "pointwise_loss": "scoring",
+    "expected_loss": "scoring",
+    "properness_check": "scoring",
+    "rule_from_weight": "scoring",
+    "squared_error_rule": "scoring",
+    "log_loss_rule": "scoring",
+    "PointMass": "thresholds",
+    "PooledScoreThresholds": "thresholds",
+    "RankUniformClass1": "thresholds",
+    "TabulatedThresholds": "thresholds",
+    "ScreeningResult": "thresholds",
+    "independent_threshold_loss": "thresholds",
+    "rank_uniform_evaluation": "thresholds",
+    "screen_at_proportion": "thresholds",
+}
 
-__all__ = [
-    "__version__",
-    "EvalConfig",
-    "BetaParams",
-    "BetaWeight",
-    "TabulatedWeight",
-    "WeightFunction",
-    "beta_pdf",
-    "regularized_incomplete_beta",
-    "load_tabulated_weight",
-    "LabeledScores",
-    "ClassPriors",
-    "EmpiricalCdfPair",
-    "ingest",
-    "empirical_priors",
-    "empirical_cdfs",
-    "read_scores_csv",
-    "HmetricError",
-    "InputError",
-    "ConfigError",
-    "DegenerateDataError",
-    "AucResult",
-    "auc_mann_whitney",
-    "mixture_weight_loss",
-    "HResult",
-    "default_weight",
-    "h_measure_fixed",
-    "h_measure_uncertain_priors",
-    "LossCurve",
-    "threshold_loss",
-    "min_loss",
-    "expected_min_loss",
-    "reference_loss",
-    "loss_curve",
-    "REPORT_SCHEMA",
-    "build_report",
-    "evaluate_column",
-    "render_report",
-    "ScoringRule",
-    "PropernessReport",
-    "pointwise_loss",
-    "expected_loss",
-    "properness_check",
-    "rule_from_weight",
-    "squared_error_rule",
-    "log_loss_rule",
-    "PointMass",
-    "PooledScoreThresholds",
-    "RankUniformClass1",
-    "TabulatedThresholds",
-    "ScreeningResult",
-    "independent_threshold_loss",
-    "rank_uniform_evaluation",
-    "screen_at_proportion",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -8,22 +8,50 @@ environment.
 
 from __future__ import annotations
 
-import csv
 import logging
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import click
 
 from .config import EvalConfig
-from .distributions import BetaWeight
-from .empirical import empirical_cdfs, ingest, read_bytes, read_scores_csv
 from .errors import ConfigError, DegenerateDataError, HmetricError
-from .loss import loss_curve
-from .report import build_report, render_report, resolve_priors, resolve_weight
 
 logger = logging.getLogger("hmetric")
+
+# The numeric names the commands call, by the module that defines them.
+# They load once a config is built, so --help and a config error start
+# without numpy or scipy; until then, reading one as a module attribute
+# loads them too.
+_NUMERIC = {
+    "read_bytes": "empirical",
+    "read_scores_csv": "empirical",
+    "ingest": "empirical",
+    "empirical_cdfs": "empirical",
+    "loss_curve": "loss",
+    "build_report": "report",
+    "render_report": "report",
+    "resolve_priors": "report",
+    "resolve_weight": "report",
+}
+
+
+def _load_numeric():
+    """Bind every numeric name not yet bound here; a name already set,
+    such as a wrapped or patched one, is kept."""
+    names = globals()
+    for name, module in _NUMERIC.items():
+        if name not in names:
+            names[name] = getattr(import_module(f".{module}", __package__), name)
+
+
+def __getattr__(name: str):
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_numeric()
+    return globals()[name]
 
 
 def _setup_logging():
@@ -117,8 +145,9 @@ def _build_config(weight, alpha, beta, prior, pi0, mode, method, resolution,
         normalization=normalize,
         screen_proportions=tuple(proportions),
         u_dists=tuple(u_dist),
-    )
-    return config.validate()
+    ).validate()
+    _load_numeric()
+    return config
 
 
 def _write_report(report: dict, out: str):
@@ -191,11 +220,13 @@ def compare(input_csv, columns, out, **cfg):
     _run(body)
 
 
-def _write_csv(path: Path, header: list[str], rows):
+def _write_csv(path: Path, header: str, xs, ys):
+    """Two float columns at 10 significant digits, in the csv module's
+    default dialect (CRLF line ends; no number needs quoting)."""
+    row = "{:.10g},{:.10g}\r\n".format
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(header + "\r\n")
+        fh.writelines(map(row, xs, ys))
 
 
 @main.command()
@@ -233,27 +264,15 @@ def curves(input_csv, column, out_dir, **cfg):
 
         curve = loss_curve(priors, cdfs, mode=config.threshold_mode,
                            grid_size=config.resolution)
-        _write_csv(
-            out_path / "loss_curve.csv",
-            ["c", "min_loss"],
-            ((f"{c:.10g}", f"{v:.10g}") for c, v in zip(curve.grid, curve.loss)),
-        )
-
-        density = weight.density(curve.grid)
-        _write_csv(
-            out_path / "weight.csv",
-            ["c", "density"],
-            ((f"{c:.10g}", f"{d:.10g}") for c, d in zip(curve.grid, density)),
-        )
+        grid = curve.grid.tolist()
+        _write_csv(out_path / "loss_curve.csv", "c,min_loss", grid, curve.loss.tolist())
+        density = weight.density(curve.grid).tolist()
+        _write_csv(out_path / "weight.csv", "c,density", grid, density)
 
         # one row per distinct score t: 1 - F0(t), 1 - F1(t)
         fpr = (1.0 - cdfs.cum0 / cdfs.n0).tolist()
         tpr = (1.0 - cdfs.cum1 / cdfs.n1).tolist()
-        _write_csv(
-            out_path / "roc.csv",
-            ["fpr", "tpr"],
-            ((f"{x:.10g}", f"{y:.10g}") for x, y in zip(fpr, tpr)),
-        )
+        _write_csv(out_path / "roc.csv", "fpr,tpr", fpr, tpr)
         logger.info("wrote curves to %s", out_path)
 
     _run(body)

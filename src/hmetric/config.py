@@ -11,25 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 
-from .empirical import NORMALIZATIONS
 from .errors import ConfigError
-from .loss import THRESHOLD_MODES
-from .thresholds import PointMass, PooledScoreThresholds, RankUniformClass1
 
 __all__ = ["EvalConfig", "threshold_law"]
 
 WEIGHT_KINDS = ("default", "beta", "tabulated")
 PRIOR_KINDS = ("empirical", "fixed", "beta")
 METHODS = ("quadrature", "monte_carlo")
+THRESHOLD_MODES = ("calibrated", "optimal")
+NORMALIZATIONS = ("reject", "minmax", "logistic")
 
 
-def threshold_law(spec: str):
-    """The independent threshold distribution a u_dists entry names:
-    'pooled', 'class1-ranks' or 'point:<t>' with t in [0, 1]."""
-    if spec == "pooled":
-        return PooledScoreThresholds()
-    if spec == "class1-ranks":
-        return RankUniformClass1()
+def _point_mass_at(spec: str) -> float | None:
+    """The threshold of a 'point:<t>' spec, None for 'pooled' and
+    'class1-ranks'; any other spec is a ConfigError."""
+    if spec in ("pooled", "class1-ranks"):
+        return None
     if spec.startswith("point:"):
         try:
             t = float(spec.split(":", 1)[1])
@@ -37,11 +34,35 @@ def threshold_law(spec: str):
             raise ConfigError(f"bad threshold distribution spec {spec!r}") from None
         if not 0.0 <= t <= 1.0:
             raise ConfigError(f"point-mass threshold must lie in [0, 1], got {t}")
-        return PointMass(t=t)
+        return t
     raise ConfigError(
         f"unknown threshold distribution {spec!r}; "
         "expected 'pooled', 'class1-ranks' or 'point:<t>'"
     )
+
+
+def threshold_law(spec: str):
+    """The independent threshold distribution a u_dists entry names:
+    'pooled', 'class1-ranks' or 'point:<t>' with t in [0, 1]."""
+    t = _point_mass_at(spec)
+    from . import thresholds  # numpy, needed only once a valid spec is built
+
+    if spec == "pooled":
+        return thresholds.PooledScoreThresholds()
+    if spec == "class1-ranks":
+        return thresholds.RankUniformClass1()
+    return thresholds.PointMass(t=t)
+
+
+def require_finite_mean_ratio(alpha: float, beta: float) -> None:
+    """In calibrated mode the loss-to-reference ratio grows like 1/pi0 as
+    pi0 -> 0 and like 1/pi1 as pi1 -> 0, so its mean under a Beta(alpha,
+    beta) prior, and with it H, exists only for alpha > 1 and beta > 1."""
+    if alpha <= 1.0 or beta <= 1.0:
+        raise ConfigError(
+            f"in calibrated mode H under a Beta({alpha:g}, {beta:g}) prior does not "
+            "exist (the mean loss ratio diverges); both prior shapes must exceed 1"
+        )
 
 
 @dataclass(frozen=True)
@@ -94,6 +115,8 @@ class EvalConfig:
             raise ConfigError(
                 f"unknown threshold mode {self.threshold_mode!r}; expected {THRESHOLD_MODES}"
             )
+        if self.prior == "beta" and self.threshold_mode == "calibrated":
+            require_finite_mean_ratio(self.prior_alpha, self.prior_beta)
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected {METHODS}")
         if self.prior == "beta" and self.method == "monte_carlo":
@@ -113,7 +136,7 @@ class EvalConfig:
             if not (0.0 < p < 1.0):
                 raise ConfigError(f"screening proportion must lie in (0, 1), got {p}")
         for spec in self.u_dists:
-            threshold_law(spec)
+            _point_mass_at(spec)
         if self.n_workers < 1:
             raise ConfigError("n_workers must be at least 1")
         if self.uses_monte_carlo and self.seed is None:

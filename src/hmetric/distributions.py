@@ -9,7 +9,6 @@ seeded sampling.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import betainc, betaln
 
+from .empirical import csv_records
 from .errors import InputError
 
 __all__ = [
@@ -291,28 +291,26 @@ def load_tabulated_weight(path: str | Path) -> TabulatedWeight:
     """Read a tabulated weight from a two-column CSV with header ``c,density``."""
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["c", "density"]:
-                raise InputError(
-                    f"{path}: tabulated weight CSV must have header 'c,density'"
-                )
-            grid, dens = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 2:
-                    raise InputError(f"{path}:{lineno}: expected two columns, got {len(row)}")
-                try:
-                    c, d = float(row[0]), float(row[1])
-                except ValueError as exc:
-                    raise InputError(f"{path}:{lineno}: non-numeric value: {exc}") from exc
-                for name, raw, value in (("c", row[0], c), ("density", row[1], d)):
-                    if not math.isfinite(value):
-                        raise InputError(
-                            f"{path}:{lineno}: non-finite value {raw.strip()!r} in column {name!r}"
-                        )
-                grid.append(c)
-                dens.append(d)
+        content = path.read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read tabulated weight file {path}: {exc}") from exc
+    reader = csv_records(path, content)
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["c", "density"]:
+        raise InputError(f"{path}: tabulated weight CSV must have header 'c,density'")
+    grid, dens = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != 2:
+            raise InputError(f"{path}:{lineno}: expected two columns, got {len(row)}")
+        try:
+            c, d = float(row[0]), float(row[1])
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: non-numeric value: {exc}") from exc
+        for name, raw, value in (("c", row[0], c), ("density", row[1], d)):
+            if not math.isfinite(value):
+                raise InputError(
+                    f"{path}:{lineno}: non-finite value {raw.strip()!r} in column {name!r}"
+                )
+        grid.append(c)
+        dens.append(d)
     return TabulatedWeight(np.asarray(grid), np.asarray(dens))

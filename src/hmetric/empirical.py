@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import NORMALIZATIONS
 from .errors import DegenerateDataError, InputError
 
 __all__ = [
@@ -41,8 +42,6 @@ __all__ = [
     "empirical_cdfs",
     "read_scores_csv",
 ]
-
-NORMALIZATIONS = ("reject", "minmax", "logistic")
 
 
 @dataclass(frozen=True)
@@ -267,6 +266,17 @@ def read_bytes(path: str | Path) -> bytes:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def csv_records(path: str | Path, content: bytes):
+    """The csv records of a file's bytes, read as UTF-8 with or without a
+    byte-order mark; a non-UTF-8 byte is an InputError naming its line."""
+    try:
+        content.decode("utf-8-sig")  # whole, so that the error can name its line
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}:{lineno}: not UTF-8 text") from None
+    return csv.reader(io.TextIOWrapper(io.BytesIO(content), encoding="utf-8-sig", newline=""))
+
+
 def read_scores_csv(path: str | Path, *, content: bytes | None = None):
     """Read a scored test set from CSV.
 
@@ -343,12 +353,7 @@ def _read_lines(path: Path, content: bytes):
     """The line reader: record by record, with the csv module.  It is the
     only code that reports a malformed file, and a malformed row by its
     line number."""
-    try:
-        content.decode("utf-8-sig")  # whole, so that the error can name its line
-    except UnicodeDecodeError as exc:
-        lineno = exc.object.count(b"\n", 0, exc.start) + 1
-        raise InputError(f"{path}:{lineno}: not UTF-8 text") from None
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(content), encoding="utf-8-sig", newline=""))
+    reader = csv_records(path, content)
     header = _header(path, next(reader, None))
     score_names = [h for h in header if h != "label"]
     label_idx = header.index("label")

@@ -13,7 +13,10 @@ conditional Beta(2 - pi0, 1 + pi0), and H is one minus the expected
 loss-to-reference ratio over the prior draws, estimated by seeded Monte
 Carlo with a deterministic chunk layout.  At each drawn prior the loss and
 the reference are exact: shape-shifted regularized incomplete betas from
-scipy.special.betainc, evaluated for all draws of a chunk at once.
+scipy.special.betainc, evaluated for all draws of a chunk at once, in
+blocks of scores under a fixed memory budget.  In calibrated mode the
+ratio grows like 1/pi0 and 1/pi1 at the ends of the unit interval, so the
+prior's shapes must both exceed one for H to exist.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from scipy.special import betainc
 
 from ._mc import combine_mean_stderr, run_chunks
-from .config import EvalConfig
+from .config import EvalConfig, require_finite_mean_ratio
 from .distributions import BetaParams, BetaWeight, WeightFunction
 from .empirical import ClassPriors, EmpiricalCdfPair, LabeledScores, empirical_cdfs, empirical_priors
 from .errors import ConfigError
@@ -38,6 +41,10 @@ __all__ = [
 ]
 
 DEFAULT_PRIOR_UNCERTAINTY = BetaParams(2.0, 2.0)
+
+# Largest (draws x scores) block of incomplete betas the calibrated loss
+# builds at once: 2**22 float64s, 32 MiB.
+BETAINC_BLOCK = 2**22
 
 
 @dataclass(frozen=True)
@@ -144,10 +151,21 @@ def _calibrated_loss_batch(pi0s: np.ndarray, cdfs: EmpiricalCdfPair) -> np.ndarr
     """
     a, b = _conditional_shapes(pi0s)
     col_a, col_b = a[:, None], b[:, None]
-    has0, has1 = cdfs.count0 > 0, cdfs.count1 > 0
-    i0 = betainc(col_a + 1.0, col_b, cdfs.u[has0]) @ cdfs.count0[has0] / cdfs.n0
-    i1 = betainc(col_a, col_b + 1.0, cdfs.u[has1]) @ cdfs.count1[has1] / cdfs.n1
+    count0, count1 = cdfs.count0, cdfs.count1
+    has0, has1 = count0 > 0, count1 > 0
+    i0 = _betainc_dot(col_a + 1.0, col_b, cdfs.u[has0], count0[has0]) / cdfs.n0
+    i1 = _betainc_dot(col_a, col_b + 1.0, cdfs.u[has1], count1[has1]) / cdfs.n1
     return pi0s * (a / (a + b)) * i0 + (1.0 - pi0s) * (b / (a + b)) * (1.0 - i1)
+
+
+def _betainc_dot(col_a, col_b, u, counts):
+    """betainc(col_a, col_b, u) @ counts for column shapes (one row per
+    draw), built in blocks of scores of at most BETAINC_BLOCK values."""
+    step = max(1, BETAINC_BLOCK // col_a.size)
+    total = betainc(col_a, col_b, u[:step]) @ counts[:step]
+    for k in range(step, u.size, step):
+        total += betainc(col_a, col_b, u[k:k + step]) @ counts[k:k + step]
+    return total
 
 
 def _loss_ratio_batch(pi0s: np.ndarray, cdfs: EmpiricalCdfPair, mode: str) -> np.ndarray:
@@ -181,6 +199,8 @@ def h_measure_uncertain_priors(
     if config.method != "quadrature":
         raise ConfigError("the prior-uncertain H-measure integrates over costs exactly; "
                           "method 'monte_carlo' applies to fixed and empirical priors only")
+    if config.threshold_mode == "calibrated":
+        require_finite_mean_ratio(prior_dist.alpha, prior_dist.beta)
     cdfs = empirical_cdfs(data)
     tiny = np.finfo(float).tiny
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._mc import combine_mean_stderr, run_chunks
+from .config import THRESHOLD_MODES
 from .distributions import WeightFunction
 from .empirical import ClassPriors, EmpiricalCdfPair
 from .errors import ConfigError, InputError
@@ -38,8 +39,6 @@ __all__ = [
     "reference_loss",
     "loss_curve",
 ]
-
-THRESHOLD_MODES = ("calibrated", "optimal")
 
 
 @dataclass(frozen=True)

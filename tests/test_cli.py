@@ -102,6 +102,15 @@ class TestEvaluate:
         assert result.exit_code == 2
         assert f"w.csv:3: non-finite value '{value}' in column 'density'" in result.output
 
+    def test_non_utf8_tabulated_weight_exit_2_with_line(self, runner, fixtures_dir, tmp_path):
+        wpath = tmp_path / "w.csv"
+        wpath.write_bytes(b"c,density\n0.1,\xff1.0\n")
+        result = runner.invoke(
+            main, ["evaluate", str(fixtures_dir / "golden4.csv"), "--weight", f"tabulated:{wpath}"]
+        )
+        assert result.exit_code == 2
+        assert "w.csv:2: not UTF-8 text" in result.output
+
     def test_point_mass_outside_unit_interval_exit_3(self, runner, fixtures_dir):
         result = runner.invoke(
             main, ["evaluate", str(fixtures_dir / "golden4.csv"), "--u-dist", "point:1.5"]
@@ -309,6 +318,39 @@ class TestCurves:
         got = [tuple(float(x) for x in r.split(",")) for r in roc_rows[1:]]
         assert got == expected
 
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_csvs_match_csv_module_rendering(self, runner, fixtures_dir, tmp_path, tied):
+        import csv
+        import io
+
+        from hmetric import default_weight, empirical_cdfs, empirical_priors, ingest, loss_curve
+
+        path = fixtures_dir / "golden4.csv"
+        if tied:
+            path = tmp_path / "tied.csv"
+            path.write_text("label,s\n" + "".join(
+                f"{k % 3 % 2},{(k % 7) / 8}\n" for k in range(40)), encoding="utf-8")
+        result = runner.invoke(main, ["curves", str(path), "--out-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        data = ingest(table[:, 1], table[:, 0].astype(int))
+        priors, cdfs = empirical_priors(data), empirical_cdfs(data)
+        curve = loss_curve(priors, cdfs, grid_size=4096)
+        expected = {
+            "loss_curve.csv": (["c", "min_loss"], curve.grid, curve.loss),
+            "weight.csv": (["c", "density"], curve.grid,
+                           default_weight(priors).density(curve.grid)),
+            "roc.csv": (["fpr", "tpr"], 1.0 - cdfs.cum0 / cdfs.n0, 1.0 - cdfs.cum1 / cdfs.n1),
+        }
+        for name, (header, xs, ys) in expected.items():
+            text = io.StringIO(newline="")
+            writer = csv.writer(text)
+            writer.writerow(header)
+            writer.writerows((f"{x:.10g}", f"{y:.10g}") for x, y in zip(xs, ys))
+            assert (tmp_path / name).read_bytes() == text.getvalue().encode("utf-8"), name
+        assert tied == (cdfs.u.size < data.n)
+
     def test_multi_column_needs_choice(self, runner, fixtures_dir, tmp_path):
         result = runner.invoke(
             main,
@@ -318,12 +360,53 @@ class TestCurves:
         assert "--column" in result.output
 
 
+def _fresh_interpreter(code: str, *args: str) -> str:
+    """The last line code prints in a new interpreter on this package."""
+    src = str(Path(hmetric.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     # scipy.integrate is only needed by callable rule-generating weights;
     # every CLI start would otherwise pay for importing it
-    src = str(Path(hmetric.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, hmetric.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _fresh_interpreter(code) == "False"
+
+
+NUMERIC_LOADED = "sorted({'numpy', 'scipy'} & set(sys.modules))"
+
+
+@pytest.mark.parametrize("module", ["hmetric", "hmetric.cli"])
+def test_import_leaves_out_numpy_and_scipy(module):
+    code = f"import sys, {module}; print({NUMERIC_LOADED})"
+    assert _fresh_interpreter(code) == "[]"
+
+
+@pytest.mark.parametrize(
+    "args,exit_code",
+    [
+        (["--help"], 0),
+        (["evaluate", "--help"], 0),
+        (["evaluate", "golden4.csv", "--mode", "bogus"], 3),
+    ],
+)
+def test_help_and_config_errors_leave_out_numpy_and_scipy(fixtures_dir, args, exit_code):
+    args = [str(fixtures_dir / a) if a.endswith(".csv") else a for a in args]
+    code = ("import sys\nfrom hmetric.cli import main\n"
+            "try:\n    main(sys.argv[1:])\nexcept SystemExit as exc:\n"
+            f"    print(exc.code, {NUMERIC_LOADED})")
+    assert _fresh_interpreter(code, *args) == f"{exit_code} []"
+
+
+def test_load_keeps_names_set_before_it(fixtures_dir, tmp_path):
+    # a wrapper set on the module before the numeric names load (as a
+    # tracer or a test patch does) is the one the command calls
+    code = ("import sys\nimport hmetric.cli as cli\nfrom hmetric.empirical import ingest\n"
+            "calls = []\ncli.ingest = lambda *a, **k: calls.append(a) or ingest(*a, **k)\n"
+            "try:\n    cli.main(sys.argv[1:])\nexcept SystemExit as exc:\n"
+            "    print(exc.code, len(calls))")
+    args = ["curves", str(fixtures_dir / "golden4.csv"), "--out-dir", str(tmp_path)]
+    assert _fresh_interpreter(code, *args) == "0 1"

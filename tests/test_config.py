@@ -32,6 +32,9 @@ def test_default_config_valid():
         ({"n_workers": 0}, "n_workers"),
         ({"method": "monte_carlo"}, "seed"),
         ({"prior": "beta"}, "seed"),
+        ({"prior": "beta", "prior_beta": -1.0, "seed": 1}, "positive"),
+        ({"prior": "beta", "prior_alpha": 1.0, "seed": 1}, "must exceed 1"),
+        ({"prior": "beta", "prior_beta": 0.5, "seed": 1}, "must exceed 1"),
     ],
 )
 def test_rejections(kwargs, message):
@@ -42,6 +45,12 @@ def test_rejections(kwargs, message):
 def test_monte_carlo_with_seed_valid():
     EvalConfig(method="monte_carlo", seed=7).validate()
     EvalConfig(prior="beta", seed=7).validate()
+
+
+def test_prior_shapes_up_to_one_valid_in_optimal_mode():
+    # the optimal loss ratio stays bounded as pi0 -> 0 or 1
+    EvalConfig(prior="beta", prior_alpha=0.5, prior_beta=1.0, threshold_mode="optimal",
+               seed=7).validate()
 
 
 def test_describe_round_trips_through_config():

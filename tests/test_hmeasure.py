@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from hmetric import (
     BetaParams,
@@ -13,6 +16,7 @@ from hmetric import (
     read_scores_csv,
 )
 from hmetric.empirical import ClassPriors, empirical_cdfs
+import hmetric.hmeasure as hmeasure
 from hmetric.hmeasure import _loss_ratio_batch
 from conftest import random_dataset
 from oracles import nested_uncertain_h
@@ -206,3 +210,51 @@ class TestHMeasureUncertainPriors:
         cfg = EvalConfig(prior="beta", seed=6, outer_samples=5000)
         res = h_measure_uncertain_priors(golden4, BetaParams(4.0, 4.0), config=cfg)
         assert res.prior_used == {"kind": "beta", "alpha": 4.0, "beta": 4.0}
+
+    @pytest.mark.parametrize("shapes", [(1.0, 2.0), (2.0, 1.0), (0.5, 0.5), (1.0, 1.0)])
+    def test_calibrated_mode_needs_shapes_above_one(self, golden4, shapes):
+        # the mean loss ratio diverges unless both shapes exceed one
+        cfg = EvalConfig(prior="beta", seed=6, outer_samples=100)
+        with pytest.raises(ConfigError, match="must exceed 1"):
+            h_measure_uncertain_priors(golden4, BetaParams(*shapes), config=cfg)
+
+    def test_optimal_mode_accepts_shapes_up_to_one(self, golden4):
+        cfg = EvalConfig(prior="beta", threshold_mode="optimal", seed=6, outer_samples=100)
+        res = h_measure_uncertain_priors(golden4, BetaParams(1.0, 0.5), config=cfg)
+        assert 0.0 <= res.h <= 1.0
+
+
+def test_calibrated_batch_in_blocks_of_scores(monkeypatch):
+    data = random_dataset(8, n=6000)
+    cdfs = empirical_cdfs(data)
+    pi0s = np.random.default_rng(8).beta(2.0, 2.0, 40)
+    a, b = hmeasure._conditional_shapes(pi0s)
+    has0, has1 = cdfs.count0 > 0, cdfs.count1 > 0
+    # the unblocked formula: one (draws x scores) array per class
+    i0 = betainc(a[:, None] + 1.0, b[:, None], cdfs.u[has0]) @ cdfs.count0[has0] / cdfs.n0
+    i1 = betainc(a[:, None], b[:, None] + 1.0, cdfs.u[has1]) @ cdfs.count1[has1] / cdfs.n1
+    whole = pi0s * (a / (a + b)) * i0 + (1.0 - pi0s) * (b / (a + b)) * (1.0 - i1)
+    # one block per class: the same expression, bit for bit
+    assert np.array_equal(hmeasure._calibrated_loss_batch(pi0s, cdfs), whole)
+
+    def peak_bytes():
+        tracemalloc.start()
+        try:
+            out = hmeasure._calibrated_loss_batch(pi0s, cdfs)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # with one score per block, what remains is the per-draw and per-score vectors
+    monkeypatch.setattr(hmeasure, "BETAINC_BLOCK", pi0s.size)
+    _, base = peak_bytes()
+    budget = 400 * pi0s.size
+    monkeypatch.setattr(hmeasure, "BETAINC_BLOCK", budget)
+    blocked, peak = peak_bytes()
+    assert min(has0.sum(), has1.sum()) >= 3 * 400  # at least 3 blocks per class
+    np.testing.assert_allclose(blocked, whole, rtol=1e-13, atol=0)
+    # numpy's ufunc iteration buffers for the three broadcast inputs come on top
+    buffers = 3 * 8 * np.getbufsize()
+    unblocked = 8 * pi0s.size * has1.sum()  # the smaller class's whole array
+    assert base < unblocked / 2
+    assert peak - base <= 8 * budget + buffers < unblocked
