@@ -21,6 +21,8 @@ MC_CHUNK = 16384
 def require_seed(seed) -> int:
     if seed is None:
         raise ConfigError("a seed is required whenever Monte Carlo estimation is active")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     return int(seed)
 
 

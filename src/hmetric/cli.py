@@ -55,8 +55,10 @@ def __getattr__(name: str):
 
 
 def _setup_logging():
-    level = os.environ.get("HMETRIC_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    """The level HMETRIC_LOG names (debug, info, ...); any other value,
+    such as a name in logging that is not a level, means warning."""
+    level = getattr(logging, os.environ.get("HMETRIC_LOG", "warning").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
 
 
 def _exit_code(exc: HmetricError) -> int:
@@ -202,8 +204,11 @@ def compare(input_csv, columns, out, **cfg):
 
     def body():
         config = _build_config(**cfg)
-        names, all_columns, labels, fingerprint = _read_fingerprinted(input_csv)
         wanted = [token.strip() for token in columns.split(",") if token.strip()]
+        repeated = [name for name in dict.fromkeys(wanted) if wanted.count(name) > 1]
+        if repeated:
+            raise ConfigError(f"score columns listed more than once: {', '.join(repeated)}")
+        names, all_columns, labels, fingerprint = _read_fingerprinted(input_csv)
         missing = [name for name in wanted if name not in all_columns]
         if missing:
             raise ConfigError(f"score columns not in the input: {', '.join(missing)}")

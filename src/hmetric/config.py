@@ -144,6 +144,8 @@ class EvalConfig:
                 "a seed is required whenever Monte Carlo estimation is active; "
                 "there is no silent default"
             )
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         return self
 
     def describe(self) -> dict:

@@ -8,7 +8,10 @@ continuous scores a strictly-less reading would differ only on a
 measure-zero set.  Each column is sorted once, into its distinct scores
 with the cumulative class counts at each (EmpiricalCdfPair); every metric
 reads that table, and the optimal rule its ROC hull, which depends on
-neither the priors nor the cost weight.
+neither the priors nor the cost weight.  The hull's monotone chain walks
+only the corners of the ROC path (a class-0 step followed by a class-1
+step) and the two ends, which one numpy mask picks: no other point can be
+a hull vertex, so the chain over the corners is the exact hull.
 
 read_scores_csv parses a plain file (every data field bare digits, '.',
 'e', 'E', '+' or '-', labels exactly 0 or 1, rows ending in LF or CRLF, no
@@ -152,11 +155,21 @@ class EmpiricalCdfPair:
     @cached_property
     def hull(self) -> tuple[np.ndarray, np.ndarray]:
         """(F0, F1) at the vertices of the lower convex chain through the
-        ROC points (0, 0) and (cum0[k], cum1[k]), from (0, 0) to (1, 1):
-        one monotone-chain pass over points already in lexicographic
-        order, turning on exact integer counts, collinear points dropped."""
-        xs = [0] + self.cum0.tolist()
-        ys = [0] + self.cum1.tolist()
+        ROC points (0, 0) and (cum0[k], cum1[k]), from (0, 0) to (1, 1),
+        collinear points dropped.
+
+        Only a corner of the ROC path can be a vertex: an endpoint, or a
+        point entered by a step that adds class-0 scores and left by one
+        that adds class-1 scores.  A point entered by a purely vertical
+        step lies directly above its predecessor, and one left by a purely
+        horizontal step lies on or above the segment from its predecessor
+        to its successor, so neither is a vertex, and dropping them leaves
+        the hull as it is.  One boolean mask picks the corners; the
+        monotone chain then runs over those alone, in their lexicographic
+        order, turning on exact integer counts."""
+        corner = np.append((self.count0[:-1] > 0) & (self.count1[1:] > 0), True)
+        xs = [0] + self.cum0[corner].tolist()
+        ys = [0] + self.cum1[corner].tolist()
         chain = [0]
         for k in range(1, len(xs)):
             while len(chain) >= 2:

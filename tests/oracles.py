@@ -8,12 +8,13 @@ incomplete beta and binomial sums.  The package computes incomplete betas
 with scipy.special.betainc, so no oracle here uses that routine.  Nothing
 imports the package.
 
-The rank-sum AUC, the stack-loop optimal envelope and the per-atom
-mixture-weight and threshold-law sums at the end are the package's
-earlier algorithms, kept as differential references for the tie-grouped
-table and the ROC hull that replaced them.  They work on raw class score
-arrays; the weight they integrate against is passed in and only answers
-cdf and partial_moments.
+The rank-sum AUC, the stack-loop optimal envelope, the per-atom
+mixture-weight and threshold-law sums and the full monotone chain at the
+end are the package's earlier algorithms, kept as differential references
+for the tie-grouped table and the ROC hull that replaced them.  They work
+on raw class score arrays (the chain on cumulative class counts); the
+weight they integrate against is passed in and only answers cdf and
+partial_moments.
 """
 
 from functools import lru_cache
@@ -209,6 +210,24 @@ def stack_loop_envelope(s0, s1, pi0):
         segs.append(nxt)
     xs.append(1.0)
     return np.asarray(xs), b[segs], m[segs]
+
+
+def monotone_chain_hull(cum0, cum1):
+    """(F0, F1) at the vertices of the lower convex chain through (0, 0)
+    and every ROC point (cum0[k], cum1[k]): Andrew's monotone chain over
+    all the points, turning on exact Python integers, collinear points
+    dropped."""
+    xs = [0] + [int(x) for x in cum0]
+    ys = [0] + [int(y) for y in cum1]
+    chain = [0]
+    for k in range(1, len(xs)):
+        while len(chain) >= 2:
+            i, j = chain[-2], chain[-1]
+            if (xs[j] - xs[i]) * (ys[k] - ys[i]) > (ys[j] - ys[i]) * (xs[k] - xs[i]):
+                break
+            chain.pop()
+        chain.append(k)
+    return np.asarray(xs)[chain] / xs[-1], np.asarray(ys)[chain] / ys[-1]
 
 
 def stack_loop_envelope_value(envelope, c):

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -158,6 +159,14 @@ class TestEvaluate:
         assert result.exit_code == 3
         assert "seed" in result.output
 
+    @pytest.mark.parametrize("extra", [["--prior", "beta"], ["--method", "monte-carlo"]])
+    def test_negative_seed_exit_3(self, runner, fixtures_dir, extra):
+        result = runner.invoke(
+            main, ["evaluate", str(fixtures_dir / "golden4.csv"), *extra, "--seed", "-1"]
+        )
+        assert result.exit_code == 3, result.output
+        assert "seed must be a non-negative integer, got -1" in result.output
+
     def test_single_class_exit_4(self, runner, tmp_path):
         degenerate = tmp_path / "one_class.csv"
         degenerate.write_text("label,s\n0,0.1\n0,0.5\n", encoding="utf-8")
@@ -192,6 +201,15 @@ class TestEvaluate:
             env={"HMETRIC_LOG": "debug"},
         )
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("value", ["basic_format", "bogus", "debug"])
+    def test_log_env_var_names_a_level_or_means_warning(self, monkeypatch, value):
+        # logging.BASIC_FORMAT is a format string, not a level
+        seen = {}
+        monkeypatch.setenv("HMETRIC_LOG", value)
+        monkeypatch.setattr(logging, "basicConfig", lambda **kw: seen.update(kw))
+        hmetric.cli._setup_logging()
+        assert seen == {"level": logging.DEBUG if value == "debug" else logging.WARNING}
 
     def test_fixed_prior_and_tabulated_weight(self, runner, fixtures_dir, tmp_path):
         grid = np.linspace(1e-4, 1 - 1e-4, 2048)
@@ -256,6 +274,15 @@ class TestCompare:
         )
         assert result.exit_code == 3
         assert "ghost" in result.output
+
+    def test_repeated_column_exit_3(self, runner, fixtures_dir):
+        result = runner.invoke(
+            main,
+            ["compare", str(fixtures_dir / "rank_disagreement.csv"),
+             "--columns", "model_a,model_b,model_a"],
+        )
+        assert result.exit_code == 3
+        assert "score columns listed more than once: model_a" in result.output
 
     def test_single_column_exit_3(self, runner, fixtures_dir):
         result = runner.invoke(

@@ -35,6 +35,8 @@ def test_default_config_valid():
         ({"prior": "beta", "prior_beta": -1.0, "seed": 1}, "positive"),
         ({"prior": "beta", "prior_alpha": 1.0, "seed": 1}, "must exceed 1"),
         ({"prior": "beta", "prior_beta": 0.5, "seed": 1}, "must exceed 1"),
+        ({"prior": "beta", "seed": -1}, "non-negative"),
+        ({"method": "monte_carlo", "seed": -5}, "non-negative"),
     ],
 )
 def test_rejections(kwargs, message):

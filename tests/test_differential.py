@@ -1,16 +1,20 @@
 """Differential tests: the tie-grouped table and its ROC hull against the
-rank-sum AUC, the stack-loop optimal envelope and the per-atom
-mixture-weight and threshold-law sums they replaced (tests/oracles.py),
-on the fixtures, 100 random datasets and one large input whose ROC hull
-has a long convex stretch between two flat tails."""
+rank-sum AUC, the stack-loop optimal envelope, the per-atom mixture-weight
+and threshold-law sums and the full monotone chain they replaced
+(tests/oracles.py), on the fixtures, 100 random datasets, one large input
+whose ROC hull has a long convex stretch between two flat tails, and
+tables built directly from class counts, up to counts near 2^40."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hmetric import (
     BetaWeight,
+    EmpiricalCdfPair,
     PooledScoreThresholds,
     RankUniformClass1,
     TabulatedWeight,
@@ -29,6 +33,7 @@ from hmetric import (
 
 from conftest import random_dataset
 from oracles import (
+    monotone_chain_hull,
     per_atom_mixture_loss,
     per_score_calibrated_loss,
     per_score_threshold_cdfs,
@@ -165,6 +170,58 @@ def test_hull_of_large_input_drops_flat_and_collinear_points(big):
     assert f0.size == 103
     assert (f0[0], f1[0], f0[-1], f1[-1]) == (0.0, 0.0, 1.0, 1.0)
     assert np.all(np.diff(f0) >= 0) and np.all(np.diff(f1) >= 0)
+
+
+def _table(count0, count1):
+    """The table of a column with these class counts at its distinct
+    scores, built directly (no scores, so counts may be huge)."""
+    cum0 = np.cumsum(np.asarray(count0, dtype=np.int64))
+    cum1 = np.cumsum(np.asarray(count1, dtype=np.int64))
+    return EmpiricalCdfPair(u=np.linspace(0.0, 1.0, cum0.size), cum0=cum0, cum1=cum1)
+
+
+def _assert_hull_matches_chain(table):
+    f0, f1 = table.hull
+    ref0, ref1 = monotone_chain_hull(table.cum0, table.cum1)
+    assert np.array_equal(f0, ref0) and np.array_equal(f1, ref1)
+
+
+def test_hull_matches_full_monotone_chain(big):
+    for data in COLUMNS + [big]:
+        _assert_hull_matches_chain(empirical_cdfs(data))
+
+
+BIG = 2**40
+# class counts per tie group: mixed groups, single-class groups, and huge ones
+_GROUP = st.one_of(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.tuples(st.integers(BIG - 3, BIG + 3), st.integers(0, 2)),
+    st.tuples(st.integers(0, 2), st.integers(BIG - 3, BIG + 3)),
+).filter(any)
+# a run repeats one group: a collinear run, or a long single-class run
+_RUNS = st.lists(st.tuples(_GROUP, st.integers(1, 30)), min_size=1, max_size=12)
+
+
+@given(_RUNS)
+@settings(max_examples=300, deadline=None)
+@example([((3, 2), 1)])  # a single distinct score
+@example([((2, 0), 5), ((1, 1), 4), ((0, 3), 1)])  # flat start, collinear run, vertical end
+@example([((1, 0), 20), ((0, 1), 20)])  # long single-class runs
+@example([((4, 4), 3), ((2, 3), 2), ((3, 1), 2), ((0, 2), 1)])  # tie-heavy, vertical end
+def test_hull_matches_chain_on_tables_from_counts(runs):
+    count0 = [c0 for (c0, _), r in runs for _ in range(r)]
+    count1 = [c1 for (_, c1), r in runs for _ in range(r)]
+    assume(sum(count0) > 0 and sum(count1) > 0)  # a one-class column has no ROC curve
+    _assert_hull_matches_chain(_table(count0, count1))
+
+
+def test_hull_exact_at_counts_near_2_pow_40():
+    # ROC points (0,0) (B,1) (2B-1,B) (2B,2B), all vertices: the turn
+    # tests multiply counts near 2^40, so their products pass 2^63
+    table = _table([BIG, BIG - 1, 1], [1, BIG - 1, BIG])
+    f0, f1 = table.hull
+    assert f0.size == 4
+    _assert_hull_matches_chain(table)
 
 
 @pytest.mark.parametrize("mode", ["calibrated", "optimal"])

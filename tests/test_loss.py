@@ -233,6 +233,11 @@ class TestExpectedMinLoss:
         with pytest.raises(ConfigError, match="seed"):
             expected_min_loss(priors, cdfs, BetaWeight(1, 1), method="monte_carlo")
 
+    def test_mc_rejects_negative_seed(self, golden4):
+        priors, cdfs = _setup(golden4)
+        with pytest.raises(ConfigError, match="non-negative"):
+            expected_min_loss(priors, cdfs, BetaWeight(1, 1), method="monte_carlo", seed=-1)
+
 
 class TestReferenceLoss:
     def test_uniform_balanced(self):
