@@ -27,8 +27,8 @@ def require_seed(seed) -> int:
 
 
 def chunk_counts(total: int, chunk: int = MC_CHUNK) -> list[int]:
-    if total < 1:
-        raise ConfigError(f"Monte Carlo sample count must be at least 1, got {total}")
+    if total < 2:  # a standard error needs two draws
+        raise ConfigError(f"Monte Carlo sample count must be at least 2, got {total}")
     full, rem = divmod(total, chunk)
     return [chunk] * full + ([rem] if rem else [])
 
@@ -55,7 +55,5 @@ def combine_mean_stderr(parts) -> tuple[float, float]:
         total_ss += ss
         total_n += n
     mean = total_s / total_n
-    if total_n < 2:
-        return mean, float("nan")
     var = max(total_ss - total_n * mean * mean, 0.0) / (total_n - 1)
     return mean, float(np.sqrt(var / total_n))

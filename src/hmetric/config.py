@@ -126,10 +126,11 @@ class EvalConfig:
             )
         if self.resolution < 1024:
             raise ConfigError(f"resolution must be at least 1024, got {self.resolution}")
-        if self.mc_samples < 1:
-            raise ConfigError("mc_samples must be at least 1")
-        if self.outer_samples < 1:
-            raise ConfigError("outer_samples must be at least 1")
+        # a standard error needs two draws
+        if self.mc_samples < 2:
+            raise ConfigError(f"mc_samples must be at least 2, got {self.mc_samples}")
+        if self.outer_samples < 2:
+            raise ConfigError(f"outer_samples must be at least 2, got {self.outer_samples}")
         if self.normalization not in NORMALIZATIONS:
             raise ConfigError(f"unknown normalization {self.normalization!r}")
         for p in self.screen_proportions:

@@ -5,8 +5,10 @@ tools disjoint from the implementation paths under test: direct counting,
 exhaustive pair enumeration, dense midpoint grids, scipy adaptive
 quadrature of the beta density, and mpmath's arbitrary-precision
 incomplete beta and binomial sums.  The package computes incomplete betas
-with scipy.special.betainc, so no oracle here uses that routine.  Nothing
-imports the package.
+with scipy.special.betainc, so no oracle here uses that routine, with one
+exception: exact_calibrated_loss_batch, which checks how the package
+interpolates its calibrated class sums in pi0, not the incomplete beta
+itself.  Nothing imports the package.
 
 The rank-sum AUC, the stack-loop optimal envelope, the per-atom
 mixture-weight and threshold-law sums and the full monotone chain at the
@@ -22,6 +24,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import betainc as sp_betainc
 from scipy.special import betaln as sp_betaln
 
 
@@ -75,6 +78,19 @@ def closed_reference_loss(pi0, a, b):
     pi1 = 1.0 - pi0
     m0, m1 = quad_partial_moments(pi1, a, b)
     return pi0 * m0 + pi1 * m1
+
+
+def exact_calibrated_loss_batch(pi0s, u, count0, count1):
+    """Calibrated loss of a tie-grouped table (distinct scores u with class
+    counts) at each prior draw under the conditional weight
+    Beta(2 - pi0, 1 + pi0), directly: one (draws x scores) array of
+    incomplete betas per class, each score weighted by its count."""
+    pi0s = np.asarray(pi0s, dtype=float)
+    a, b = 2.0 - pi0s, 1.0 + pi0s
+    col_a, col_b = a[:, None], b[:, None]
+    i0 = sp_betainc(col_a + 1.0, col_b, u) @ count0 / np.sum(count0)
+    i1 = sp_betainc(col_a, col_b + 1.0, u) @ count1 / np.sum(count1)
+    return pi0s * (a / (a + b)) * i0 + (1.0 - pi0s) * (b / (a + b)) * (1.0 - i1)
 
 
 def _mp_betainc(a, b, x):

@@ -22,8 +22,17 @@ def runner():
     return CliRunner()
 
 
+def _strict_loads(text):
+    """json.loads that refuses NaN and the infinities, which are not JSON."""
+
+    def refuse(constant):
+        raise ValueError(f"report holds {constant}, which is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def _read_report(path):
-    return json.loads(path.read_text(encoding="utf-8"))
+    return _strict_loads(path.read_text(encoding="utf-8"))
 
 
 class TestEvaluate:
@@ -73,7 +82,7 @@ class TestEvaluate:
     def test_stdout_output(self, runner, fixtures_dir):
         result = runner.invoke(main, ["evaluate", str(fixtures_dir / "golden4.csv")])
         assert result.exit_code == 0
-        report = json.loads(result.output)
+        report = _strict_loads(result.output)
         assert report["schema_version"] == "1"
 
     def test_malformed_csv_exit_2(self, runner, tmp_path):
@@ -143,7 +152,7 @@ class TestEvaluate:
         extra = ["--columns", "a,b"] if command == "compare" else []
         result = runner.invoke(main, [command, str(path), *extra])
         assert result.exit_code == 0, result.output
-        fingerprint = json.loads(result.output)["provenance"]["data_fingerprint"]
+        fingerprint = _strict_loads(result.output)["provenance"]["data_fingerprint"]
         assert fingerprint == "sha256:" + hashlib.sha256(parsed).hexdigest()
 
     def test_config_error_exit_3(self, runner, fixtures_dir):
@@ -158,6 +167,25 @@ class TestEvaluate:
         )
         assert result.exit_code == 3
         assert "seed" in result.output
+
+    @pytest.mark.parametrize("samples", ["1", "0"])
+    def test_fewer_than_two_mc_samples_exit_3(self, runner, fixtures_dir, samples):
+        # a standard error needs two draws; one used to be reported as NaN
+        result = runner.invoke(main, [
+            "evaluate", str(fixtures_dir / "golden4.csv"),
+            "--method", "monte-carlo", "--mc-samples", samples, "--seed", "7",
+        ])
+        assert result.exit_code == 3, result.output
+        assert f"mc_samples must be at least 2, got {samples}" in result.output
+
+    def test_prior_beta_report_is_strict_json_with_heavy_tail(self, runner, fixtures_dir):
+        result = runner.invoke(main, [
+            "evaluate", str(fixtures_dir / "golden4.csv"), "--prior", "beta", "--seed", "11",
+        ])
+        assert result.exit_code == 0, result.output
+        h = _strict_loads(result.output)["columns"]["score"]["h"]
+        assert h["mc_stderr"] > 0.0
+        assert any(w.startswith("heavy_tail:") for w in h["warnings"])
 
     @pytest.mark.parametrize("extra", [["--prior", "beta"], ["--method", "monte-carlo"]])
     def test_negative_seed_exit_3(self, runner, fixtures_dir, extra):

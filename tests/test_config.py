@@ -37,6 +37,8 @@ def test_default_config_valid():
         ({"prior": "beta", "prior_beta": 0.5, "seed": 1}, "must exceed 1"),
         ({"prior": "beta", "seed": -1}, "non-negative"),
         ({"method": "monte_carlo", "seed": -5}, "non-negative"),
+        ({"method": "monte_carlo", "mc_samples": 1, "seed": 7}, "mc_samples must be at least 2"),
+        ({"prior": "beta", "outer_samples": 1, "seed": 7}, "outer_samples must be at least 2"),
     ],
 )
 def test_rejections(kwargs, message):

@@ -1,7 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 from scipy.special import betainc
 
 from hmetric import (
@@ -17,9 +16,9 @@ from hmetric import (
 )
 from hmetric.empirical import ClassPriors, empirical_cdfs
 import hmetric.hmeasure as hmeasure
-from hmetric.hmeasure import _loss_ratio_batch
+from hmetric.hmeasure import PRIOR_NODES, _loss_ratio_at
 from conftest import random_dataset
-from oracles import nested_uncertain_h
+from oracles import exact_calibrated_loss_batch, nested_uncertain_h
 
 # frozen 40-digit oracle values for the golden 4-point dataset
 GOLDEN_H_CAL = 0.33054877872925612091
@@ -172,7 +171,7 @@ class TestHMeasureUncertainPriors:
         cdfs = empirical_cdfs(golden4)
         pi0s = [0.2, 0.5, 0.8]
         for mode in ("calibrated", "optimal"):
-            ratios = _loss_ratio_batch(np.asarray(pi0s), cdfs, mode)
+            ratios = _loss_ratio_at(cdfs, mode)(np.asarray(pi0s))
             for pi0, ratio in zip(pi0s, ratios):
                 fixed = h_measure_fixed(
                     golden4,
@@ -224,37 +223,81 @@ class TestHMeasureUncertainPriors:
         assert 0.0 <= res.h <= 1.0
 
 
-def test_calibrated_batch_in_blocks_of_scores(monkeypatch):
-    data = random_dataset(8, n=6000)
+    def test_heavy_tail_warning(self, golden4):
+        # the calibrated loss ratio's variance is finite only when both
+        # prior shapes exceed 2
+        def warned(shapes, mode="calibrated"):
+            cfg = EvalConfig(prior="beta", threshold_mode=mode, seed=6, outer_samples=200)
+            res = h_measure_uncertain_priors(golden4, BetaParams(*shapes), config=cfg)
+            return [w for w in res.warnings if w.startswith("heavy_tail:")]
+
+        assert len(warned((2.0, 2.0))) == 1
+        assert len(warned((5.0, 1.2))) == 1
+        assert warned((3.0, 3.0)) == []
+        assert warned((2.0, 2.0), mode="optimal") == []
+
+
+def _datasets():
+    """Columns with continuous scores, with ties, and with scores at
+    exactly 0 and 1 in both classes."""
+    rng = np.random.default_rng(8)
+    continuous = random_dataset(8, n=3000)
+    tied = np.round(rng.beta(2.0, 3.0, 2000), 2)
+    ends = np.concatenate([tied[:1500], [0.0] * 40, [1.0] * 60])
+    ends_labels = (rng.random(ends.size) < 0.4).astype(int)
+    return [
+        continuous,
+        ingest(tied, (rng.random(tied.size) < tied).astype(int)),
+        ingest(ends, ends_labels),
+        ingest([0.0, 0.0, 0.3, 1.0, 0.7, 1.0], [0, 0, 0, 1, 1, 1]),
+    ]
+
+
+def test_prior_interpolant_accuracy():
+    # each incomplete beta of the calibrated class sums, interpolated in pi0
+    # from its values at PRIOR_NODES Chebyshev points, against betainc itself
+    u = np.concatenate([
+        np.logspace(-300, -1, 150),  # toward 0
+        1.0 - np.logspace(-16, -1, 100),  # toward 1
+        np.linspace(0.0, 1.0, 201)[1:-1],
+        [np.nextafter(1.0, 0.0)],
+    ])
+    p = np.concatenate([np.linspace(0.0, 1.0, 2001), [np.finfo(float).tiny, 1.0 - 1e-16]])
+    a, b = hmeasure._conditional_shapes(p)
+    for da, db in ((1.0, 0.0), (0.0, 1.0)):
+        coef = hmeasure._node_sums(u, np.eye(u.size), da, db)
+        exact = betainc(a + da, b + db, u[:, None])
+        assert np.max(np.abs(chebval(2.0 * p - 1.0, coef) - exact)) <= 1e-14
+
+
+@pytest.mark.parametrize("table", range(4))
+def test_calibrated_batch_matches_exact_per_draw(table):
+    cdfs = empirical_cdfs(_datasets()[table])
+    pi0s = np.concatenate([
+        np.random.default_rng(table).beta(2.0, 2.0, 400),
+        [np.finfo(float).tiny, 0.5, 1.0 - 1e-16],
+    ])
+    got = hmeasure._calibrated_loss_batch(pi0s, hmeasure._calibrated_coefficients(cdfs))
+    want = exact_calibrated_loss_batch(pi0s, cdfs.u, cdfs.count0, cdfs.count1)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("draws", [2000, 20000])
+def test_prior_betainc_work(monkeypatch, draws):
+    # the class sums take PRIOR_NODES vectors of incomplete betas per class,
+    # over the inner distinct scores the class occurs at, whatever the
+    # number of draws; only the closed-form reference is evaluated per draw
+    data = _datasets()[2]
     cdfs = empirical_cdfs(data)
-    pi0s = np.random.default_rng(8).beta(2.0, 2.0, 40)
-    a, b = hmeasure._conditional_shapes(pi0s)
-    has0, has1 = cdfs.count0 > 0, cdfs.count1 > 0
-    # the unblocked formula: one (draws x scores) array per class
-    i0 = betainc(a[:, None] + 1.0, b[:, None], cdfs.u[has0]) @ cdfs.count0[has0] / cdfs.n0
-    i1 = betainc(a[:, None], b[:, None] + 1.0, cdfs.u[has1]) @ cdfs.count1[has1] / cdfs.n1
-    whole = pi0s * (a / (a + b)) * i0 + (1.0 - pi0s) * (b / (a + b)) * (1.0 - i1)
-    # one block per class: the same expression, bit for bit
-    assert np.array_equal(hmeasure._calibrated_loss_batch(pi0s, cdfs), whole)
+    seen = []
 
-    def peak_bytes():
-        tracemalloc.start()
-        try:
-            out = hmeasure._calibrated_loss_batch(pi0s, cdfs)
-            return out, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def counted(a, b, x):
+        seen.append(np.broadcast(a, b, x).size)
+        return betainc(a, b, x)
 
-    # with one score per block, what remains is the per-draw and per-score vectors
-    monkeypatch.setattr(hmeasure, "BETAINC_BLOCK", pi0s.size)
-    _, base = peak_bytes()
-    budget = 400 * pi0s.size
-    monkeypatch.setattr(hmeasure, "BETAINC_BLOCK", budget)
-    blocked, peak = peak_bytes()
-    assert min(has0.sum(), has1.sum()) >= 3 * 400  # at least 3 blocks per class
-    np.testing.assert_allclose(blocked, whole, rtol=1e-13, atol=0)
-    # numpy's ufunc iteration buffers for the three broadcast inputs come on top
-    buffers = 3 * 8 * np.getbufsize()
-    unblocked = 8 * pi0s.size * has1.sum()  # the smaller class's whole array
-    assert base < unblocked / 2
-    assert peak - base <= 8 * budget + buffers < unblocked
+    monkeypatch.setattr(hmeasure, "betainc", counted)
+    h_measure_uncertain_priors(data, config=EvalConfig(prior="beta", seed=4, outer_samples=draws))
+    inner = (cdfs.u > 0.0) & (cdfs.u < 1.0)
+    k0, k1 = np.sum(inner & (cdfs.count0 > 0)), np.sum(inner & (cdfs.count1 > 0))
+    assert sum(seen) == PRIOR_NODES * (k0 + k1) + 2 * draws
+    assert sum(seen) <= 2 * PRIOR_NODES * np.sum(inner) + 2 * draws

@@ -238,6 +238,16 @@ class TestExpectedMinLoss:
         with pytest.raises(ConfigError, match="non-negative"):
             expected_min_loss(priors, cdfs, BetaWeight(1, 1), method="monte_carlo", seed=-1)
 
+    def test_mc_needs_two_samples(self, golden4):
+        # a standard error needs two draws
+        priors, cdfs = _setup(golden4)
+        with pytest.raises(ConfigError, match="at least 2, got 1"):
+            expected_min_loss(priors, cdfs, BetaWeight(1, 1), method="monte_carlo",
+                              mc_samples=1, seed=7)
+        _, stderr = expected_min_loss(priors, cdfs, BetaWeight(1, 1), method="monte_carlo",
+                                      mc_samples=2, seed=7)
+        assert np.isfinite(stderr)
+
 
 class TestReferenceLoss:
     def test_uniform_balanced(self):
