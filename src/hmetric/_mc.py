@@ -1,15 +1,19 @@
 """Deterministic chunked Monte Carlo execution.
 
 Work is split into fixed-size chunks, each driven by its own child stream
-spawned from the root seed.  Chunk boundaries and per-chunk streams depend
-only on (seed, total), never on the worker count, and partial results are
+of the root seed.  Chunk boundaries and per-chunk streams depend only on
+(seed, total), never on the worker count, and partial results are
 reduced in chunk order, so results are bit-identical whether chunks run
-sequentially or on a thread pool.
+sequentially or on a thread pool.  Chunks and their streams are made as
+they start and their results are consumed as they finish, so memory does
+not grow with the sample count.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -26,22 +30,39 @@ def require_seed(seed) -> int:
     return int(seed)
 
 
-def chunk_counts(total: int, chunk: int = MC_CHUNK) -> list[int]:
+def chunk_counts(total: int, chunk: int = MC_CHUNK):
+    """The chunk sizes of total draws, lazily: full chunks, then the rest."""
     if total < 2:  # a standard error needs two draws
         raise ConfigError(f"Monte Carlo sample count must be at least 2, got {total}")
     full, rem = divmod(total, chunk)
-    return [chunk] * full + ([rem] if rem else [])
+    return chain(repeat(chunk, full), [rem] if rem else [])
 
 
-def run_chunks(fn, seed: int, total: int, n_workers: int = 1, chunk: int = MC_CHUNK) -> list:
-    """Run fn(rng, count) over deterministic chunks; results in chunk order."""
-    counts = chunk_counts(total, chunk)
-    streams = np.random.SeedSequence(require_seed(seed)).spawn(len(counts))
-    rngs = [np.random.default_rng(s) for s in streams]
-    if n_workers <= 1 or len(counts) == 1:
-        return [fn(rng, cnt) for rng, cnt in zip(rngs, counts)]
+def run_chunks(fn, seed: int, total: int, n_workers: int = 1, chunk: int = MC_CHUNK):
+    """Run fn(rng, count) over deterministic chunks; an iterator over the
+    results in chunk order.
+
+    Chunk i draws from SeedSequence(seed, spawn_key=(i,)), the i-th child
+    that SeedSequence(seed).spawn would give, made when the chunk starts.
+    At most n_workers chunks are in flight at once.
+    """
+    seed = require_seed(seed)
+    tasks = ((np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))), count)
+             for i, count in enumerate(chunk_counts(total, chunk)))
+    if n_workers <= 1:
+        return (fn(rng, count) for rng, count in tasks)
+    return _in_flight(fn, tasks, n_workers)
+
+
+def _in_flight(fn, tasks, n_workers: int):
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, rngs, counts))
+        pending = deque()
+        for rng, count in tasks:
+            pending.append(pool.submit(fn, rng, count))
+            if len(pending) == n_workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def combine_mean_stderr(parts) -> tuple[float, float]:

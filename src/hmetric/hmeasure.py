@@ -15,7 +15,7 @@ Carlo with a deterministic chunk layout.  The reference loss is exact at
 each draw.  In calibrated mode the loss needs two count-weighted sums of
 incomplete betas over the column's scores, I_s(3 - pi0, 1 + pi0) and
 I_s(2 - pi0, 2 + pi0); both are analytic in pi0 on [0, 1], so they are
-evaluated exactly (scipy.special.betainc) at PRIOR_NODES = 24 Chebyshev
+evaluated exactly (distributions.betainc) at PRIOR_NODES = 24 Chebyshev
 points once per column and read from the interpolant at every draw.  The
 interpolant is within 1e-14 absolute of betainc over the whole unit square
 of (score, pi0), and the cost is O(24 K + draws) incomplete betas for K
@@ -33,11 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebpts1, chebval, chebvander
-from scipy.special import betainc
 
 from ._mc import combine_mean_stderr, run_chunks
 from .config import EvalConfig, require_finite_mean_ratio
-from .distributions import BetaParams, BetaWeight, WeightFunction
+from .distributions import BetaParams, BetaWeight, WeightFunction, betainc
 from .empirical import ClassPriors, EmpiricalCdfPair, LabeledScores, empirical_cdfs, empirical_priors
 from .errors import ConfigError
 from .loss import _hull_envelope, expected_min_loss, reference_loss
@@ -56,6 +55,9 @@ DEFAULT_PRIOR_UNCERTAINTY = BetaParams(2.0, 2.0)
 # interpolation error falls from 1.7e-13 at 16 nodes to 4.9e-15 at 18;
 # from 19 on, rounding (1e-15 to 5e-15) dominates, and 24 keeps a margin.
 PRIOR_NODES = 24
+# Scores per block of the node sums: all nodes are evaluated in one call,
+# and the (nodes x scores) block stays small whatever the column's size.
+NODE_RUN = 2048
 
 
 @dataclass(frozen=True)
@@ -168,15 +170,17 @@ def _reference_loss_batch(pi0s: np.ndarray) -> np.ndarray:
 def _node_sums(u: np.ndarray, counts: np.ndarray, da: float, db: float) -> np.ndarray:
     """Chebyshev coefficients, in x = 2 pi0 - 1, of counts @ I_u(a + da,
     b + db) under the conditional shapes (a, b), from its exact values at
-    PRIOR_NODES Chebyshev points: one vector of incomplete betas per node.
+    PRIOR_NODES Chebyshev points: one (nodes x scores) block of incomplete
+    betas per NODE_RUN scores.
 
     The values' mean is the constant term; only their deviations from it
     go through the discrete cosine sums, so rounding in those sums scales
     with how much the function varies, not with its size.
     """
     x = chebpts1(PRIOR_NODES)
-    a, b = _conditional_shapes((x + 1.0) / 2.0)
-    values = np.array([betainc(ak + da, bk + db, u) @ counts for ak, bk in zip(a, b)])
+    a, b = _conditional_shapes((x[:, None] + 1.0) / 2.0)
+    values = sum((betainc(a + da, b + db, u[i:i + NODE_RUN]) @ counts[i:i + NODE_RUN]
+                  for i in range(0, u.size, NODE_RUN)), np.zeros((PRIOR_NODES,) + counts.shape[1:]))
     mean = values.mean(axis=0)
     coef = chebvander(x, PRIOR_NODES - 1).T @ (values - mean) * (2.0 / PRIOR_NODES)
     coef[0] = mean

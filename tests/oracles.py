@@ -3,12 +3,11 @@
 Everything here recomputes expected values from first principles with
 tools disjoint from the implementation paths under test: direct counting,
 exhaustive pair enumeration, dense midpoint grids, scipy adaptive
-quadrature of the beta density, and mpmath's arbitrary-precision
-incomplete beta and binomial sums.  The package computes incomplete betas
-with scipy.special.betainc, so no oracle here uses that routine, with one
-exception: exact_calibrated_loss_batch, which checks how the package
-interpolates its calibrated class sums in pi0, not the incomplete beta
-itself.  Nothing imports the package.
+quadrature of the beta density, mpmath's arbitrary-precision beta
+density, incomplete beta and binomial sums, and scipy.special.betainc.
+The package computes incomplete betas with its own routine
+(distributions.betainc), so scipy's betainc is independent of it.
+Nothing imports the package.
 
 The rank-sum AUC, the stack-loop optimal envelope, the per-atom
 mixture-weight and threshold-law sums and the full monotone chain at the
@@ -91,6 +90,29 @@ def exact_calibrated_loss_batch(pi0s, u, count0, count1):
     i0 = sp_betainc(col_a + 1.0, col_b, u) @ count0 / np.sum(count0)
     i1 = sp_betainc(col_a, col_b + 1.0, u) @ count1 / np.sum(count1)
     return pi0s * (a / (a + b)) * i0 + (1.0 - pi0s) * (b / (a + b)) * (1.0 - i1)
+
+
+def mp_beta_density(c, a, b, dps=40):
+    """Beta(a, b) density at the float c, at dps digits."""
+    with mpmath.workdps(dps):
+        c, a, b = mpmath.mpf(float(c)), mpmath.mpf(float(a)), mpmath.mpf(float(b))
+        return float(mpmath.exp((a - 1) * mpmath.log(c) + (b - 1) * mpmath.log1p(-c)
+                                - mpmath.log(mpmath.beta(a, b))))
+
+
+def hyp_betainc(a, b, x, dps=50):
+    """I_x(a, b) at dps digits from the Gauss series
+    x^a y^b / (a B(a, b)) 2F1(a + b, 1; a + 1; x), taken in whichever of x
+    and y = 1 - x is at most 1/2 (through I_x(a, b) = 1 - I_y(b, a)), so it
+    converges geometrically where mpmath.betainc's series would not."""
+    with mpmath.workdps(dps):
+        a, b, x = mpmath.mpf(float(a)), mpmath.mpf(float(b)), mpmath.mpf(float(x))
+        flip = x > 0.5
+        if flip:
+            a, b, x = b, a, 1 - x
+        value = (x**a * (1 - x) ** b / (a * mpmath.beta(a, b))
+                 * mpmath.hyp2f1(a + b, 1, a + 1, x, maxterms=10**6))
+        return float(1 - value if flip else value)
 
 
 def _mp_betainc(a, b, x):

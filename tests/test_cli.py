@@ -456,6 +456,36 @@ def test_help_and_config_errors_leave_out_numpy_and_scipy(fixtures_dir, args, ex
     assert _fresh_interpreter(code, *args) == f"{exit_code} []"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["evaluate", "golden4.csv"],
+        ["evaluate", "golden4.csv", "--weight", "beta", "--alpha", "2", "--beta", "3"],
+        ["evaluate", "golden4.csv", "--weight", "tabulated:{tmp}/w.csv"],
+        ["evaluate", "golden4.csv", "--prior", "beta", "--seed", "3"],
+        ["evaluate", "golden4.csv", "--prior", "beta", "--seed", "3", "--mode", "optimal"],
+        ["compare", "rank_disagreement.csv", "--columns", "model_a,model_b"],
+        ["curves", "golden4.csv", "--out-dir", "{tmp}/curves"],
+    ],
+)
+def test_compute_commands_leave_out_scipy(fixtures_dir, tmp_path, args):
+    # the incomplete beta is the package's own, so no command that
+    # computes H, the AUC or the curves loads any part of scipy
+    grid = np.linspace(1e-4, 1 - 1e-4, 2048)
+    dens = 6.0 * grid * (1 - grid)
+    (tmp_path / "w.csv").write_text(
+        "c,density\n" + "\n".join(f"{c:.17g},{d / np.trapezoid(dens, grid):.17g}"
+                                   for c, d in zip(grid, dens)), encoding="utf-8")
+    args = [str(fixtures_dir / a) if a.endswith(".csv") and "{" not in a
+            else a.format(tmp=tmp_path) for a in args]
+    if args[0] != "curves":
+        args += ["--out", str(tmp_path / "report.json")]
+    code = ("import sys\nfrom hmetric.cli import main\n"
+            "try:\n    main(sys.argv[1:])\nexcept SystemExit as exc:\n"
+            "    print(exc.code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_interpreter(code, *args) == "0 []"
+
+
 def test_load_keeps_names_set_before_it(fixtures_dir, tmp_path):
     # a wrapper set on the module before the numeric names load (as a
     # tracer or a test patch does) is the one the command calls

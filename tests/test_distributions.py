@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import betainc as sp_betainc
+from scipy.special import betaincinv
 
 from hmetric import (
     BetaParams,
@@ -13,7 +15,15 @@ from hmetric import (
     load_tabulated_weight,
     regularized_incomplete_beta,
 )
-from oracles import beta_density, binomial_tail_betainc, quad_partial_moments
+from hmetric import distributions
+from hmetric.distributions import betainc
+from oracles import (
+    beta_density,
+    binomial_tail_betainc,
+    hyp_betainc,
+    mp_beta_density,
+    quad_partial_moments,
+)
 
 # frozen from a 40-digit adaptive-quadrature oracle
 BETA_PDF_03_17_13 = 0.94870843763150103869
@@ -43,6 +53,19 @@ class TestBetaPdf:
     def test_bad_params(self, a, b):
         with pytest.raises(InputError):
             BetaParams(a, b)
+
+
+    def test_large_shapes_against_mpmath(self):
+        # within 3 sd of the mean at shapes up to 4e4, where
+        # (a - 1) log c + (b - 1) log1p(-c) - betaln(a, b) loses ~1e-10
+        rng = np.random.default_rng(20261019)
+        a, b = np.exp(rng.uniform(np.log(10.0), np.log(4e4), (2, 200)))
+        sd = np.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
+        c = a / (a + b) + rng.uniform(-3.0, 3.0, 200) * sd
+        want = [mp_beta_density(*args) for args in zip(c, a, b)]
+        got = [BetaWeight(*ab).density(ci) for ci, *ab in zip(c, a, b)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert beta_pdf(c[0], BetaParams(a[0], b[0])) == got[0]
 
 
 class TestRegularizedIncompleteBeta:
@@ -113,6 +136,78 @@ class TestRegularizedIncompleteBeta:
     def test_domain_error(self):
         with pytest.raises(InputError):
             regularized_incomplete_beta(1.5, BetaParams(1, 1))
+
+
+class TestBetainc:
+    """The package's vectorised incomplete beta against scipy's, which it
+    replaced, and its scipy-style broadcasting and endpoints."""
+
+    def test_sweep_against_scipy(self):
+        rng = np.random.default_rng(8000)
+        a, b = np.exp(rng.uniform(np.log(0.05), np.log(5e4), (2, 8000)))
+        x = betaincinv(a, b, np.exp(rng.uniform(np.log(1e-12), 0.0, 8000)))
+        want = sp_betainc(a, b, x)
+        got = betainc(a, b, x)
+        sig = want > 1e-290
+        assert np.max(np.abs(got[sig] - want[sig]) / want[sig]) <= 1e-12
+
+    @pytest.mark.parametrize("small_first", [False, True])
+    def test_small_shape_sweep_against_scipy(self, small_first):
+        # one shape in [1e-8, 0.05]: past the split point with the small
+        # shape second, I is small and comes from the power series
+        rng = np.random.default_rng(5)
+        a = np.exp(rng.uniform(np.log(1e-3), np.log(5e4), 4000))
+        b = np.exp(rng.uniform(np.log(1e-8), np.log(0.05), 4000))
+        if small_first:
+            a, b = b, a
+        x = betaincinv(a, b, np.exp(rng.uniform(np.log(1e-12), 0.0, 4000)))
+        x = x[(x > 0.0) & (x < 1.0)]
+        a, b = a[: x.size], b[: x.size]
+        want = sp_betainc(a, b, x)
+        got = betainc(a, b, x)
+        sig = want > 1e-290
+        assert np.max(np.abs(got[sig] - want[sig]) / want[sig]) <= 1e-12
+
+    @pytest.mark.parametrize("a,b,x", [
+        (35.79896863494349, 0.0014104661900627125, 0.9758899024974848),
+        (333.1447647289505, 0.002257710022691064, 0.998284663381814),
+        (2.324079089033, 0.001094581305906893, 0.8765433860374683),
+        (8.8, 0.001, 1.0 - 1e-12),
+        (0.01, 0.01, 0.9),
+        (5e4, 0.01, 1.0 - 1e-9),
+    ])
+    def test_small_shape_against_mpmath(self, a, b, x):
+        # 1 - I_{1-x}(b, a) was 1e-12 to 3e-12 off at the first three
+        assert betainc(a, b, x) == pytest.approx(hyp_betainc(a, b, x), rel=1e-13, abs=0)
+
+    def test_broadcast_matches_elementwise(self, monkeypatch):
+        # blocks smaller than a row of x, so rows of shapes straddle them
+        monkeypatch.setattr(distributions, "_BLOCK", 64)
+        rng = np.random.default_rng(11)
+        a = rng.uniform(1.0, 3.0, (40, 1))
+        b = 4.0 - a
+        x = np.concatenate([[0.0], np.sort(rng.random(23)), [1.0]])[None, :]
+        got = betainc(a, b, x)
+        assert got.shape == (40, 25)
+        want = [[float(betainc(ai, bi, xj)) for xj in x[0]] for ai, bi in zip(a[:, 0], b[:, 0])]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        # shapes along the second axis, parallel to x, and scalars against an array
+        np.testing.assert_allclose(betainc(a.T, b.T, x.T), got.T, rtol=1e-15, atol=0)
+        flat = np.broadcast_to(x, got.shape).ravel()
+        np.testing.assert_allclose(betainc(np.repeat(a, 25), np.repeat(b, 25), flat),
+                                   got.ravel(), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(betainc(a[0, 0], b[0, 0], x[0]), got[0], rtol=1e-15, atol=0)
+
+    def test_endpoints_and_scalars(self):
+        out = betainc(2.0, 3.0, [-0.5, 0.0, 1.0, 1.5])
+        assert out.tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert np.ndim(betainc(2.0, 3.0, 0.25)) == 0
+        assert np.isnan(betainc(2.0, 3.0, np.nan))
+
+    def test_unconverged_fraction_raises(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_CF_MAX_STEPS", 8)
+        with pytest.raises(ArithmeticError):
+            betainc(3e4, 3e4, 0.5)
 
 
 class TestSampling:

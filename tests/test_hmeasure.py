@@ -255,7 +255,7 @@ def _datasets():
 
 def test_prior_interpolant_accuracy():
     # each incomplete beta of the calibrated class sums, interpolated in pi0
-    # from its values at PRIOR_NODES Chebyshev points, against betainc itself
+    # from its values at PRIOR_NODES Chebyshev points, against scipy's betainc
     u = np.concatenate([
         np.logspace(-300, -1, 150),  # toward 0
         1.0 - np.logspace(-16, -1, 100),  # toward 1
@@ -290,10 +290,11 @@ def test_prior_betainc_work(monkeypatch, draws):
     data = _datasets()[2]
     cdfs = empirical_cdfs(data)
     seen = []
+    own = hmeasure.betainc  # the package's routine, so the counted calls run it
 
     def counted(a, b, x):
         seen.append(np.broadcast(a, b, x).size)
-        return betainc(a, b, x)
+        return own(a, b, x)
 
     monkeypatch.setattr(hmeasure, "betainc", counted)
     h_measure_uncertain_priors(data, config=EvalConfig(prior="beta", seed=4, outer_samples=draws))
