@@ -101,7 +101,8 @@ def _config_options(fn):
         click.option("--resolution", type=int, default=4096, show_default=True,
                      help="Grid resolution for curves."),
         click.option("--mc-samples", type=int, default=10000, show_default=True,
-                     help="Monte Carlo sample count."),
+                     help="Monte Carlo sample count: cost draws under --method "
+                          "monte-carlo, prior draws under --prior beta."),
         click.option("--seed", type=int, default=None,
                      help="Seed; required whenever Monte Carlo is active."),
         click.option("--normalize", default="reject", show_default=True,
@@ -143,6 +144,7 @@ def _build_config(weight, alpha, beta, prior, pi0, mode, method, resolution,
         method=method.replace("-", "_"),
         resolution=resolution,
         mc_samples=mc_samples,
+        outer_samples=mc_samples,
         seed=seed,
         normalization=normalize,
         screen_proportions=tuple(proportions),

@@ -9,6 +9,7 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 from .errors import ConfigError
@@ -52,17 +53,6 @@ def threshold_law(spec: str):
     if spec == "class1-ranks":
         return thresholds.RankUniformClass1()
     return thresholds.PointMass(t=t)
-
-
-def require_finite_mean_ratio(alpha: float, beta: float) -> None:
-    """In calibrated mode the loss-to-reference ratio grows like 1/pi0 as
-    pi0 -> 0 and like 1/pi1 as pi1 -> 0, so its mean under a Beta(alpha,
-    beta) prior, and with it H, exists only for alpha > 1 and beta > 1."""
-    if alpha <= 1.0 or beta <= 1.0:
-        raise ConfigError(
-            f"in calibrated mode H under a Beta({alpha:g}, {beta:g}) prior does not "
-            "exist (the mean loss ratio diverges); both prior shapes must exceed 1"
-        )
 
 
 @dataclass(frozen=True)
@@ -109,21 +99,34 @@ class EvalConfig:
         if self.prior == "fixed":
             if self.pi0 is None or not (0.0 < self.pi0 < 1.0):
                 raise ConfigError("fixed prior requires pi0 strictly inside (0, 1)")
-        if self.prior == "beta" and (self.prior_alpha <= 0 or self.prior_beta <= 0):
-            raise ConfigError("prior beta shapes must be positive")
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ConfigError(
                 f"unknown threshold mode {self.threshold_mode!r}; expected {THRESHOLD_MODES}"
             )
-        if self.prior == "beta" and self.threshold_mode == "calibrated":
-            require_finite_mean_ratio(self.prior_alpha, self.prior_beta)
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected {METHODS}")
-        if self.prior == "beta" and self.method == "monte_carlo":
-            raise ConfigError(
-                "method 'monte_carlo' applies to fixed and empirical priors only; "
-                "the beta prior integrates over costs exactly at each prior draw"
-            )
+        if self.prior == "beta":
+            alpha, beta = self.prior_alpha, self.prior_beta
+            if not (0 < alpha < math.inf and 0 < beta < math.inf):
+                raise ConfigError("prior beta shapes must be positive and finite")
+            if self.weight != "default":
+                raise ConfigError(
+                    "a distributed prior determines its own conditional weight; "
+                    "explicit weights require a fixed or empirical prior"
+                )
+            if self.method == "monte_carlo":
+                raise ConfigError(
+                    "method 'monte_carlo' applies to fixed and empirical priors only; "
+                    "the beta prior integrates over costs exactly at each prior draw"
+                )
+            # in calibrated mode the loss-to-reference ratio grows like 1/pi0 as
+            # pi0 -> 0 and like 1/pi1 as pi1 -> 0, so its mean under the prior,
+            # and with it H, exists only when both shapes exceed 1
+            if self.threshold_mode == "calibrated" and min(alpha, beta) <= 1.0:
+                raise ConfigError(
+                    f"in calibrated mode H under a Beta({alpha:g}, {beta:g}) prior does not "
+                    "exist (the mean loss ratio diverges); both prior shapes must exceed 1"
+                )
         if self.resolution < 1024:
             raise ConfigError(f"resolution must be at least 1024, got {self.resolution}")
         # a standard error needs two draws

@@ -7,11 +7,11 @@ The default cost weight is the beta density with shapes (1 + pi1, 1 + pi0),
 whose mode sits at pi1: in unbalanced problems misclassifying the smaller
 class is the costlier mistake.
 
-When the class proportions themselves are uncertain, pi0 is drawn from a
-beta distribution (Beta(2, 2) by default), the cost weight becomes the
-conditional Beta(2 - pi0, 1 + pi0), and H is one minus the expected
-loss-to-reference ratio over the prior draws, estimated by seeded Monte
-Carlo with a deterministic chunk layout.  The reference loss is exact at
+When the class proportions themselves are uncertain, pi0 is drawn from
+the config's Beta(prior_alpha, prior_beta) (Beta(2, 2) by default), the
+cost weight becomes the conditional Beta(2 - pi0, 1 + pi0), and H is one
+minus the expected loss-to-reference ratio over the prior draws,
+estimated by seeded Monte Carlo with a deterministic chunk layout.  The reference loss is exact at
 each draw.  In calibrated mode the loss needs two count-weighted sums of
 incomplete betas over the column's scores, I_s(3 - pi0, 1 + pi0) and
 I_s(2 - pi0, 2 + pi0); both are analytic in pi0 on [0, 1], so they are
@@ -35,8 +35,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebpts1, chebval, chebvander
 
 from ._mc import combine_mean_stderr, run_chunks
-from .config import EvalConfig, require_finite_mean_ratio
-from .distributions import BetaParams, BetaWeight, WeightFunction, betainc
+from .config import EvalConfig
+from .distributions import BetaWeight, WeightFunction, betainc, load_tabulated_weight
 from .empirical import ClassPriors, EmpiricalCdfPair, LabeledScores, empirical_cdfs, empirical_priors
 from .errors import ConfigError
 from .loss import _hull_envelope, expected_min_loss, reference_loss
@@ -46,9 +46,9 @@ __all__ = [
     "default_weight",
     "h_measure_fixed",
     "h_measure_uncertain_priors",
+    "resolve_priors",
+    "resolve_weight",
 ]
-
-DEFAULT_PRIOR_UNCERTAINTY = BetaParams(2.0, 2.0)
 
 # Chebyshev points in pi0 at which the calibrated class sums are evaluated
 # exactly.  Against betainc over scores and priors in [0, 1], the
@@ -83,6 +83,24 @@ def default_weight(priors: ClassPriors) -> BetaWeight:
     return BetaWeight(1.0 + priors.pi1, 1.0 + priors.pi0)
 
 
+def resolve_priors(config: EvalConfig, data: LabeledScores) -> ClassPriors:
+    """The concrete class priors the config names: pi0 under a fixed
+    prior, else the empirical proportions (the beta prior's auxiliary
+    metrics read those too)."""
+    if config.prior == "fixed":
+        return ClassPriors(pi0=float(config.pi0))
+    return empirical_priors(data)
+
+
+def resolve_weight(config: EvalConfig, priors: ClassPriors) -> WeightFunction:
+    """The cost weight the config names; one instance serves all columns."""
+    if config.weight == "beta":
+        return BetaWeight(config.weight_alpha, config.weight_beta)
+    if config.weight == "tabulated":
+        return load_tabulated_weight(config.weight_path)
+    return default_weight(priors)
+
+
 def _warnings_for(h: float, mode: str) -> tuple[str, ...]:
     if h < 0.0 and mode == "calibrated":
         return (
@@ -92,13 +110,14 @@ def _warnings_for(h: float, mode: str) -> tuple[str, ...]:
     return ()
 
 
-def _heavy_tail(prior_dist: BetaParams, mode: str) -> tuple[str, ...]:
+def _heavy_tail(config: EvalConfig) -> tuple[str, ...]:
     """In calibrated mode the loss ratio grows like 1/pi0 and 1/pi1 at the
     ends of the unit interval, so its variance under the prior is finite
     only when both shapes exceed 2."""
-    if mode == "calibrated" and min(prior_dist.alpha, prior_dist.beta) <= 2.0:
+    alpha, beta = config.prior_alpha, config.prior_beta
+    if config.threshold_mode == "calibrated" and min(alpha, beta) <= 2.0:
         return (
-            f"heavy_tail: under a Beta({prior_dist.alpha:g}, {prior_dist.beta:g}) prior the "
+            f"heavy_tail: under a Beta({alpha:g}, {beta:g}) prior the "
             "calibrated loss ratio has infinite variance (a prior shape is at most 2), "
             "so mc_stderr is not a valid error bar",
         )
@@ -113,17 +132,21 @@ def h_measure_fixed(
 ) -> HResult:
     """H-measure at known priors.
 
-    priors defaults to the empirical class proportions and w to
-    default_weight(priors).  The loss comes from expected_min_loss under
-    the config's threshold mode and method; the reference loss comes from
-    the weight's exact partial moments at pi1.
+    priors and w default to those the config names (resolve_priors,
+    resolve_weight); a beta prior is h_measure_uncertain_priors' to
+    compute.  The loss comes from expected_min_loss under the config's
+    threshold mode and method; the reference loss comes from the weight's
+    exact partial moments at pi1.
     """
     config.validate()
+    if config.prior == "beta":
+        raise ConfigError("a beta prior keeps pi0 distributed; "
+                          "its H comes from h_measure_uncertain_priors")
     cdfs = empirical_cdfs(data)
     if priors is None:
-        priors = empirical_priors(data)
+        priors = resolve_priors(config, data)
     if w is None:
-        w = default_weight(priors)
+        w = resolve_weight(config, priors)
     loss, stderr = expected_min_loss(
         priors,
         cdfs,
@@ -152,18 +175,18 @@ def _conditional_shapes(pi0s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 - pi0s, 1.0 + pi0s
 
 
-def _partial_moments_batch(pi0s, upper0, upper1):
-    """m0 at upper0 and m1 at upper1 under each draw's conditional weight."""
+def _partial_moments_batch(pi0s, upper):
+    """m0 and m1 at upper under each draw's conditional weight."""
     a, b = _conditional_shapes(pi0s)
-    m0 = (a / (a + b)) * betainc(a + 1.0, b, upper0)
-    m1 = (b / (a + b)) * (1.0 - betainc(a, b + 1.0, upper1))
+    m0 = (a / (a + b)) * betainc(a + 1.0, b, upper)
+    m1 = (b / (a + b)) * (1.0 - betainc(a, b + 1.0, upper))
     return m0, m1
 
 
 def _reference_loss_batch(pi0s: np.ndarray) -> np.ndarray:
     """Closed-form no-skill loss at each prior, under the conditional weight."""
     pi1s = 1.0 - pi0s
-    m0, m1 = _partial_moments_batch(pi0s, pi1s, pi1s)
+    m0, m1 = _partial_moments_batch(pi0s, pi1s)
     return pi0s * m0 + pi1s * m1
 
 
@@ -234,17 +257,14 @@ def _loss_ratio_at(cdfs: EmpiricalCdfPair, mode: str):
     else:
         def loss(pi0s):
             env = _hull_envelope(pi0s[:, None], cdfs.hull)
-            return env.integrate(*_partial_moments_batch(pi0s[:, None], env.breaks, env.breaks))
+            return env.integrate(*_partial_moments_batch(pi0s[:, None], env.breaks))
 
     return lambda pi0s: loss(pi0s) / _reference_loss_batch(pi0s)
 
 
-def h_measure_uncertain_priors(
-    data: LabeledScores,
-    prior_dist: BetaParams = DEFAULT_PRIOR_UNCERTAINTY,
-    config: EvalConfig = EvalConfig(),
-) -> HResult:
-    """H-measure when pi0 itself carries a beta distribution.
+def h_measure_uncertain_priors(data: LabeledScores, config: EvalConfig) -> HResult:
+    """H-measure when pi0 itself carries the config's beta distribution,
+    Beta(prior_alpha, prior_beta), over outer_samples seeded draws.
 
     For each prior draw the cost weight is the conditional
     Beta(2 - pi0, 1 + pi0), the loss and its closed-form no-skill
@@ -254,18 +274,14 @@ def h_measure_uncertain_priors(
     only the class weighting changes.
     """
     config.validate()
-    if config.seed is None:
-        raise ConfigError("a seed is required for the prior-uncertain H-measure")
-    if config.method != "quadrature":
-        raise ConfigError("the prior-uncertain H-measure integrates over costs exactly; "
-                          "method 'monte_carlo' applies to fixed and empirical priors only")
-    if config.threshold_mode == "calibrated":
-        require_finite_mean_ratio(prior_dist.alpha, prior_dist.beta)
+    if config.prior != "beta":
+        raise ConfigError(f"the prior-uncertain H-measure needs a beta prior, not {config.prior!r}")
+    alpha, beta = config.prior_alpha, config.prior_beta
     ratio_at = _loss_ratio_at(empirical_cdfs(data), config.threshold_mode)
     tiny = np.finfo(float).tiny
 
     def one_chunk(rng, count):
-        pi0s = np.clip(rng.beta(prior_dist.alpha, prior_dist.beta, size=count), tiny, 1.0 - 1e-16)
+        pi0s = np.clip(rng.beta(alpha, beta, size=count), tiny, 1.0 - 1e-16)
         ratios = ratio_at(pi0s)
         return float(np.sum(ratios)), float(np.sum(ratios * ratios)), count
 
@@ -277,8 +293,7 @@ def h_measure_uncertain_priors(
         loss=float(mean_ratio),
         reference_loss=1.0,
         weight_used={"kind": "beta_conditional_on_prior"},
-        prior_used={"kind": "beta", "alpha": prior_dist.alpha, "beta": prior_dist.beta},
+        prior_used={"kind": "beta", "alpha": alpha, "beta": beta},
         mc_stderr=stderr,
-        warnings=(_warnings_for(h, config.threshold_mode)
-                  + _heavy_tail(prior_dist, config.threshold_mode)),
+        warnings=_warnings_for(h, config.threshold_mode) + _heavy_tail(config),
     )

@@ -21,10 +21,10 @@ import numpy as np
 from . import __version__
 from .auc import auc_mann_whitney, mixture_weight_loss
 from .config import EvalConfig, threshold_law
-from .distributions import BetaParams, BetaWeight, WeightFunction, load_tabulated_weight
-from .empirical import ClassPriors, LabeledScores, empirical_priors, ingest
+from .distributions import WeightFunction
+from .empirical import ClassPriors, LabeledScores, ingest
 from .errors import ConfigError
-from .hmeasure import default_weight, h_measure_fixed, h_measure_uncertain_priors
+from .hmeasure import h_measure_fixed, h_measure_uncertain_priors, resolve_priors, resolve_weight
 from .thresholds import independent_threshold_loss, screen_at_proportion
 
 __all__ = [
@@ -38,47 +38,25 @@ __all__ = [
 ]
 
 
-def resolve_priors(config: EvalConfig, data: LabeledScores) -> ClassPriors:
-    """Concrete class priors for fixed/empirical prior kinds (the beta
-    kind keeps pi0 distributed and is handled by the H-measure itself)."""
-    if config.prior == "fixed":
-        return ClassPriors(pi0=float(config.pi0))
-    return empirical_priors(data)
-
-
-def resolve_weight(config: EvalConfig, priors: ClassPriors) -> WeightFunction:
-    """One weight instance per evaluation, shared across all columns."""
-    if config.weight == "beta":
-        return BetaWeight(config.weight_alpha, config.weight_beta)
-    if config.weight == "tabulated":
-        return load_tabulated_weight(config.weight_path)
-    return default_weight(priors)
-
-
 def evaluate_column(
     data: LabeledScores,
     config: EvalConfig,
     shared_weight: WeightFunction | None = None,
     shared_priors: ClassPriors | None = None,
 ) -> dict:
-    """All metrics for one score column, as a JSON-ready mapping."""
+    """All metrics for one score column, as a JSON-ready mapping.
+
+    The priors and weight are resolved from the config unless shared ones
+    are given.  Under a beta prior they are the empirical priors and the
+    default weight, which serve the metrics other than H.
+    """
     config.validate()
+    priors = shared_priors or resolve_priors(config, data)
+    weight = shared_weight or resolve_weight(config, priors)
     if config.prior == "beta":
-        if config.weight != "default":
-            raise ConfigError(
-                "a distributed prior determines its own conditional weight; "
-                "explicit weights require a fixed or empirical prior"
-            )
-        hres = h_measure_uncertain_priors(
-            data, BetaParams(config.prior_alpha, config.prior_beta), config
-        )
-        # auxiliary metrics need concrete priors; the empirical ones serve
-        aux_priors = empirical_priors(data)
-        aux_weight = shared_weight or default_weight(aux_priors)
+        hres = h_measure_uncertain_priors(data, config)
     else:
-        aux_priors = shared_priors or resolve_priors(config, data)
-        aux_weight = shared_weight or resolve_weight(config, aux_priors)
-        hres = h_measure_fixed(data, priors=aux_priors, w=aux_weight, config=config)
+        hres = h_measure_fixed(data, priors=priors, w=weight, config=config)
 
     auc_res = auc_mann_whitney(data)
     column = {
@@ -90,7 +68,7 @@ def evaluate_column(
             {
                 "u": spec,
                 "loss": independent_threshold_loss(
-                    data, aux_priors, aux_weight, threshold_law(spec)
+                    data, priors, weight, threshold_law(spec)
                 ),
             }
             for spec in config.u_dists
@@ -142,12 +120,8 @@ def build_report(
         name: ingest(scores, labels, normalization=config.normalization)
         for name, scores in columns.items()
     }
-    shared_priors = None
-    shared_weight = None
-    if config.prior != "beta":
-        first = next(iter(ingested.values()))
-        shared_priors = resolve_priors(config, first)
-        shared_weight = resolve_weight(config, shared_priors)
+    shared_priors = resolve_priors(config, next(iter(ingested.values())))
+    shared_weight = resolve_weight(config, shared_priors)
 
     column_reports = {
         name: evaluate_column(

@@ -187,6 +187,14 @@ class TestEvaluate:
         assert h["mc_stderr"] > 0.0
         assert any(w.startswith("heavy_tail:") for w in h["warnings"])
 
+    def test_mc_samples_sets_prior_draws(self, runner, fixtures_dir):
+        # under --prior beta the flag is the number of prior draws
+        args = ["evaluate", str(fixtures_dir / "golden4.csv"), "--prior", "beta", "--seed", "3"]
+        default, fewer = (_strict_loads(runner.invoke(main, args + extra).output)
+                          for extra in ([], ["--mc-samples", "2000"]))
+        assert fewer["provenance"]["config"]["outer_samples"] == 2000
+        assert fewer["columns"]["score"]["h"]["h"] != default["columns"]["score"]["h"]["h"]
+
     @pytest.mark.parametrize("extra", [["--prior", "beta"], ["--method", "monte-carlo"]])
     def test_negative_seed_exit_3(self, runner, fixtures_dir, extra):
         result = runner.invoke(
@@ -446,6 +454,8 @@ def test_import_leaves_out_numpy_and_scipy(module):
         (["--help"], 0),
         (["evaluate", "--help"], 0),
         (["evaluate", "golden4.csv", "--mode", "bogus"], 3),
+        (["evaluate", "golden4.csv", "--prior", "beta", "--seed", "1", "--weight", "beta",
+          "--alpha", "2", "--beta", "2"], 3),
     ],
 )
 def test_help_and_config_errors_leave_out_numpy_and_scipy(fixtures_dir, args, exit_code):

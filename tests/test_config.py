@@ -39,6 +39,10 @@ def test_default_config_valid():
         ({"method": "monte_carlo", "seed": -5}, "non-negative"),
         ({"method": "monte_carlo", "mc_samples": 1, "seed": 7}, "mc_samples must be at least 2"),
         ({"prior": "beta", "outer_samples": 1, "seed": 7}, "outer_samples must be at least 2"),
+        ({"prior": "beta", "prior_alpha": float("inf"), "seed": 1}, "finite"),
+        ({"prior": "beta", "prior_beta": float("nan"), "seed": 1}, "finite"),
+        ({"prior": "beta", "weight": "beta", "weight_alpha": 2.0, "weight_beta": 2.0, "seed": 1},
+         "conditional weight"),
     ],
 )
 def test_rejections(kwargs, message):

@@ -4,7 +4,6 @@ from numpy.polynomial.chebyshev import chebval
 from scipy.special import betainc
 
 from hmetric import (
-    BetaParams,
     BetaWeight,
     ConfigError,
     EvalConfig,
@@ -142,6 +141,21 @@ class TestHMeasureFixed:
         with pytest.raises(ConfigError, match="seed"):
             h_measure_fixed(golden4, config=EvalConfig(method="monte_carlo"))
 
+    def test_fixed_prior_from_the_config(self, golden4):
+        res = h_measure_fixed(golden4, config=EvalConfig(prior="fixed", pi0=0.2))
+        assert res.prior_used == {"kind": "fixed", "pi0": 0.2}
+        assert res == h_measure_fixed(golden4, priors=ClassPriors(pi0=0.2))
+
+    def test_beta_weight_from_the_config(self, golden4):
+        cfg = EvalConfig(weight="beta", weight_alpha=5.0, weight_beta=1.0)
+        res = h_measure_fixed(golden4, config=cfg)
+        assert res.weight_used == {"kind": "beta", "alpha": 5.0, "beta": 1.0}
+        assert res == h_measure_fixed(golden4, w=BetaWeight(5.0, 1.0))
+
+    def test_rejects_a_beta_prior(self, golden4):
+        with pytest.raises(ConfigError, match="h_measure_uncertain_priors"):
+            h_measure_fixed(golden4, config=EvalConfig(prior="beta", seed=1))
+
 
 class TestHMeasureUncertainPriors:
     CFG = EvalConfig(prior="beta", seed=20260809, outer_samples=20000)
@@ -206,20 +220,41 @@ class TestHMeasureUncertainPriors:
         assert 0.0 <= res.h <= 1.0
 
     def test_custom_prior_shapes(self, golden4):
-        cfg = EvalConfig(prior="beta", seed=6, outer_samples=5000)
-        res = h_measure_uncertain_priors(golden4, BetaParams(4.0, 4.0), config=cfg)
+        cfg = EvalConfig(prior="beta", prior_alpha=4.0, prior_beta=4.0, seed=6,
+                         outer_samples=5000)
+        res = h_measure_uncertain_priors(golden4, config=cfg)
         assert res.prior_used == {"kind": "beta", "alpha": 4.0, "beta": 4.0}
+
+    def test_prior_shapes_come_from_the_config(self, golden4):
+        # the draws follow the config's shapes, so H moves with them
+        def run(alpha, beta):
+            cfg = EvalConfig(prior="beta", prior_alpha=alpha, prior_beta=beta, seed=1,
+                             outer_samples=2000)
+            return h_measure_uncertain_priors(golden4, config=cfg)
+
+        res = run(5, 5)
+        assert res.prior_used == {"kind": "beta", "alpha": 5.0, "beta": 5.0}
+        assert res.h != run(2.0, 2.0).h
+
+    @pytest.mark.parametrize("prior", ["empirical", "fixed"])
+    def test_rejects_a_concrete_prior(self, golden4, prior):
+        cfg = EvalConfig(prior=prior, pi0=0.3 if prior == "fixed" else None, seed=1)
+        with pytest.raises(ConfigError, match="needs a beta prior"):
+            h_measure_uncertain_priors(golden4, config=cfg)
 
     @pytest.mark.parametrize("shapes", [(1.0, 2.0), (2.0, 1.0), (0.5, 0.5), (1.0, 1.0)])
     def test_calibrated_mode_needs_shapes_above_one(self, golden4, shapes):
         # the mean loss ratio diverges unless both shapes exceed one
-        cfg = EvalConfig(prior="beta", seed=6, outer_samples=100)
+        alpha, beta = shapes
+        cfg = EvalConfig(prior="beta", prior_alpha=alpha, prior_beta=beta, seed=6,
+                         outer_samples=100)
         with pytest.raises(ConfigError, match="must exceed 1"):
-            h_measure_uncertain_priors(golden4, BetaParams(*shapes), config=cfg)
+            h_measure_uncertain_priors(golden4, config=cfg)
 
     def test_optimal_mode_accepts_shapes_up_to_one(self, golden4):
-        cfg = EvalConfig(prior="beta", threshold_mode="optimal", seed=6, outer_samples=100)
-        res = h_measure_uncertain_priors(golden4, BetaParams(1.0, 0.5), config=cfg)
+        cfg = EvalConfig(prior="beta", prior_alpha=1.0, prior_beta=0.5, threshold_mode="optimal",
+                         seed=6, outer_samples=100)
+        res = h_measure_uncertain_priors(golden4, config=cfg)
         assert 0.0 <= res.h <= 1.0
 
 
@@ -227,8 +262,10 @@ class TestHMeasureUncertainPriors:
         # the calibrated loss ratio's variance is finite only when both
         # prior shapes exceed 2
         def warned(shapes, mode="calibrated"):
-            cfg = EvalConfig(prior="beta", threshold_mode=mode, seed=6, outer_samples=200)
-            res = h_measure_uncertain_priors(golden4, BetaParams(*shapes), config=cfg)
+            alpha, beta = shapes
+            cfg = EvalConfig(prior="beta", prior_alpha=alpha, prior_beta=beta,
+                             threshold_mode=mode, seed=6, outer_samples=200)
+            res = h_measure_uncertain_priors(golden4, config=cfg)
             return [w for w in res.warnings if w.startswith("heavy_tail:")]
 
         assert len(warned((2.0, 2.0))) == 1
