@@ -12,7 +12,6 @@ not grow with the sample count.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from itertools import chain, repeat
 
 import numpy as np
@@ -55,6 +54,8 @@ def run_chunks(fn, seed: int, total: int, n_workers: int = 1, chunk: int = MC_CH
 
 
 def _in_flight(fn, tasks, n_workers: int):
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         pending = deque()
         for rng, count in tasks:

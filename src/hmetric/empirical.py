@@ -11,7 +11,9 @@ reads that table, and the optimal rule its ROC hull, which depends on
 neither the priors nor the cost weight.  The hull's monotone chain walks
 only the corners of the ROC path (a class-0 step followed by a class-1
 step) and the two ends, which one numpy mask picks: no other point can be
-a hull vertex, so the chain over the corners is the exact hull.
+a hull vertex, so the chain over the corners is the exact hull.  A second
+mask, by comparisons alone, drops the corners that lie on or above the
+segment joining their neighbours.
 
 read_scores_csv parses a plain file (every data field bare digits, '.',
 'e', 'E', '+' or '-', labels exactly 0 or 1, rows ending in LF or CRLF, no
@@ -164,12 +166,20 @@ class EmpiricalCdfPair:
         step lies directly above its predecessor, and one left by a purely
         horizontal step lies on or above the segment from its predecessor
         to its successor, so neither is a vertex, and dropping them leaves
-        the hull as it is.  One boolean mask picks the corners; the
-        monotone chain then runs over those alone, in their lexicographic
-        order, turning on exact integer counts."""
+        the hull as it is.  One boolean mask picks the corners.  A second
+        drops each corner whose step to the next corner is at least as
+        wide and at most as tall as its step from the previous one: it
+        lies on or above the segment joining those two, so it is no
+        vertex either, and the test compares counts without multiplying
+        them.  The monotone chain then runs over the rest, in their
+        lexicographic order, turning on exact integer counts."""
         corner = np.append((self.count0[:-1] > 0) & (self.count1[1:] > 0), True)
-        xs = [0] + self.cum0[corner].tolist()
-        ys = [0] + self.cum1[corner].tolist()
+        xs = np.append(0, self.cum0[corner])
+        ys = np.append(0, self.cum1[corner])
+        dx, dy = np.diff(xs), np.diff(ys)
+        keep = np.ones(xs.size, dtype=bool)
+        keep[1:-1] = (dx[1:] < dx[:-1]) | (dy[1:] > dy[:-1])
+        xs, ys = xs[keep].tolist(), ys[keep].tolist()
         chain = [0]
         for k in range(1, len(xs)):
             while len(chain) >= 2:

@@ -11,20 +11,25 @@ When the class proportions themselves are uncertain, pi0 is drawn from
 the config's Beta(prior_alpha, prior_beta) (Beta(2, 2) by default), the
 cost weight becomes the conditional Beta(2 - pi0, 1 + pi0), and H is one
 minus the expected loss-to-reference ratio over the prior draws,
-estimated by seeded Monte Carlo with a deterministic chunk layout.  The reference loss is exact at
-each draw.  In calibrated mode the loss needs two count-weighted sums of
-incomplete betas over the column's scores, I_s(3 - pi0, 1 + pi0) and
-I_s(2 - pi0, 2 + pi0); both are analytic in pi0 on [0, 1], so they are
-evaluated exactly (distributions.betainc) at PRIOR_NODES = 24 Chebyshev
-points once per column and read from the interpolant at every draw.  The
-interpolant is within 1e-14 absolute of betainc over the whole unit square
-of (score, pi0), and the cost is O(24 K + draws) incomplete betas for K
-distinct scores instead of O(draws K).  Optimal mode stays exact per draw:
-one (draws x hull) batch of partial moments, since its break points are
-rational in pi0.  In calibrated mode the ratio grows like 1/pi0 and 1/pi1
-at the ends of the unit interval, so the prior's shapes must both exceed
-one for H to exist, and both exceed two for mc_stderr to be a valid error
-bar (a heavy_tail warning says when they do not).
+estimated by seeded Monte Carlo with a deterministic chunk layout.  A
+report draws the priors once for all its columns, and the reference loss
+is evaluated exactly once per draw.  Every partial moment here comes from
+one partial pair per point (distributions._partial_pair: I_u(a + 1, b)
+and 1 - I_u(a, b + 1) from one front factor and one continued fraction).
+In calibrated mode the loss needs two count-weighted sums over the
+column's scores, of I_s(3 - pi0, 1 + pi0) over class 0 and of
+1 - I_s(2 - pi0, 2 + pi0) over class 1; both are analytic in pi0 on
+[0, 1], so they are evaluated exactly at PRIOR_NODES = 24 Chebyshev points
+once per column, both from one pair per distinct score, and read from the
+interpolant at every draw.  The interpolant is within 1e-14 absolute of
+the exact sums over the whole unit square of (score, pi0), and a column
+costs 24 K + draws partial pairs for K distinct scores instead of
+O(draws K).  Optimal mode stays exact per draw: one (draws x hull) batch
+of partial pairs, since its break points are rational in pi0.  In
+calibrated mode the ratio grows like 1/pi0 and 1/pi1 at the ends of the
+unit interval, so the prior's shapes must both exceed one for H to exist,
+and both exceed two for mc_stderr to be a valid error bar (a heavy_tail
+warning says when they do not).
 """
 
 from __future__ import annotations
@@ -32,11 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebpts1, chebval, chebvander
 
 from ._mc import combine_mean_stderr, run_chunks
 from .config import EvalConfig
-from .distributions import BetaWeight, WeightFunction, betainc, load_tabulated_weight
+from .distributions import BetaWeight, WeightFunction, _partial_pair, load_tabulated_weight
 from .empirical import ClassPriors, EmpiricalCdfPair, LabeledScores, empirical_cdfs, empirical_priors
 from .errors import ConfigError
 from .loss import _hull_envelope, expected_min_loss, reference_loss
@@ -178,9 +182,8 @@ def _conditional_shapes(pi0s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _partial_moments_batch(pi0s, upper):
     """m0 and m1 at upper under each draw's conditional weight."""
     a, b = _conditional_shapes(pi0s)
-    m0 = (a / (a + b)) * betainc(a + 1.0, b, upper)
-    m1 = (b / (a + b)) * (1.0 - betainc(a, b + 1.0, upper))
-    return m0, m1
+    below, above = _partial_pair(a, b, upper)
+    return (a / (a + b)) * below, (b / (a + b)) * above
 
 
 def _reference_loss_batch(pi0s: np.ndarray) -> np.ndarray:
@@ -190,22 +193,28 @@ def _reference_loss_batch(pi0s: np.ndarray) -> np.ndarray:
     return pi0s * m0 + pi1s * m1
 
 
-def _node_sums(u: np.ndarray, counts: np.ndarray, da: float, db: float) -> np.ndarray:
-    """Chebyshev coefficients, in x = 2 pi0 - 1, of counts @ I_u(a + da,
-    b + db) under the conditional shapes (a, b), from its exact values at
-    PRIOR_NODES Chebyshev points: one (nodes x scores) block of incomplete
-    betas per NODE_RUN scores.
+def _node_sums(u: np.ndarray, count0: np.ndarray, count1: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients, in x = 2 pi0 - 1, of count0 @ I_u(a + 1, b)
+    and count1 @ (1 - I_u(a, b + 1)) under the conditional shapes (a, b),
+    stacked along axis 1, from their exact values at PRIOR_NODES Chebyshev
+    points: one (nodes x scores) block of partial pairs per NODE_RUN scores.
 
     The values' mean is the constant term; only their deviations from it
     go through the discrete cosine sums, so rounding in those sums scales
     with how much the function varies, not with its size.
     """
+    from numpy.polynomial.chebyshev import chebpts1, chebvander
+
     x = chebpts1(PRIOR_NODES)
     a, b = _conditional_shapes((x[:, None] + 1.0) / 2.0)
-    values = sum((betainc(a + da, b + db, u[i:i + NODE_RUN]) @ counts[i:i + NODE_RUN]
-                  for i in range(0, u.size, NODE_RUN)), np.zeros((PRIOR_NODES,) + counts.shape[1:]))
+    values = np.zeros((PRIOR_NODES, 2) + count0.shape[1:])
+    for i in range(0, u.size, NODE_RUN):
+        below, above = _partial_pair(a, b, u[i:i + NODE_RUN])
+        values[:, 0] += below @ count0[i:i + NODE_RUN]
+        values[:, 1] += above @ count1[i:i + NODE_RUN]
     mean = values.mean(axis=0)
-    coef = chebvander(x, PRIOR_NODES - 1).T @ (values - mean) * (2.0 / PRIOR_NODES)
+    coef = np.tensordot(chebvander(x, PRIOR_NODES - 1).T, values - mean, axes=1)
+    coef *= 2.0 / PRIOR_NODES
     coef[0] = mean
     return coef
 
@@ -213,53 +222,84 @@ def _node_sums(u: np.ndarray, counts: np.ndarray, da: float, db: float) -> np.nd
 def _calibrated_coefficients(cdfs: EmpiricalCdfPair) -> np.ndarray:
     """Chebyshev coefficients of the calibrated loss's two class sums,
     i0(pi0) = mean of I_s(3 - pi0, 1 + pi0) over the class-0 scores s and
-    i1(pi0) = mean of I_s(2 - pi0, 2 + pi0) over the class-1 scores, as
-    the columns of a (PRIOR_NODES x 2) array.
+    j1(pi0) = mean of 1 - I_s(2 - pi0, 2 + pi0) over the class-1 scores,
+    as the columns of a (PRIOR_NODES x 2) array.
 
-    Only distinct scores strictly inside (0, 1) that the class occurs at
-    are interpolated.  Scores at exactly 0 add nothing and scores at
-    exactly 1 add their count, through the constant term, so a perfect
-    classifier's sums are exactly 0 and 1.
+    Both come from one partial pair per distinct score strictly inside
+    (0, 1).  A class-0 score at exactly 1 adds its count to i0, and a
+    class-1 score at exactly 0 its count to j1, through the constant term;
+    the other end adds nothing, so a perfect classifier's sums are exactly
+    0.
     """
     u, count0, count1 = cdfs.u, cdfs.count0, cdfs.count1
     inner = (u > 0.0) & (u < 1.0)
-    has0, has1 = inner & (count0 > 0), inner & (count1 > 0)
-    coef = np.stack([
-        _node_sums(u[has0], count0[has0], 1.0, 0.0) / cdfs.n0,
-        _node_sums(u[has1], count1[has1], 0.0, 1.0) / cdfs.n1,
-    ], axis=1)
-    at_one = u == 1.0
-    coef[0] += count0[at_one].sum() / cdfs.n0, count1[at_one].sum() / cdfs.n1
+    coef = _node_sums(u[inner], count0[inner], count1[inner]) / (cdfs.n0, cdfs.n1)
+    coef[0] += count0[u == 1.0].sum() / cdfs.n0, count1[u == 0.0].sum() / cdfs.n1
     return coef
 
 
 def _calibrated_loss_batch(pi0s: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """Calibrated loss at each prior draw from the column's class sums,
-    L = pi0 a/(a+b) i0 + pi1 b/(a+b) (1 - i1) under the conditional
-    weight Beta(a, b), the per-score partial-moment form of the scalar
-    path."""
+    L = pi0 a/(a+b) i0 + pi1 b/(a+b) j1 under the conditional weight
+    Beta(a, b), the per-score partial-moment form of the scalar path."""
+    from numpy.polynomial.chebyshev import chebval
+
     a, b = _conditional_shapes(pi0s)
-    i0, i1 = chebval(2.0 * pi0s - 1.0, coef)
-    return pi0s * (a / (a + b)) * i0 + (1.0 - pi0s) * (b / (a + b)) * (1.0 - i1)
+    i0, j1 = chebval(2.0 * pi0s - 1.0, coef)
+    return pi0s * (a / (a + b)) * i0 + (1.0 - pi0s) * (b / (a + b)) * j1
 
 
-def _loss_ratio_at(cdfs: EmpiricalCdfPair, mode: str):
-    """The loss-to-reference ratio as a function of an array of priors,
-    with the inner cost expectation integrated exactly at each.  Calibrated
-    mode fits its class sums here, once per column; in optimal mode every
-    prior walks the same ROC hull, one (priors x hull) batch of partial
-    moments."""
+def _loss_at(cdfs: EmpiricalCdfPair, mode: str):
+    """The loss as a function of an array of priors, with the inner cost
+    expectation integrated exactly at each.  Calibrated mode fits its
+    class sums here, once per column; in optimal mode every prior walks
+    the same ROC hull, one (priors x hull) batch of partial moments."""
     if mode == "calibrated":
         coef = _calibrated_coefficients(cdfs)
+        return lambda pi0s: _calibrated_loss_batch(pi0s, coef)
 
-        def loss(pi0s):
-            return _calibrated_loss_batch(pi0s, coef)
-    else:
-        def loss(pi0s):
-            env = _hull_envelope(pi0s[:, None], cdfs.hull)
-            return env.integrate(*_partial_moments_batch(pi0s[:, None], env.breaks))
+    def loss(pi0s):
+        env = _hull_envelope(pi0s[:, None], cdfs.hull)
+        return env.integrate(*_partial_moments_batch(pi0s[:, None], env.breaks))
 
-    return lambda pi0s: loss(pi0s) / _reference_loss_batch(pi0s)
+    return loss
+
+
+def _uncertain_priors(columns: list[LabeledScores], config: EvalConfig) -> list[HResult]:
+    """h_measure_uncertain_priors of each column, over one set of draws:
+    each chunk draws its priors and evaluates their reference loss once,
+    then every column's loss ratio at them."""
+    config.validate()
+    if config.prior != "beta":
+        raise ConfigError(f"the prior-uncertain H-measure needs a beta prior, not {config.prior!r}")
+    alpha, beta = config.prior_alpha, config.prior_beta
+    losses = [_loss_at(empirical_cdfs(data), config.threshold_mode) for data in columns]
+    tiny = np.finfo(float).tiny
+
+    def one_chunk(rng, count):
+        pi0s = np.clip(rng.beta(alpha, beta, size=count), tiny, 1.0 - 1e-16)
+        reference = _reference_loss_batch(pi0s)
+        sums = []
+        for loss in losses:
+            ratios = loss(pi0s) / reference
+            sums.append((float(np.sum(ratios)), float(np.sum(ratios * ratios)), count))
+        return sums
+
+    chunks = run_chunks(one_chunk, config.seed, config.outer_samples, n_workers=config.n_workers)
+    results = []
+    for parts in zip(*chunks):  # one column's chunk sums, in chunk order
+        mean_ratio, stderr = combine_mean_stderr(parts)
+        h = 1.0 - mean_ratio
+        results.append(HResult(
+            h=float(h),
+            loss=float(mean_ratio),
+            reference_loss=1.0,
+            weight_used={"kind": "beta_conditional_on_prior"},
+            prior_used={"kind": "beta", "alpha": alpha, "beta": beta},
+            mc_stderr=stderr,
+            warnings=_warnings_for(h, config.threshold_mode) + _heavy_tail(config),
+        ))
+    return results
 
 
 def h_measure_uncertain_priors(data: LabeledScores, config: EvalConfig) -> HResult:
@@ -273,27 +313,4 @@ def h_measure_uncertain_priors(data: LabeledScores, config: EvalConfig) -> HResu
     prior draws.  The empirical CDFs stay fixed while the prior varies;
     only the class weighting changes.
     """
-    config.validate()
-    if config.prior != "beta":
-        raise ConfigError(f"the prior-uncertain H-measure needs a beta prior, not {config.prior!r}")
-    alpha, beta = config.prior_alpha, config.prior_beta
-    ratio_at = _loss_ratio_at(empirical_cdfs(data), config.threshold_mode)
-    tiny = np.finfo(float).tiny
-
-    def one_chunk(rng, count):
-        pi0s = np.clip(rng.beta(alpha, beta, size=count), tiny, 1.0 - 1e-16)
-        ratios = ratio_at(pi0s)
-        return float(np.sum(ratios)), float(np.sum(ratios * ratios)), count
-
-    parts = run_chunks(one_chunk, config.seed, config.outer_samples, n_workers=config.n_workers)
-    mean_ratio, stderr = combine_mean_stderr(parts)
-    h = 1.0 - mean_ratio
-    return HResult(
-        h=float(h),
-        loss=float(mean_ratio),
-        reference_loss=1.0,
-        weight_used={"kind": "beta_conditional_on_prior"},
-        prior_used={"kind": "beta", "alpha": alpha, "beta": beta},
-        mc_stderr=stderr,
-        warnings=_warnings_for(h, config.threshold_mode) + _heavy_tail(config),
-    )
+    return _uncertain_priors([data], config)[0]

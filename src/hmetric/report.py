@@ -24,7 +24,14 @@ from .config import EvalConfig, threshold_law
 from .distributions import WeightFunction
 from .empirical import ClassPriors, LabeledScores, ingest
 from .errors import ConfigError
-from .hmeasure import h_measure_fixed, h_measure_uncertain_priors, resolve_priors, resolve_weight
+from .hmeasure import (
+    HResult,
+    _uncertain_priors,
+    h_measure_fixed,
+    h_measure_uncertain_priors,
+    resolve_priors,
+    resolve_weight,
+)
 from .thresholds import independent_threshold_loss, screen_at_proportion
 
 __all__ = [
@@ -43,20 +50,21 @@ def evaluate_column(
     config: EvalConfig,
     shared_weight: WeightFunction | None = None,
     shared_priors: ClassPriors | None = None,
+    hres: HResult | None = None,
 ) -> dict:
     """All metrics for one score column, as a JSON-ready mapping.
 
     The priors and weight are resolved from the config unless shared ones
     are given.  Under a beta prior they are the empirical priors and the
-    default weight, which serve the metrics other than H.
+    default weight, which serve the metrics other than H.  H is computed
+    here unless hres, the column's H under this config, is given.
     """
     config.validate()
     priors = shared_priors or resolve_priors(config, data)
     weight = shared_weight or resolve_weight(config, priors)
-    if config.prior == "beta":
-        hres = h_measure_uncertain_priors(data, config)
-    else:
-        hres = h_measure_fixed(data, priors=priors, w=weight, config=config)
+    if hres is None:
+        hres = (h_measure_uncertain_priors(data, config) if config.prior == "beta"
+                else h_measure_fixed(data, priors=priors, w=weight, config=config))
 
     auc_res = auc_mann_whitney(data)
     column = {
@@ -122,12 +130,15 @@ def build_report(
     }
     shared_priors = resolve_priors(config, next(iter(ingested.values())))
     shared_weight = resolve_weight(config, shared_priors)
+    # under a beta prior all columns share the draws and their references
+    h_results = (_uncertain_priors(list(ingested.values()), config)
+                 if config.prior == "beta" else [None] * len(ingested))
 
     column_reports = {
         name: evaluate_column(
-            data, config, shared_weight=shared_weight, shared_priors=shared_priors
+            data, config, shared_weight=shared_weight, shared_priors=shared_priors, hres=hres
         )
-        for name, data in ingested.items()
+        for (name, data), hres in zip(ingested.items(), h_results)
     }
 
     report = {

@@ -115,6 +115,21 @@ def hyp_betainc(a, b, x, dps=50):
         return float(1 - value if flip else value)
 
 
+def mp_partial_pair(a, b, u, dps=40):
+    """(I_u(a + 1, b), 1 - I_u(a, b + 1)) at dps digits, the second as
+    I_{1-u}(b + 1, a) with 1 - u taken exactly, each from the Gauss series
+    of hyp_betainc in whichever of u and 1 - u is at most 1/2."""
+    def inc(p, q, x):
+        if x > 0.5:
+            return 1 - inc(q, p, 1 - x)
+        return (x**p * (1 - x) ** q / (p * mpmath.beta(p, q))
+                * mpmath.hyp2f1(p + q, 1, p + 1, x, maxterms=10**6))
+
+    with mpmath.workdps(dps):
+        a, b, u = mpmath.mpf(float(a)), mpmath.mpf(float(b)), mpmath.mpf(float(u))
+        return float(inc(a + 1, b, u)), float(inc(b + 1, a, 1 - u))
+
+
 def _mp_betainc(a, b, x):
     return float(mpmath.betainc(a, b, 0, x, regularized=True))
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc as sp_betainc
+from scipy.special import betaincc as sp_betaincc
 from scipy.special import betaincinv
 
 from hmetric import (
@@ -22,6 +23,7 @@ from oracles import (
     binomial_tail_betainc,
     hyp_betainc,
     mp_beta_density,
+    mp_partial_pair,
     quad_partial_moments,
 )
 
@@ -126,6 +128,9 @@ class TestRegularizedIncompleteBeta:
         b=st.floats(0.3, 10.0),
     )
     @settings(max_examples=200, deadline=None)
+    # adjacent floats whose true values lie 0.7 ulp apart; betainc's
+    # forward continued fraction put them out of order
+    @example(x=0.30000000000000004, y=0.3, a=0.5, b=0.5)
     def test_monotone_and_bounded(self, x, y, a, b):
         p = BetaParams(a, b)
         lo, hi = sorted([x, y])
@@ -136,6 +141,22 @@ class TestRegularizedIncompleteBeta:
     def test_domain_error(self):
         with pytest.raises(InputError):
             regularized_incomplete_beta(1.5, BetaParams(1, 1))
+
+    def test_fraction_from_tail_matches_forward(self):
+        # the backward pass evaluates the approximants Lentz's method stopped
+        # at, with shapes one pair per run of elements or per element
+        rng = np.random.default_rng(12)
+        a, b = rng.uniform(0.3, 10.0, (2, 5))
+        counts = np.array([3, 1, 4, 2, 5])
+        ak, bk = np.repeat(a, counts), np.repeat(b, counts)
+        x = rng.random(counts.sum()) * (ak + 1.0) / (ak + bk + 2.0)
+        lam = ak * (1.0 - x) - bk * x
+        forward = distributions._fraction(a, b, counts, x, lam)
+        for shapes in [(a, b, counts), (ak, bk, None)]:
+            got = distributions._fraction(*shapes, x, lam, from_tail=True)
+            np.testing.assert_allclose(got, forward, rtol=1e-14, atol=0)
+        got = [regularized_incomplete_beta(xi, BetaParams(ai, bi)) for xi, ai, bi in zip(x, ak, bk)]
+        np.testing.assert_allclose(got, betainc(ak, bk, x), rtol=1e-14, atol=0)
 
 
 class TestBetainc:
@@ -292,6 +313,63 @@ class TestPartialMoments:
     def test_domain_error(self):
         with pytest.raises(InputError):
             BetaWeight(1, 1).partial_moments(1.2)
+
+    @pytest.mark.parametrize("a,b", [(1.7, 1.3), (2.0, 1.0), (0.5, 3.0), (30.0, 5.0),
+                                     (0.01, 2.0), (2.0, 0.01)])
+    def test_ends_against_mpmath(self, a, b):
+        # m1 near u = 1 and m0 near u = 0 are small; 1 - betainc(a, b + 1, u)
+        # returned m1 = 0 at 1 - 1e-9
+        u = np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
+        m0, m1 = BetaWeight(a, b).partial_moments(u)
+        want = np.array([mp_partial_pair(a, b, ui) for ui in u])
+        np.testing.assert_allclose(m0, a / (a + b) * want[:, 0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(m1, b / (a + b) * want[:, 1], rtol=1e-12, atol=0)
+
+
+class TestPartialPair:
+    """(I_u(a + 1, b), 1 - I_u(a, b + 1)) from one continued fraction."""
+
+    @pytest.mark.parametrize("small", [None, "a", "b"])
+    def test_sweep_against_scipy(self, small):
+        # the betainc sweeps' shapes, with u also within 1e-12 of 0 and 1;
+        # scipy's betaincc is the complement without cancellation
+        rng = np.random.default_rng(8001)
+        a, b = np.exp(rng.uniform(np.log(0.05), np.log(5e4), (2, 6000)))
+        if small is not None:
+            tiny = np.exp(rng.uniform(np.log(1e-8), np.log(0.05), 6000))
+            a, b = (tiny, b) if small == "a" else (a, tiny)
+        u = np.concatenate([
+            betaincinv(a[:4000], b[:4000], rng.random(4000)),
+            rng.uniform(0.0, 1e-12, 1000),
+            1.0 - rng.uniform(0.0, 1e-12, 1000),
+        ])
+        lower, upper = distributions._partial_pair(a, b, u)
+        for got, want in ((lower, sp_betainc(a + 1.0, b, u)), (upper, sp_betaincc(a, b + 1.0, u))):
+            sig = want > 1e-290
+            assert np.max(np.abs(got[sig] - want[sig]) / want[sig]) <= 1e-12
+
+    @pytest.mark.parametrize("a,b,u", [
+        (5e4, 3e4, 0.625), (0.05, 5e4, 1e-5), (5e4, 0.05, 1 - 1e-5), (1e-8, 3.0, 0.3),
+        (3.0, 1e-8, 0.7), (0.04, 0.04, 0.5), (1.0, 1.0, 0.5),
+    ])
+    def test_against_mpmath(self, a, b, u):
+        want = mp_partial_pair(a, b, u)
+        assert distributions._partial_pair(a, b, u) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_broadcast_matches_betainc(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_BLOCK", 64)
+        rng = np.random.default_rng(12)
+        a = rng.uniform(1.0, 3.0, (40, 1))
+        b = 4.0 - a
+        x = np.concatenate([[0.0], np.sort(rng.random(23)), [1.0], [np.nan]])[None, :]
+        lower, upper = distributions._partial_pair(a, b, x)
+        assert lower.shape == upper.shape == (40, 26)
+        np.testing.assert_allclose(lower, betainc(a + 1.0, b, x), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(upper, 1.0 - betainc(a, b + 1.0, x), rtol=1e-13, atol=1e-16)
+        assert lower[:, 0].tolist() == [0.0] * 40 and upper[:, 0].tolist() == [1.0] * 40
+        assert lower[:, 24].tolist() == [1.0] * 40 and upper[:, 24].tolist() == [0.0] * 40
+        scalar = distributions._partial_pair(2.0, 3.0, 0.25)
+        assert [np.ndim(v) for v in scalar] == [0, 0]
 
 
 class TestTabulatedWeight:

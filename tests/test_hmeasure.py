@@ -14,8 +14,9 @@ from hmetric import (
     read_scores_csv,
 )
 from hmetric.empirical import ClassPriors, empirical_cdfs
+from hmetric.report import build_report
 import hmetric.hmeasure as hmeasure
-from hmetric.hmeasure import PRIOR_NODES, _loss_ratio_at
+from hmetric.hmeasure import PRIOR_NODES, _loss_at, _reference_loss_batch
 from conftest import random_dataset
 from oracles import exact_calibrated_loss_batch, nested_uncertain_h
 
@@ -185,7 +186,8 @@ class TestHMeasureUncertainPriors:
         cdfs = empirical_cdfs(golden4)
         pi0s = [0.2, 0.5, 0.8]
         for mode in ("calibrated", "optimal"):
-            ratios = _loss_ratio_at(cdfs, mode)(np.asarray(pi0s))
+            p = np.asarray(pi0s)
+            ratios = _loss_at(cdfs, mode)(p) / _reference_loss_batch(p)
             for pi0, ratio in zip(pi0s, ratios):
                 fixed = h_measure_fixed(
                     golden4,
@@ -291,7 +293,7 @@ def _datasets():
 
 
 def test_prior_interpolant_accuracy():
-    # each incomplete beta of the calibrated class sums, interpolated in pi0
+    # each partial pair of the calibrated class sums, interpolated in pi0
     # from its values at PRIOR_NODES Chebyshev points, against scipy's betainc
     u = np.concatenate([
         np.logspace(-300, -1, 150),  # toward 0
@@ -301,10 +303,11 @@ def test_prior_interpolant_accuracy():
     ])
     p = np.concatenate([np.linspace(0.0, 1.0, 2001), [np.finfo(float).tiny, 1.0 - 1e-16]])
     a, b = hmeasure._conditional_shapes(p)
-    for da, db in ((1.0, 0.0), (0.0, 1.0)):
-        coef = hmeasure._node_sums(u, np.eye(u.size), da, db)
-        exact = betainc(a + da, b + db, u[:, None])
-        assert np.max(np.abs(chebval(2.0 * p - 1.0, coef) - exact)) <= 1e-14
+    coef = hmeasure._node_sums(u, np.eye(u.size), np.eye(u.size))
+    exact = betainc(a + 1.0, b, u[:, None]), 1.0 - betainc(a, b + 1.0, u[:, None])
+    for side in (0, 1):
+        got = chebval(2.0 * p - 1.0, coef[:, side])
+        assert np.max(np.abs(got - exact[side])) <= 1e-14
 
 
 @pytest.mark.parametrize("table", range(4))
@@ -319,23 +322,51 @@ def test_calibrated_batch_matches_exact_per_draw(table):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("draws", [2000, 20000])
-def test_prior_betainc_work(monkeypatch, draws):
-    # the class sums take PRIOR_NODES vectors of incomplete betas per class,
-    # over the inner distinct scores the class occurs at, whatever the
-    # number of draws; only the closed-form reference is evaluated per draw
-    data = _datasets()[2]
-    cdfs = empirical_cdfs(data)
+def _counting_pairs(monkeypatch):
+    """Record the element count of every partial-pair call of the prior path."""
     seen = []
-    own = hmeasure.betainc  # the package's routine, so the counted calls run it
+    own = hmeasure._partial_pair  # the package's routine, so the counted calls run it
 
     def counted(a, b, x):
         seen.append(np.broadcast(a, b, x).size)
         return own(a, b, x)
 
-    monkeypatch.setattr(hmeasure, "betainc", counted)
+    monkeypatch.setattr(hmeasure, "_partial_pair", counted)
+    return seen
+
+
+@pytest.mark.parametrize("draws", [2000, 20000])
+def test_prior_betainc_work(monkeypatch, draws):
+    # the class sums take PRIOR_NODES partial pairs per inner distinct score,
+    # both classes from the same pair, whatever the number of draws; only
+    # the closed-form reference is evaluated per draw, one pair each
+    data = _datasets()[2]
+    cdfs = empirical_cdfs(data)
+    seen = _counting_pairs(monkeypatch)
     h_measure_uncertain_priors(data, config=EvalConfig(prior="beta", seed=4, outer_samples=draws))
     inner = (cdfs.u > 0.0) & (cdfs.u < 1.0)
     k0, k1 = np.sum(inner & (cdfs.count0 > 0)), np.sum(inner & (cdfs.count1 > 0))
-    assert sum(seen) == PRIOR_NODES * (k0 + k1) + 2 * draws
-    assert sum(seen) <= 2 * PRIOR_NODES * np.sum(inner) + 2 * draws
+    assert sum(seen) == PRIOR_NODES * np.sum(inner) + draws
+    assert sum(seen) < PRIOR_NODES * (k0 + k1) + 2 * draws
+
+
+@pytest.mark.parametrize("mode", ["calibrated", "optimal"])
+def test_report_shares_the_prior_draws(monkeypatch, mode):
+    # a report evaluates the reference once per draw for all its columns,
+    # and each column's H is that of h_measure_uncertain_priors alone
+    columns = {"tied": _datasets()[1].scores, "other": np.round(_datasets()[1].scores ** 2, 3)}
+    labels = np.asarray(_datasets()[1].labels)
+    config = EvalConfig(prior="beta", threshold_mode=mode, seed=9, outer_samples=3000)
+    seen = _counting_pairs(monkeypatch)
+    report = build_report(columns, labels, config)
+    cdfs = {name: empirical_cdfs(ingest(scores, labels)) for name, scores in columns.items()}
+    if mode == "calibrated":
+        nodes = sum(PRIOR_NODES * np.sum((c.u > 0.0) & (c.u < 1.0)) for c in cdfs.values())
+        assert sum(seen) == nodes + config.outer_samples
+    else:  # one reference batch per chunk, then one (draws x hull breaks) batch per column
+        hull = sum(c.hull[0].size + 1 for c in cdfs.values())
+        assert sum(seen) == config.outer_samples * (1 + hull)
+    for name, scores in columns.items():
+        alone = h_measure_uncertain_priors(ingest(scores, labels), config)
+        got = report["columns"][name]["h"]
+        assert (got["h"], got["loss"], got["mc_stderr"]) == (alone.h, alone.loss, alone.mc_stderr)
