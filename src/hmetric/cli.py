@@ -91,20 +91,16 @@ def _config_options(fn):
                      help="Beta shape for --weight beta."),
         click.option("--prior", default="empirical", show_default=True,
                      help="Prior handling: 'empirical', 'fixed', or 'beta' "
-                          "(distributed pi0, Beta(2,2))."),
+                          "(pi0 drawn from Beta(2,2); needs --seed)."),
         click.option("--pi0", type=float, default=None, help="pi0 for --prior fixed."),
         click.option("--mode", default="calibrated", show_default=True,
                      help="Threshold rule: 'calibrated' or 'optimal'."),
-        click.option("--method", default="quadrature", show_default=True,
-                     help="Cost integration: 'quadrature' or 'monte-carlo' "
-                          "(fixed and empirical priors only)."),
         click.option("--resolution", type=int, default=4096, show_default=True,
                      help="Grid resolution for curves."),
-        click.option("--mc-samples", type=int, default=10000, show_default=True,
-                     help="Monte Carlo sample count: cost draws under --method "
-                          "monte-carlo, prior draws under --prior beta."),
+        click.option("--mc-samples", "outer_samples", type=int, default=10000, show_default=True,
+                     help="Number of prior draws under --prior beta."),
         click.option("--seed", type=int, default=None,
-                     help="Seed; required whenever Monte Carlo is active."),
+                     help="Seed of the prior draws; required with --prior beta."),
         click.option("--normalize", default="reject", show_default=True,
                      help="Score normalization: 'reject', 'minmax' or 'logistic'."),
         click.option("--screen", default="", help="Screening proportions, e.g. '0.1,0.25'."),
@@ -117,8 +113,8 @@ def _config_options(fn):
     return fn
 
 
-def _build_config(weight, alpha, beta, prior, pi0, mode, method, resolution,
-                  mc_samples, seed, normalize, screen, u_dist) -> EvalConfig:
+def _build_config(weight, alpha, beta, prior, pi0, mode, resolution,
+                  outer_samples, seed, normalize, screen, u_dist) -> EvalConfig:
     weight_kind, weight_path = weight, None
     if weight.startswith("tabulated:"):
         weight_kind, weight_path = "tabulated", weight.split(":", 1)[1]
@@ -141,10 +137,8 @@ def _build_config(weight, alpha, beta, prior, pi0, mode, method, resolution,
         prior=prior,
         pi0=pi0,
         threshold_mode=mode,
-        method=method.replace("-", "_"),
         resolution=resolution,
-        mc_samples=mc_samples,
-        outer_samples=mc_samples,
+        outer_samples=outer_samples,
         seed=seed,
         normalization=normalize,
         screen_proportions=tuple(proportions),

@@ -1,9 +1,10 @@
 """Evaluation configuration shared by the library entry points and the CLI.
 
 A config freezes every choice that affects a metric value: cost weight,
-prior handling, threshold rule, integration method, Monte Carlo budgets
-and seed, and score normalization (AUC ties always earn half credit).
-Reports echo the full config so every number they contain is
+prior handling, threshold rule, the number of prior draws and their seed
+under a beta prior, and score normalization (AUC ties always earn half
+credit).  A value that the chosen kind would ignore is rejected, not
+dropped.  Reports echo the full config so every number they contain is
 reproducible.
 """
 
@@ -18,7 +19,6 @@ __all__ = ["EvalConfig", "threshold_law"]
 
 WEIGHT_KINDS = ("default", "beta", "tabulated")
 PRIOR_KINDS = ("empirical", "fixed", "beta")
-METHODS = ("quadrature", "monte_carlo")
 THRESHOLD_MODES = ("calibrated", "optimal")
 NORMALIZATIONS = ("reject", "minmax", "logistic")
 
@@ -66,23 +66,16 @@ class EvalConfig:
     prior_alpha: float = 2.0
     prior_beta: float = 2.0
     threshold_mode: str = "calibrated"
-    method: str = "quadrature"
     resolution: int = 4096
-    mc_samples: int = 10000
     outer_samples: int = 10000
     seed: int | None = None
     normalization: str = "reject"
     screen_proportions: tuple[float, ...] = ()
     u_dists: tuple[str, ...] = ()
-    n_workers: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "screen_proportions", tuple(self.screen_proportions))
         object.__setattr__(self, "u_dists", tuple(self.u_dists))
-
-    @property
-    def uses_monte_carlo(self) -> bool:
-        return self.method == "monte_carlo" or self.prior == "beta"
 
     def validate(self) -> "EvalConfig":
         if self.weight not in WEIGHT_KINDS:
@@ -90,21 +83,27 @@ class EvalConfig:
         if self.weight == "beta":
             if self.weight_alpha is None or self.weight_beta is None:
                 raise ConfigError("beta weight requires alpha and beta")
-            if self.weight_alpha <= 0 or self.weight_beta <= 0:
-                raise ConfigError("beta weight shapes must be positive")
-        if self.weight == "tabulated" and not self.weight_path:
-            raise ConfigError("tabulated weight requires a file path")
+            if not (0 < self.weight_alpha < math.inf and 0 < self.weight_beta < math.inf):
+                raise ConfigError("beta weight shapes must be positive and finite")
+        elif self.weight_alpha is not None or self.weight_beta is not None:
+            raise ConfigError(f"weight shapes apply to a beta weight only, not to {self.weight!r}")
+        if self.weight == "tabulated":
+            if not self.weight_path:
+                raise ConfigError("tabulated weight requires a file path")
+        elif self.weight_path is not None:
+            raise ConfigError(f"a weight file applies to a tabulated weight only, "
+                              f"not to {self.weight!r}")
         if self.prior not in PRIOR_KINDS:
             raise ConfigError(f"unknown prior kind {self.prior!r}; expected {PRIOR_KINDS}")
         if self.prior == "fixed":
             if self.pi0 is None or not (0.0 < self.pi0 < 1.0):
                 raise ConfigError("fixed prior requires pi0 strictly inside (0, 1)")
+        elif self.pi0 is not None:
+            raise ConfigError(f"pi0 applies to a fixed prior only, not to {self.prior!r}")
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ConfigError(
                 f"unknown threshold mode {self.threshold_mode!r}; expected {THRESHOLD_MODES}"
             )
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}; expected {METHODS}")
         if self.prior == "beta":
             alpha, beta = self.prior_alpha, self.prior_beta
             if not (0 < alpha < math.inf and 0 < beta < math.inf):
@@ -113,11 +112,6 @@ class EvalConfig:
                 raise ConfigError(
                     "a distributed prior determines its own conditional weight; "
                     "explicit weights require a fixed or empirical prior"
-                )
-            if self.method == "monte_carlo":
-                raise ConfigError(
-                    "method 'monte_carlo' applies to fixed and empirical priors only; "
-                    "the beta prior integrates over costs exactly at each prior draw"
                 )
             # in calibrated mode the loss-to-reference ratio grows like 1/pi0 as
             # pi0 -> 0 and like 1/pi1 as pi1 -> 0, so its mean under the prior,
@@ -130,8 +124,6 @@ class EvalConfig:
         if self.resolution < 1024:
             raise ConfigError(f"resolution must be at least 1024, got {self.resolution}")
         # a standard error needs two draws
-        if self.mc_samples < 2:
-            raise ConfigError(f"mc_samples must be at least 2, got {self.mc_samples}")
         if self.outer_samples < 2:
             raise ConfigError(f"outer_samples must be at least 2, got {self.outer_samples}")
         if self.normalization not in NORMALIZATIONS:
@@ -141,11 +133,9 @@ class EvalConfig:
                 raise ConfigError(f"screening proportion must lie in (0, 1), got {p}")
         for spec in self.u_dists:
             _point_mass_at(spec)
-        if self.n_workers < 1:
-            raise ConfigError("n_workers must be at least 1")
-        if self.uses_monte_carlo and self.seed is None:
+        if self.prior == "beta" and self.seed is None:
             raise ConfigError(
-                "a seed is required whenever Monte Carlo estimation is active; "
+                "a beta prior is estimated from seeded draws and requires a seed; "
                 "there is no silent default"
             )
         if self.seed is not None and self.seed < 0:

@@ -1,9 +1,9 @@
 """Cost-weight distributions on the open unit interval.
 
-Provides the beta family (density, regularized incomplete beta,
-sampling) plus tabulated piecewise-linear weights.  Everything a cost
-weight must answer for the loss pipeline lives behind one interface:
-density, cdf, mean, partial moments and seeded sampling.
+Provides the beta family (density, regularized incomplete beta) plus
+tabulated piecewise-linear weights.  Everything a cost weight must
+answer for the loss pipeline lives behind one interface: density, cdf,
+mean and partial moments.
 
 The incomplete beta is computed here (betainc), after DiDonato and
 Morris, "Algorithm 708: significant digit computation of the incomplete
@@ -402,12 +402,12 @@ def regularized_incomplete_beta(x: float, p: BetaParams) -> float:
 class WeightFunction:
     """A distribution of misclassification costs on (0, 1).
 
-    Subclasses answer density/cdf/mean queries, exact partial moments
+    Subclasses answer density/cdf/mean queries and give the exact
+    partial moments
         m0(u) = integral of c w(c) over (0, u)
-        m1(u) = integral of (1 - c) w(c) over (u, 1)
-    and draw seeded samples.  Instances are immutable after construction
-    and safe to share across threads; random streams are always passed
-    in explicitly.
+        m1(u) = integral of (1 - c) w(c) over (u, 1).
+    Instances are immutable after construction, so one instance serves
+    every column of a report.
     """
 
     def density(self, c):
@@ -420,9 +420,6 @@ class WeightFunction:
         raise NotImplementedError
 
     def partial_moments(self, upper):
-        raise NotImplementedError
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -485,11 +482,6 @@ class BetaWeight(WeightFunction):
         if np.isscalar(upper):
             return float(m0), float(m1)
         return m0, m1
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if n < 1:
-            raise InputError("sample size must be at least 1")
-        return rng.beta(self.alpha, self.beta, size=n)
 
     def describe(self) -> dict:
         return {"kind": "beta", "alpha": self.alpha, "beta": self.beta}
@@ -583,25 +575,6 @@ class TabulatedWeight(WeightFunction):
         if np.isscalar(upper):
             return float(m0), float(m1)
         return m0, m1
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if n < 1:
-            raise InputError("sample size must be at least 1")
-        targets = rng.random(n) * self.total_mass
-        idx = np.clip(np.searchsorted(self._cum_mass, targets, side="right") - 1,
-                      0, len(self._seg_h) - 1)
-        rem = targets - self._cum_mass[idx]
-        d0 = self._seg_d0[idx]
-        s = self._seg_slope[idx]
-        # invert d0 t + s t^2 / 2 = rem on the segment; the discriminant is
-        # (d0 + s t)^2 >= 0 by construction and the stable-root form avoids
-        # cancellation for small s
-        disc = np.sqrt(np.maximum(d0**2 + 2.0 * s * rem, 0.0))
-        denom = d0 + disc
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t = np.where(denom > 0.0, 2.0 * rem / denom, 0.0)
-        t = np.clip(t, 0.0, self._seg_h[idx])
-        return self.grid[idx] + t
 
     def describe(self) -> dict:
         return {

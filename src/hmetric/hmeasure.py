@@ -139,8 +139,8 @@ def h_measure_fixed(
     priors and w default to those the config names (resolve_priors,
     resolve_weight); a beta prior is h_measure_uncertain_priors' to
     compute.  The loss comes from expected_min_loss under the config's
-    threshold mode and method; the reference loss comes from the weight's
-    exact partial moments at pi1.
+    threshold mode; the reference loss comes from the weight's exact
+    partial moments at pi1.  Both are exact, so mc_stderr is None.
     """
     config.validate()
     if config.prior == "beta":
@@ -151,16 +151,7 @@ def h_measure_fixed(
         priors = resolve_priors(config, data)
     if w is None:
         w = resolve_weight(config, priors)
-    loss, stderr = expected_min_loss(
-        priors,
-        cdfs,
-        w,
-        mode=config.threshold_mode,
-        method=config.method,
-        mc_samples=config.mc_samples,
-        seed=config.seed,
-        n_workers=config.n_workers,
-    )
+    loss = expected_min_loss(priors, cdfs, w, mode=config.threshold_mode)
     ref = reference_loss(priors, w)
     h = 1.0 - loss / ref
     return HResult(
@@ -169,7 +160,7 @@ def h_measure_fixed(
         reference_loss=float(ref),
         weight_used=w.describe(),
         prior_used={"kind": "fixed", "pi0": priors.pi0},
-        mc_stderr=stderr,
+        mc_stderr=None,
         warnings=_warnings_for(h, config.threshold_mode),
     )
 
@@ -285,7 +276,7 @@ def _uncertain_priors(columns: list[LabeledScores], config: EvalConfig) -> list[
             sums.append((float(np.sum(ratios)), float(np.sum(ratios * ratios)), count))
         return sums
 
-    chunks = run_chunks(one_chunk, config.seed, config.outer_samples, n_workers=config.n_workers)
+    chunks = run_chunks(one_chunk, config.seed, config.outer_samples)
     results = []
     for parts in zip(*chunks):  # one column's chunk sums, in chunk order
         mean_ratio, stderr = combine_mean_stderr(parts)

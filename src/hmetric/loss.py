@@ -9,8 +9,9 @@ true class-1 probabilities) or by direct minimization over the observed
 thresholds.  Expectations over a cost weight are computed exactly: the
 empirical CDFs are step functions, so the integral splits at the pooled
 scores into pieces where the integrand is affine in c times the weight
-density, and each piece reduces to partial moments of the weight.  This
-removes any grid-resolution dependence from the headline metrics.  The
+density, and each piece reduces to partial moments of the weight.  No
+cost is sampled and no grid is used, so the headline metrics carry
+neither sampling noise nor a grid-resolution dependence.  The
 optimal rule walks the column's ROC hull, built once per column: a prior
 only places the costs where one hull vertex gives way to the next.  The
 no-skill reference loss comes from the same partial moments, taken at
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mc import combine_mean_stderr, run_chunks
 from .config import THRESHOLD_MODES
 from .distributions import WeightFunction
 from .empirical import ClassPriors, EmpiricalCdfPair
@@ -155,35 +155,15 @@ def expected_min_loss(
     cdfs: EmpiricalCdfPair,
     w: WeightFunction,
     mode: str = "calibrated",
-    method: str = "quadrature",
-    mc_samples: int = 10000,
-    seed: int | None = None,
-    n_workers: int = 1,
-) -> tuple[float, float | None]:
-    """Expected minimum loss over the cost weight.
-
-    quadrature evaluates the integral exactly piece by piece (see module
-    docstring).  monte_carlo averages the minimum loss at sampled costs
-    over deterministic substreams and returns the standard error of the
-    mean as the second element.
-    """
+) -> float:
+    """Expected minimum loss over the cost weight, evaluated exactly
+    piece by piece (see module docstring)."""
     if mode not in THRESHOLD_MODES:
         raise ConfigError(f"unknown threshold mode {mode!r}; expected one of {THRESHOLD_MODES}")
-    if method == "quadrature":
-        if mode == "calibrated":
-            return _calibrated_expected_loss(priors, cdfs, w), None
-        env = optimal_envelope(priors, cdfs)
-        return float(env.integrate(*w.partial_moments(env.breaks))), None
-    if method != "monte_carlo":
-        raise ConfigError(f"unknown method {method!r}; expected 'quadrature' or 'monte_carlo'")
-
-    def one_chunk(rng, count):
-        vals = min_loss(w.sample(count, rng), priors, cdfs, mode)
-        return float(np.sum(vals)), float(np.sum(vals * vals)), count
-
-    parts = run_chunks(one_chunk, seed, mc_samples, n_workers=n_workers)
-    mean, stderr = combine_mean_stderr(parts)
-    return mean, stderr
+    if mode == "calibrated":
+        return _calibrated_expected_loss(priors, cdfs, w)
+    env = optimal_envelope(priors, cdfs)
+    return float(env.integrate(*w.partial_moments(env.breaks)))
 
 
 def reference_loss(priors: ClassPriors, w: WeightFunction) -> float:

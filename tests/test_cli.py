@@ -163,7 +163,7 @@ class TestEvaluate:
 
     def test_mc_without_seed_exit_3(self, runner, fixtures_dir):
         result = runner.invoke(
-            main, ["evaluate", str(fixtures_dir / "golden4.csv"), "--method", "monte-carlo"]
+            main, ["evaluate", str(fixtures_dir / "golden4.csv"), "--prior", "beta"]
         )
         assert result.exit_code == 3
         assert "seed" in result.output
@@ -173,10 +173,10 @@ class TestEvaluate:
         # a standard error needs two draws; one used to be reported as NaN
         result = runner.invoke(main, [
             "evaluate", str(fixtures_dir / "golden4.csv"),
-            "--method", "monte-carlo", "--mc-samples", samples, "--seed", "7",
+            "--prior", "beta", "--seed", "7", "--mc-samples", samples,
         ])
         assert result.exit_code == 3, result.output
-        assert f"mc_samples must be at least 2, got {samples}" in result.output
+        assert f"outer_samples must be at least 2, got {samples}" in result.output
 
     def test_prior_beta_report_is_strict_json_with_heavy_tail(self, runner, fixtures_dir):
         result = runner.invoke(main, [
@@ -195,7 +195,7 @@ class TestEvaluate:
         assert fewer["provenance"]["config"]["outer_samples"] == 2000
         assert fewer["columns"]["score"]["h"]["h"] != default["columns"]["score"]["h"]["h"]
 
-    @pytest.mark.parametrize("extra", [["--prior", "beta"], ["--method", "monte-carlo"]])
+    @pytest.mark.parametrize("extra", [["--prior", "beta"], []])
     def test_negative_seed_exit_3(self, runner, fixtures_dir, extra):
         result = runner.invoke(
             main, ["evaluate", str(fixtures_dir / "golden4.csv"), *extra, "--seed", "-1"]
@@ -212,7 +212,7 @@ class TestEvaluate:
     def test_determinism_modulo_timestamp(self, runner, fixtures_dir, tmp_path):
         args = [
             "evaluate", str(fixtures_dir / "golden4.csv"),
-            "--method", "monte-carlo", "--mc-samples", "4000", "--seed", "44",
+            "--prior", "beta", "--mc-samples", "4000", "--seed", "44",
         ]
         r1 = runner.invoke(main, args + ["--out", str(tmp_path / "a.json")])
         r2 = runner.invoke(main, args + ["--out", str(tmp_path / "b.json")])
@@ -222,6 +222,16 @@ class TestEvaluate:
         a["provenance"].pop("timestamp")
         b["provenance"].pop("timestamp")
         assert a == b
+
+    def test_config_echo_keys_are_pinned(self, runner, fixtures_dir):
+        # a knob added to or dropped from the config shows up in this list
+        result = runner.invoke(main, ["evaluate", str(fixtures_dir / "golden4.csv")])
+        assert result.exit_code == 0, result.output
+        assert sorted(_strict_loads(result.output)["provenance"]["config"]) == [
+            "normalization", "outer_samples", "pi0", "prior", "prior_alpha", "prior_beta",
+            "resolution", "screen_proportions", "seed", "threshold_mode", "u_dists", "weight",
+            "weight_alpha", "weight_beta", "weight_path",
+        ]
 
     def test_normalization_flag(self, runner, tmp_path):
         wide = tmp_path / "wide.csv"
@@ -456,6 +466,10 @@ def test_import_leaves_out_numpy_and_scipy(module):
         (["evaluate", "golden4.csv", "--mode", "bogus"], 3),
         (["evaluate", "golden4.csv", "--prior", "beta", "--seed", "1", "--weight", "beta",
           "--alpha", "2", "--beta", "2"], 3),
+        (["evaluate", "golden4.csv", "--weight", "beta", "--alpha", "nan", "--beta", "2"], 3),
+        (["evaluate", "golden4.csv", "--weight", "beta", "--alpha", "2", "--beta", "1e400"], 3),
+        (["evaluate", "golden4.csv", "--pi0", "0.3"], 3),
+        (["evaluate", "golden4.csv", "--alpha", "5", "--beta", "1"], 3),
     ],
 )
 def test_help_and_config_errors_leave_out_numpy_and_scipy(fixtures_dir, args, exit_code):

@@ -19,30 +19,33 @@ def test_default_config_valid():
         ({"prior": "fixed", "pi0": 1.0}, "pi0"),
         ({"prior": "beta", "prior_alpha": 0.0, "seed": 1}, "positive"),
         ({"threshold_mode": "argmax"}, "threshold mode"),
-        ({"method": "mcmc"}, "method"),
+        ({"weight": "beta", "weight_alpha": float("nan"), "weight_beta": 2.0}, "finite"),
         ({"resolution": 512}, "1024"),
-        ({"mc_samples": 0}, "mc_samples"),
+        ({"weight": "beta", "weight_alpha": 2.0, "weight_beta": float("inf")}, "finite"),
         ({"outer_samples": 0}, "outer_samples"),
-        ({"prior": "beta", "method": "monte_carlo", "seed": 1}, "fixed and empirical"),
+        ({"pi0": 0.3}, "fixed prior only"),
         ({"normalization": "zscore"}, "normalization"),
         ({"screen_proportions": (0.0,)}, "proportion"),
         ({"screen_proportions": (1.5,)}, "proportion"),
         ({"u_dists": ("uniform",)}, "threshold distribution"),
         ({"u_dists": ("point:2",)}, "point-mass"),
-        ({"n_workers": 0}, "n_workers"),
-        ({"method": "monte_carlo"}, "seed"),
+        ({"prior": "beta", "pi0": 0.3, "seed": 1}, "fixed prior only"),
+        ({"weight_alpha": 5.0, "weight_beta": 1.0}, "beta weight only"),
         ({"prior": "beta"}, "seed"),
         ({"prior": "beta", "prior_beta": -1.0, "seed": 1}, "positive"),
         ({"prior": "beta", "prior_alpha": 1.0, "seed": 1}, "must exceed 1"),
         ({"prior": "beta", "prior_beta": 0.5, "seed": 1}, "must exceed 1"),
         ({"prior": "beta", "seed": -1}, "non-negative"),
-        ({"method": "monte_carlo", "seed": -5}, "non-negative"),
-        ({"method": "monte_carlo", "mc_samples": 1, "seed": 7}, "mc_samples must be at least 2"),
+        ({"seed": -5}, "non-negative"),
+        ({"weight": "tabulated", "weight_path": "w.csv", "weight_beta": 2.0}, "beta weight only"),
         ({"prior": "beta", "outer_samples": 1, "seed": 7}, "outer_samples must be at least 2"),
         ({"prior": "beta", "prior_alpha": float("inf"), "seed": 1}, "finite"),
         ({"prior": "beta", "prior_beta": float("nan"), "seed": 1}, "finite"),
         ({"prior": "beta", "weight": "beta", "weight_alpha": 2.0, "weight_beta": 2.0, "seed": 1},
          "conditional weight"),
+        ({"weight_path": "w.csv"}, "tabulated weight only"),
+        ({"weight": "beta", "weight_alpha": 2.0, "weight_beta": 2.0, "weight_path": "w.csv"},
+         "tabulated weight only"),
     ],
 )
 def test_rejections(kwargs, message):
@@ -51,7 +54,6 @@ def test_rejections(kwargs, message):
 
 
 def test_monte_carlo_with_seed_valid():
-    EvalConfig(method="monte_carlo", seed=7).validate()
     EvalConfig(prior="beta", seed=7).validate()
 
 
@@ -66,3 +68,12 @@ def test_describe_round_trips_through_config():
     echo = cfg.describe()
     rebuilt = EvalConfig(**echo)
     assert rebuilt == cfg
+
+
+def test_describe_keys_are_pinned():
+    # a knob added to or dropped from the config shows up in this list
+    assert sorted(EvalConfig().describe()) == [
+        "normalization", "outer_samples", "pi0", "prior", "prior_alpha", "prior_beta",
+        "resolution", "screen_proportions", "seed", "threshold_mode", "u_dists", "weight",
+        "weight_alpha", "weight_beta", "weight_path",
+    ]

@@ -127,7 +127,7 @@ def _reference_loss(data, priors, w, mode):
 def _assert_loss_matches(data, weight, mode):
     priors = empirical_priors(data)
     w = WEIGHTS[weight](priors)
-    new, _ = expected_min_loss(priors, empirical_cdfs(data), w, mode=mode)
+    new = expected_min_loss(priors, empirical_cdfs(data), w, mode=mode)
     ref = _reference_loss(data, priors, w, mode)
     assert new == pytest.approx(ref, rel=RTOL, abs=0.0)
 

@@ -231,47 +231,6 @@ class TestBetainc:
             betainc(3e4, 3e4, 0.5)
 
 
-class TestSampling:
-    def test_uniform_mean(self):
-        w = BetaWeight(1, 1)
-        draws = w.sample(10**5, np.random.default_rng(1))
-        se = np.sqrt(1.0 / 12.0 / draws.size)
-        assert abs(draws.mean() - 0.5) < 3 * se
-
-    def test_beta22_moments(self):
-        w = BetaWeight(2, 2)
-        draws = w.sample(10**5, np.random.default_rng(2))
-        mean_se = draws.std(ddof=1) / np.sqrt(draws.size)
-        assert abs(draws.mean() - 0.5) < 3 * mean_se
-        sq = (draws - draws.mean()) ** 2
-        var_se = sq.std(ddof=1) / np.sqrt(draws.size)
-        assert abs(draws.var(ddof=1) - 0.05) < 3 * var_se
-
-    def test_deterministic_given_stream(self):
-        w = BetaWeight(1.5, 2.5)
-        a = w.sample(1000, np.random.default_rng(99))
-        b = w.sample(1000, np.random.default_rng(99))
-        assert np.array_equal(a, b)
-
-    def test_tabulated_ks_against_beta31(self):
-        grid = np.linspace(1e-6, 1 - 1e-6, 4096)
-        dens = 3.0 * grid**2
-        dens /= np.trapezoid(dens, grid)
-        w = TabulatedWeight(grid, dens)
-        draws = w.sample(10**5, np.random.default_rng(3))
-        sorted_draws = np.sort(draws)
-        cdf_ref = np.array(
-            [regularized_incomplete_beta(x, BetaParams(3, 1)) for x in sorted_draws[::512]]
-        )
-        emp = np.arange(sorted_draws.size)[::512] / sorted_draws.size
-        ks = np.max(np.abs(cdf_ref - emp))
-        assert ks < 0.01
-
-    def test_sample_size_validation(self):
-        with pytest.raises(InputError):
-            BetaWeight(1, 1).sample(0, np.random.default_rng(0))
-
-
 class TestPartialMoments:
     def test_upper_zero(self):
         w = BetaWeight(2.0, 3.0)
@@ -428,14 +387,6 @@ class TestTabulatedWeight:
         grid, dens = self._beta22_table()
         w = TabulatedWeight(grid, dens)
         assert w.mean() == pytest.approx(0.5, abs=1e-6)
-
-    def test_sampling_matches_own_cdf(self):
-        grid, dens = self._beta22_table()
-        w = TabulatedWeight(grid, dens)
-        draws = np.sort(w.sample(10**5, np.random.default_rng(5)))
-        emp = np.arange(draws.size) / draws.size
-        ks = np.max(np.abs(w.cdf(draws) - emp))
-        assert ks < 0.01
 
     def test_csv_roundtrip(self, tmp_path):
         grid, dens = self._beta22_table()

@@ -128,20 +128,6 @@ class TestHMeasureFixed:
         assert res.weight_used == {"kind": "beta", "alpha": 2.0, "beta": 3.0}
         assert res.prior_used == {"kind": "fixed", "pi0": 0.7}
 
-    def test_mc_method_deterministic_across_workers(self, golden4):
-        results = [
-            h_measure_fixed(
-                golden4,
-                config=EvalConfig(method="monte_carlo", mc_samples=40000, seed=11, n_workers=k),
-            )
-            for k in (1, 3)
-        ]
-        assert results[0] == results[1]
-
-    def test_mc_requires_seed(self, golden4):
-        with pytest.raises(ConfigError, match="seed"):
-            h_measure_fixed(golden4, config=EvalConfig(method="monte_carlo"))
-
     def test_fixed_prior_from_the_config(self, golden4):
         res = h_measure_fixed(golden4, config=EvalConfig(prior="fixed", pi0=0.2))
         assert res.prior_used == {"kind": "fixed", "pi0": 0.2}
@@ -201,16 +187,6 @@ class TestHMeasureUncertainPriors:
         res = h_measure_uncertain_priors(golden4, config=self.CFG)
         assert res.h == pytest.approx(1.0 - res.loss / res.reference_loss, abs=1e-12)
         assert res.reference_loss == 1.0
-
-    def test_deterministic_across_workers(self, golden4):
-        runs = [
-            h_measure_uncertain_priors(
-                golden4,
-                config=EvalConfig(prior="beta", seed=99, outer_samples=50000, n_workers=k),
-            )
-            for k in (1, 4)
-        ]
-        assert runs[0] == runs[1]
 
     def test_requires_seed(self, golden4):
         with pytest.raises(ConfigError, match="seed"):

@@ -156,23 +156,18 @@ class TestExpectedMinLoss:
         priors, cdfs = _setup(perfect)
         w = BetaWeight(1.5, 1.5)
         for mode in ("calibrated", "optimal"):
-            val, _ = expected_min_loss(priors, cdfs, w, mode=mode)
-            assert val == 0.0
-        val, stderr = expected_min_loss(
-            priors, cdfs, w, mode="calibrated", method="monte_carlo", mc_samples=2000, seed=3
-        )
-        assert val == 0.0
+            assert expected_min_loss(priors, cdfs, w, mode=mode) == 0.0
 
     def test_separated_zero_in_optimal_mode(self, separated):
         priors, cdfs = _setup(separated)
-        val, _ = expected_min_loss(priors, cdfs, BetaWeight(1.5, 1.5), mode="optimal")
+        val = expected_min_loss(priors, cdfs, BetaWeight(1.5, 1.5), mode="optimal")
         assert val == 0.0
 
     def test_constant_scores_equal_reference(self):
         data = ingest([0.3] * 10, [0] * 7 + [1] * 3)
         priors, cdfs = _setup(data)
         w = BetaWeight(1.3, 1.7)
-        val, _ = expected_min_loss(priors, cdfs, w, mode="calibrated")
+        val = expected_min_loss(priors, cdfs, w, mode="calibrated")
         ref = reference_loss(priors, w)
         assert val == pytest.approx(ref, rel=1e-12)
 
@@ -180,7 +175,7 @@ class TestExpectedMinLoss:
         priors, cdfs = _setup(golden4)
         w = BetaWeight(1.5, 1.5)
         for mode, frozen in (("calibrated", GOLDEN_L_CAL), ("optimal", GOLDEN_L_OPT)):
-            got, _ = expected_min_loss(priors, cdfs, w, mode=mode)
+            got = expected_min_loss(priors, cdfs, w, mode=mode)
             dense = dense_expected_min_loss([0.1, 0.4], [0.3, 0.9], 0.5, 1.5, 1.5, mode=mode)
             assert got == pytest.approx(dense, abs=1e-8)
             assert got == pytest.approx(frozen, rel=1e-12)
@@ -191,7 +186,7 @@ class TestExpectedMinLoss:
             data = random_dataset(seed, n=30)
             priors, cdfs = _setup(data)
             w = BetaWeight(1.8, 1.2)
-            got, _ = expected_min_loss(priors, cdfs, w, mode="calibrated")
+            got = expected_min_loss(priors, cdfs, w, mode="calibrated")
             breaks = np.unique(np.concatenate([[0.0, 1.0], data.scores]))
             mids = 0.5 * (breaks[:-1] + breaks[1:])
             m0b, m1b = w.partial_moments(breaks)
@@ -200,53 +195,6 @@ class TestExpectedMinLoss:
                 - priors.pi1 * cdfs.f1(mids) * np.diff(m1b)
             )
             assert got == pytest.approx(literal, rel=1e-12)
-
-    def test_mc_within_three_stderr(self):
-        data = random_dataset(123, n=60)
-        priors, cdfs = _setup(data)
-        w = BetaWeight(1.4, 1.6)
-        quad_val, _ = expected_min_loss(priors, cdfs, w, mode="calibrated")
-        hits = 0
-        for seed in range(100):
-            mc_val, stderr = expected_min_loss(
-                priors, cdfs, w, mode="calibrated", method="monte_carlo",
-                mc_samples=4000, seed=seed,
-            )
-            if abs(mc_val - quad_val) <= 3 * stderr:
-                hits += 1
-        assert hits >= 99
-
-    def test_mc_deterministic_across_workers(self, golden4):
-        priors, cdfs = _setup(golden4)
-        w = BetaWeight(1.5, 1.5)
-        runs = [
-            expected_min_loss(
-                priors, cdfs, w, method="monte_carlo", mc_samples=50000,
-                seed=7, n_workers=k,
-            )
-            for k in (1, 2, 4)
-        ]
-        assert runs[0] == runs[1] == runs[2]
-
-    def test_mc_requires_seed(self, golden4):
-        priors, cdfs = _setup(golden4)
-        with pytest.raises(ConfigError, match="seed"):
-            expected_min_loss(priors, cdfs, BetaWeight(1, 1), method="monte_carlo")
-
-    def test_mc_rejects_negative_seed(self, golden4):
-        priors, cdfs = _setup(golden4)
-        with pytest.raises(ConfigError, match="non-negative"):
-            expected_min_loss(priors, cdfs, BetaWeight(1, 1), method="monte_carlo", seed=-1)
-
-    def test_mc_needs_two_samples(self, golden4):
-        # a standard error needs two draws
-        priors, cdfs = _setup(golden4)
-        with pytest.raises(ConfigError, match="at least 2, got 1"):
-            expected_min_loss(priors, cdfs, BetaWeight(1, 1), method="monte_carlo",
-                              mc_samples=1, seed=7)
-        _, stderr = expected_min_loss(priors, cdfs, BetaWeight(1, 1), method="monte_carlo",
-                                      mc_samples=2, seed=7)
-        assert np.isfinite(stderr)
 
 
 class TestReferenceLoss:

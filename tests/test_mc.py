@@ -18,15 +18,14 @@ def _trivial(rng, count):
     return 0.0, 0.0, count
 
 
-@pytest.mark.parametrize("n_workers", [1, 2])
 @pytest.mark.parametrize("total", [2, MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK + 7])
-def test_chunks_match_spawned_streams(total, n_workers):
+def test_chunks_match_spawned_streams(total):
     # chunk i draws from the i-th child that SeedSequence(seed).spawn gives
     full, rem = divmod(total, MC_CHUNK)
     counts = [MC_CHUNK] * full + ([rem] if rem else [])
     streams = np.random.SeedSequence(17).spawn(len(counts))
     want = [_draws(np.random.default_rng(s), c) for s, c in zip(streams, counts)]
-    assert list(run_chunks(_draws, 17, total, n_workers=n_workers)) == want
+    assert list(run_chunks(_draws, 17, total)) == want
 
 
 def test_memory_flat_in_chunk_count():
@@ -39,14 +38,3 @@ def test_memory_flat_in_chunk_count():
         tracemalloc.stop()
     assert peak < 1 << 20
 
-
-def test_workers_keep_few_chunks_in_flight():
-    started = []
-
-    def fn(rng, count):
-        started.append(count)
-        return _trivial(rng, count)
-
-    for consumed, _ in enumerate(run_chunks(fn, 5, 200, n_workers=2, chunk=1), start=1):
-        assert len(started) - consumed <= 2
-    assert len(started) == 200

@@ -56,7 +56,7 @@ class TestBuildReport:
 
     def test_determinism_modulo_timestamp(self):
         cols, labels = _columns(4)
-        config = EvalConfig(method="monte_carlo", mc_samples=5000, seed=12)
+        config = EvalConfig(prior="beta", outer_samples=5000, seed=12)
         r1 = build_report(cols, labels, config)
         r2 = build_report(cols, labels, config)
         r1["provenance"].pop("timestamp")

@@ -184,5 +184,5 @@ class TestDatasetConsistency:
             mean_pw = np.mean(
                 [pointwise_loss(float(s), int(y), w) for s, y in zip(data.scores, data.labels)]
             )
-            integral, _ = expected_min_loss(priors, cdfs, w, mode="calibrated")
+            integral = expected_min_loss(priors, cdfs, w, mode="calibrated")
             assert mean_pw == pytest.approx(integral, abs=1e-10)
