@@ -62,9 +62,16 @@ def mixture_weight_loss(data: LabeledScores, mode: str = "calibrated") -> float:
     1/min(n0, n1).  Shipped as the executable demonstration that the AUC
     embeds a classifier-dependent cost weight.  That weight puts mass
     (count0[k] + count1[k]) / n on each distinct score u[k], so the
-    expectation is a count-weighted mean of the minimum loss there.
+    expectation is a count-weighted mean of the minimum loss there.  The
+    calibrated rule thresholds each u[k] at itself, where the class CDFs
+    are the table's own cum0[k] / n0 and cum1[k] / n1.
     """
     priors = empirical_priors(data)
     cdfs = empirical_cdfs(data)
-    losses = min_loss(cdfs.u, priors, cdfs, mode=mode)
+    if mode == "calibrated":  # threshold_loss(u, u, ...), without searching u for u
+        u = cdfs.u
+        losses = (u * priors.pi0 * (1.0 - cdfs.cum0 / cdfs.n0)
+                  + (1.0 - u) * priors.pi1 * (cdfs.cum1 / cdfs.n1))
+    else:
+        losses = min_loss(cdfs.u, priors, cdfs, mode=mode)
     return float((cdfs.count0 + cdfs.count1) @ losses / data.n)

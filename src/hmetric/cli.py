@@ -221,13 +221,23 @@ def compare(input_csv, columns, out, **cfg):
     _run(body)
 
 
+# Rows per chunk of a curve CSV: only one chunk's Python floats exist at a
+# time, whatever the number of rows.  Iterating the arrays themselves would
+# take no memory at all but twice the time.
+CSV_CHUNK = 1024
+
+
 def _write_csv(path: Path, header: str, xs, ys):
-    """Two float columns at 10 significant digits, in the csv module's
-    default dialect (CRLF line ends; no number needs quoting)."""
+    """Two parallel float arrays as CSV columns at 10 significant digits,
+    in the csv module's default dialect (CRLF line ends; no number needs
+    quoting).  The rows are formatted CSV_CHUNK at a time, so the memory
+    they take stays flat in the number of rows."""
     row = "{:.10g},{:.10g}\r\n".format
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(header + "\r\n")
-        fh.writelines(map(row, xs, ys))
+        for lo in range(0, xs.size, CSV_CHUNK):
+            hi = lo + CSV_CHUNK
+            fh.writelines(map(row, xs[lo:hi].tolist(), ys[lo:hi].tolist()))
 
 
 @main.command()
@@ -241,9 +251,11 @@ def curves(input_csv, column, out_dir, **cfg):
     weight density, and the ROC points over pooled thresholds."""
 
     def body():
-        config = _build_config(**cfg)
-        if config.prior == "beta":
+        # ahead of the config's validation, whose messages about a beta
+        # prior (such as its seed) cannot help here
+        if cfg["prior"] == "beta":
             raise ConfigError("curves need a concrete prior; use empirical or fixed")
+        config = _build_config(**cfg)
         names, all_columns, labels = read_scores_csv(input_csv)
         name = column
         if name is None:
@@ -265,15 +277,12 @@ def curves(input_csv, column, out_dir, **cfg):
 
         curve = loss_curve(priors, cdfs, mode=config.threshold_mode,
                            grid_size=config.resolution)
-        grid = curve.grid.tolist()
-        _write_csv(out_path / "loss_curve.csv", "c,min_loss", grid, curve.loss.tolist())
-        density = weight.density(curve.grid).tolist()
-        _write_csv(out_path / "weight.csv", "c,density", grid, density)
+        _write_csv(out_path / "loss_curve.csv", "c,min_loss", curve.grid, curve.loss)
+        _write_csv(out_path / "weight.csv", "c,density", curve.grid, weight.density(curve.grid))
 
         # one row per distinct score t: 1 - F0(t), 1 - F1(t)
-        fpr = (1.0 - cdfs.cum0 / cdfs.n0).tolist()
-        tpr = (1.0 - cdfs.cum1 / cdfs.n1).tolist()
-        _write_csv(out_path / "roc.csv", "fpr,tpr", fpr, tpr)
+        _write_csv(out_path / "roc.csv", "fpr,tpr",
+                   1.0 - cdfs.cum0 / cdfs.n0, 1.0 - cdfs.cum1 / cdfs.n1)
         logger.info("wrote curves to %s", out_path)
 
     _run(body)

@@ -329,11 +329,14 @@ def _read_plain(path: Path, content: bytes):
     last may end the file instead); and every value a finite float.  So
     whitespace, quotes, empty fields, nan, blank lines and ragged rows all
     go to the line reader.  numpy and Python's float both round correctly,
-    so the two readers give the same bits.
+    so the two readers give the same bits.  numpy reads the whole text
+    past its first line from a BytesIO, which shares the bytes, so the
+    body is never copied.
     """
     text = content.removeprefix(codecs.BOM_UTF8)
-    head, _, body = text.partition(b"\n")
-    if not head or not body or b'"' in head or b"\r" in head[:-1]:
+    end = text.find(b"\n")  # the header's newline
+    head = text[:end]
+    if end <= 0 or end + 1 == len(text) or b'"' in head or b"\r" in head[:-1]:
         return None
     try:
         header = _header(path, next(csv.reader([head.decode("utf-8")])))
@@ -346,13 +349,13 @@ def _read_plain(path: Path, content: bytes):
     # the rule: the literal prefix keeps the scan fast, and unlike a repeated
     # group it keeps no state per row (a possessive one needs Python 3.11)
     row = b",".join(fields) + rb"(?:\r?\n|\Z)"
-    if re.compile(rb"\n(?!\Z)(?!" + row + rb")").search(text, len(head)):
+    if re.compile(rb"\n(?!\Z)(?!" + row + rb")").search(text, end):
         return None
     try:
-        table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2)
+        table = np.loadtxt(io.BytesIO(text), delimiter=",", comments=None, skiprows=1, ndmin=2)
     except ValueError:
         return None
-    rows = body.count(b"\n") + (not body.endswith(b"\n"))
+    rows = text.count(b"\n", end + 1) + (not text.endswith(b"\n"))
     if table.shape != (rows, len(header)) or not np.isfinite(table).all():
         return None
     columns = {name: table[:, k].copy() for k, name in enumerate(header) if k != label_idx}

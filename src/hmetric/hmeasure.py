@@ -194,17 +194,21 @@ def _node_sums(u: np.ndarray, count0: np.ndarray, count1: np.ndarray) -> np.ndar
     go through the discrete cosine sums, so rounding in those sums scales
     with how much the function varies, not with its size.
     """
-    from numpy.polynomial.chebyshev import chebpts1, chebvander
-
-    x = chebpts1(PRIOR_NODES)
+    # the Chebyshev points of the first kind, as numpy.polynomial's chebpts1
+    x = np.sin(0.5 * np.pi / PRIOR_NODES * np.arange(1 - PRIOR_NODES, PRIOR_NODES + 1, 2))
     a, b = _conditional_shapes((x[:, None] + 1.0) / 2.0)
     values = np.zeros((PRIOR_NODES, 2) + count0.shape[1:])
     for i in range(0, u.size, NODE_RUN):
         below, above = _partial_pair(a, b, u[i:i + NODE_RUN])
         values[:, 0] += below @ count0[i:i + NODE_RUN]
         values[:, 1] += above @ count1[i:i + NODE_RUN]
+    # row j is T_j at the points, by chebvander's recurrence
+    rows = np.empty((PRIOR_NODES, PRIOR_NODES))
+    rows[0], rows[1] = 1.0, x
+    for j in range(2, PRIOR_NODES):
+        rows[j] = rows[j - 1] * (2 * x) - rows[j - 2]
     mean = values.mean(axis=0)
-    coef = np.tensordot(chebvander(x, PRIOR_NODES - 1).T, values - mean, axes=1)
+    coef = np.tensordot(rows, values - mean, axes=1)
     coef *= 2.0 / PRIOR_NODES
     coef[0] = mean
     return coef
@@ -232,11 +236,16 @@ def _calibrated_coefficients(cdfs: EmpiricalCdfPair) -> np.ndarray:
 def _calibrated_loss_batch(pi0s: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """Calibrated loss at each prior draw from the column's class sums,
     L = pi0 a/(a+b) i0 + pi1 b/(a+b) j1 under the conditional weight
-    Beta(a, b), the per-score partial-moment form of the scalar path."""
-    from numpy.polynomial.chebyshev import chebval
-
+    Beta(a, b), the per-score partial-moment form of the scalar path.
+    The class sums come from their coefficients by Clenshaw's recurrence,
+    in numpy.polynomial's chebval order."""
+    x = 2.0 * pi0s - 1.0
+    x2 = 2 * x
+    c0, c1 = coef[-2, :, None], coef[-1, :, None]
+    for c in coef[-3::-1]:
+        c0, c1 = c[:, None] - c1, c0 + c1 * x2
+    i0, j1 = c0 + c1 * x
     a, b = _conditional_shapes(pi0s)
-    i0, j1 = chebval(2.0 * pi0s - 1.0, coef)
     return pi0s * (a / (a + b)) * i0 + (1.0 - pi0s) * (b / (a + b)) * j1
 
 

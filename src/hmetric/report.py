@@ -32,7 +32,6 @@ from .hmeasure import (
     resolve_priors,
     resolve_weight,
 )
-from .thresholds import independent_threshold_loss, screen_at_proportion
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -67,6 +66,9 @@ def evaluate_column(
                 else h_measure_fixed(data, priors=priors, w=weight, config=config))
 
     auc_res = auc_mann_whitney(data)
+    if config.u_dists or config.screen_proportions:
+        # only these metrics need it, and a report without them skips the import
+        from .thresholds import independent_threshold_loss, screen_at_proportion
     column = {
         "h": asdict(hres),
         "auc": asdict(auc_res),

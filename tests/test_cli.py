@@ -12,7 +12,7 @@ from jsonschema import validate
 
 import hmetric
 from hmetric import REPORT_SCHEMA
-from hmetric.cli import main
+from hmetric.cli import CSV_CHUNK, _write_csv, main
 
 GOLDEN_H_CAL = 0.33054877872925612091
 
@@ -424,6 +424,28 @@ class TestCurves:
             assert (tmp_path / name).read_bytes() == text.getvalue().encode("utf-8"), name
         assert tied == (cdfs.u.size < data.n)
 
+    @pytest.mark.parametrize("extra", [[], ["--seed", "1"]])
+    def test_beta_prior_exit_3_names_the_prior(self, runner, fixtures_dir, tmp_path, extra):
+        # with or without a seed, the message is about the prior: a seed,
+        # which a beta prior needs elsewhere, does not help here
+        result = runner.invoke(main, ["curves", str(fixtures_dir / "golden4.csv"),
+                                      "--prior", "beta", *extra, "--out-dir", str(tmp_path)])
+        assert result.exit_code == 3
+        assert "curves need a concrete prior; use empirical or fixed" in result.output
+        assert "seed" not in result.output
+
+    @pytest.mark.parametrize("n", [0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1,
+                                   2 * CSV_CHUNK + 3])
+    def test_csv_rows_across_chunks(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        xs, ys = rng.random(n), rng.random(n) ** 9
+        special = [0.0, 1.0, 5e-324, 1e-300, 1.0 - 2.0**-53, 0.1, 1e10 / 3]
+        xs[:len(special)] = special[:n]
+        _write_csv(tmp_path / "curve.csv", "x,y", xs, ys)
+        want = "x,y\r\n" + "".join(
+            "{:.10g},{:.10g}\r\n".format(x, y) for x, y in zip(xs.tolist(), ys.tolist()))
+        assert (tmp_path / "curve.csv").read_bytes() == want.encode("utf-8")
+
     def test_multi_column_needs_choice(self, runner, fixtures_dir, tmp_path):
         result = runner.invoke(
             main,
@@ -494,7 +516,9 @@ def test_help_and_config_errors_leave_out_numpy_and_scipy(fixtures_dir, args, ex
 )
 def test_compute_commands_leave_out_scipy(fixtures_dir, tmp_path, args):
     # the incomplete beta is the package's own, so no command that
-    # computes H, the AUC or the curves loads any part of scipy
+    # computes H, the AUC or the curves loads any part of scipy; the prior's
+    # Chebyshev sums need no numpy.polynomial, and a report without threshold
+    # laws or screening needs no hmetric.thresholds
     grid = np.linspace(1e-4, 1 - 1e-4, 2048)
     dens = 6.0 * grid * (1 - grid)
     (tmp_path / "w.csv").write_text(
@@ -506,7 +530,8 @@ def test_compute_commands_leave_out_scipy(fixtures_dir, tmp_path, args):
         args += ["--out", str(tmp_path / "report.json")]
     code = ("import sys\nfrom hmetric.cli import main\n"
             "try:\n    main(sys.argv[1:])\nexcept SystemExit as exc:\n"
-            "    print(exc.code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "    print(exc.code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "                           or m in ('numpy.polynomial', 'hmetric.thresholds')))")
     assert _fresh_interpreter(code, *args) == "0 []"
 
 

@@ -204,6 +204,7 @@ class TestBetainc:
     def test_broadcast_matches_elementwise(self, monkeypatch):
         # blocks smaller than a row of x, so rows of shapes straddle them
         monkeypatch.setattr(distributions, "_BLOCK", 64)
+        monkeypatch.setattr(distributions, "_RUN_BLOCK", 64)
         rng = np.random.default_rng(11)
         a = rng.uniform(1.0, 3.0, (40, 1))
         b = 4.0 - a
@@ -317,6 +318,7 @@ class TestPartialPair:
 
     def test_broadcast_matches_betainc(self, monkeypatch):
         monkeypatch.setattr(distributions, "_BLOCK", 64)
+        monkeypatch.setattr(distributions, "_RUN_BLOCK", 64)
         rng = np.random.default_rng(12)
         a = rng.uniform(1.0, 3.0, (40, 1))
         b = 4.0 - a

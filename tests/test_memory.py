@@ -1,0 +1,116 @@
+"""Working-set bounds.  The incomplete-beta kernel, the plain CSV reader
+and the curve writer are traced with tracemalloc in this process; each
+compute command's peak resident set is read from os.wait4 in a child and
+taken over the peak of a child that only imports numpy and the report
+module.  Every bound was set from a measurement, with a margin."""
+
+import os
+import subprocess
+import sys
+import tracemalloc
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import hmetric
+from hmetric.cli import _write_csv
+from hmetric.distributions import BetaWeight
+from hmetric.empirical import read_scores_csv
+
+MB = 1 << 20
+
+
+def _traced_peak(fn) -> int:
+    fn()  # first-use allocations
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _scores_csv(n: int, seed: int) -> bytes:
+    """A plain scores file: a 17-digit column and one rounded to 3 decimals."""
+    rng = np.random.default_rng(seed)
+    labels = (rng.random(n) < 0.3).astype(int)
+    a = 1.0 / (1.0 + np.exp(-(rng.standard_normal(n) + 1.5 * (labels - 0.5))))
+    b = np.rint(1e3 / (1.0 + np.exp(-(rng.standard_normal(n) + 0.8 * (labels - 0.5))))) / 1e3
+    rows = map("{},{!r},{:.3f}\n".format, labels.tolist(), a.tolist(), b.tolist())
+    return ("label,model_a,model_b\n" + "".join(rows)).encode("ascii")
+
+
+def test_partial_moments_working_set():
+    # the two results and the two incomplete betas behind them take 3.2 MB;
+    # the continued fraction's blocks added 1.1 MB more (measured 4.3 MB
+    # in all; 9.7 MB with blocks of 2**16 elements)
+    u = np.sort(np.random.default_rng(0).random(100_000))
+    weight = BetaWeight(1.3, 1.7)
+    assert _traced_peak(lambda: weight.partial_moments(u)) < 6 * MB
+
+
+def test_plain_csv_read_does_not_copy_the_body():
+    n = 100_000
+    content = _scores_csv(n, 1)
+    peak = _traced_peak(lambda: read_scores_csv("plain.csv", content=content))
+    # the parsed table, the two score columns and the labels: measured as
+    # the whole peak, where a copy of the body added its 2.8 MB
+    arrays = n * 3 * 8 + n * 2 * 8 + n
+    assert peak < arrays + len(content) // 4
+
+
+def test_curve_writer_flat_in_rows(tmp_path):
+    rng = np.random.default_rng(2)
+    peaks = []
+    for n in (20_000, 200_000):
+        xs, ys = rng.random(n), rng.random(n)
+        peaks.append(_traced_peak(partial(_write_csv, tmp_path / "roc.csv", "fpr,tpr", xs, ys)))
+    # 0.1 MB at both sizes; two lists of 2e5 Python floats took 12.8 MB
+    assert peaks[1] < peaks[0] + 64 * 1024
+    assert peaks[1] < MB
+
+
+# Peak resident set over the import floor, in MB, on 1e5 rows: measured
+# 13.0 for evaluate, 12.6 for compare and 10.0 for curves (20.2, 13.1 and
+# 16.5 before the working set was bounded).
+RSS_BUDGET_MB = {"evaluate": 16.0, "compare": 15.0, "curves": 13.0}
+
+# A child's peak resident set starts from that of the process that forked
+# it, so each command starts from this small process rather than from the
+# test run's; it prints the command's exit code and peak in kB.
+LAUNCHER = """\
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+def test_commands_peak_rss_within_budget(tmp_path):
+    src = str(Path(hmetric.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env.pop("HMETRIC_LOG", None)
+    path = tmp_path / "scores.csv"
+    path.write_bytes(_scores_csv(100_000, 3))
+
+    def peak_rss_mb(*argv):
+        out = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, *argv], env=env,
+                             cwd=tmp_path, capture_output=True, text=True, check=True)
+        code, peak_kb = out.stdout.split()
+        assert code == "0", out.stderr
+        return int(peak_kb) / 1024.0
+
+    floor = peak_rss_mb("-c", "import numpy, hmetric.report")
+    cli = ["-m", "hmetric.cli"]
+    commands = {
+        "evaluate": [*cli, "evaluate", str(path), "--out", "evaluate.json"],
+        "compare": [*cli, "compare", str(path), "--columns", "model_a,model_b",
+                    "--mode", "optimal", "--screen", "0.1,0.25", "--u-dist", "pooled",
+                    "--out", "compare.json"],
+        "curves": [*cli, "curves", str(path), "--column", "model_a", "--out-dir", "curves"],
+    }
+    excess = {name: peak_rss_mb(*argv) - floor for name, argv in commands.items()}
+    assert all(excess[name] < RSS_BUDGET_MB[name] for name in commands), excess
