@@ -11,6 +11,7 @@ reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 from .errors import ConfigError
@@ -121,6 +122,11 @@ class EvalConfig:
                     f"in calibrated mode H under a Beta({alpha:g}, {beta:g}) prior does not "
                     "exist (the mean loss ratio diverges); both prior shapes must exceed 1"
                 )
+        # numpy integers pass; bools, though Integral, are not counts or seeds
+        for name in ("resolution", "outer_samples") + ("seed",) * (self.seed is not None):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.resolution < 1024:
             raise ConfigError(f"resolution must be at least 1024, got {self.resolution}")
         # a standard error needs two draws

@@ -5,12 +5,14 @@ tabulated piecewise-linear weights.  Everything a cost weight must
 answer for the loss pipeline lives behind one interface: density, cdf,
 mean and partial moments.
 
-The incomplete beta is computed here (betainc), after DiDonato and
-Morris, "Algorithm 708: significant digit computation of the incomplete
-beta function ratios" (ACM TOMS 18, 1992): the front factor
-x^a (1-x)^b / B(a, b) in their rlog1/Stirling-remainder form, which the
-density shares, over their BFRAC continued fraction.  It is vectorised
-with numpy, so computing H needs no scipy.
+The incomplete beta comes from one numpy kernel (_pair_flat), after
+DiDonato and Morris, "Algorithm 708: significant digit computation of the
+incomplete beta function ratios" (ACM TOMS 18, 1992): the front factor
+F = x^a (1-x)^b / B(a, b) in their rlog1/Stirling-remainder form, which the
+density shares, and their BFRAC continued fraction of I_x(a + 1, b) give
+the partial moments' pair I_x(a + 1, b), 1 - I_x(a, b + 1) and betainc's
+I_x(a, b) = I_x(a + 1, b) + F / a (DLMF 8.17.20), with no scipy.  No step
+depends on the rest of a call: a value is the same bits however broadcast.
 """
 
 from __future__ import annotations
@@ -67,28 +69,46 @@ _CF_MAX_STEPS = 100_000
 # Past the split point, I_x(a, b) with b below this comes from a power
 # series instead of 1 - I_{1-x}(b, a), which would cancel.
 _SMALL_B = 0.05
-# betainc works through its broadcast elements in blocks of this many.  A
-# step of the continued fraction keeps about 20 block-length float arrays
-# alive: 2.6 MB at 2**14 elements, which an L2 cache holds, and all of
-# betainc's memory beyond its inputs and outputs (over 1e5 points, a traced
-# peak of 4.3 MB, against 9.7 MB with blocks of 2**16, at the same speed).
-# When the shapes come one pair per run of elements, each step also works
-# out its coefficients per pair, a cost per block: those calls take blocks
-# of _RUN_BLOCK, as 16,384 priors x 110 hull breaks took 10-24% longer
-# in blocks of 2**14.
+# The incomplete beta works through its broadcast elements in blocks of
+# this many.  A step of the continued fraction keeps about 20 block-length
+# float arrays alive: 2.6 MB at 2**14 elements, which an L2 cache holds,
+# and all of the kernel's memory beyond its inputs and outputs (over 1e5
+# points, a traced peak of 4.3 MB, against 9.7 MB with blocks of 2**16, at
+# the same speed).  The shape term is computed once per call, not per
+# block, but when the shapes come one pair per run of elements, each step
+# still works out its coefficients per pair, a cost per block: those calls
+# take blocks of _RUN_BLOCK, as 16,384 priors x 110 hull breaks took 16%
+# longer in blocks of 2**14.
 _BLOCK = 1 << 14
 _RUN_BLOCK = 1 << 16
 
 
+def _shift_up(z, step):
+    """(The sum of step(z) over the unit steps that lift z to 10 or more,
+    the lifted z.)  Each element of z > 0 takes its own ceil(10 - z) steps."""
+    every = max(0, math.ceil(10.0 - np.max(z, initial=0.0)))  # the steps all elements take
+    most = max(0, math.ceil(10.0 - np.min(z, initial=10.0)))
+    total, start = 0.0, z
+    for m in range(most):
+        value = step(z)
+        if m < every:
+            z = z + 1.0
+        else:  # masking also the steps all elements take cost 25% on per-draw shapes
+            take = 10.0 - start > m
+            value = np.where(take, value, 0.0)
+            z = np.where(take, z + 1.0, z)
+        total += value
+    return total, z
+
+
 def _stirling_delta(z):
     """lgamma(z) - [(z - 1/2) log z - z + log(2 pi) / 2], by the 8-term
-    Stirling series (error below 2e-18) once z is shifted to 10 or more,
-    each unit step adding delta(z) - delta(z + 1) = (z + 1/2) log1p(1/z) - 1."""
-    z = np.asarray(z, dtype=float)
-    out = np.zeros(z.shape)
-    for _ in range(max(0, math.ceil(10.0 - np.min(z, initial=10.0)))):
-        out += (z + 0.5) * np.log1p(1.0 / z) - 1.0
-        z = z + 1.0
+    Stirling series (error below 2e-18) once z is shifted to 10 or more
+    (_shift_up), each unit step adding delta(z) - delta(z + 1) =
+    (z + 1/2) log1p(1/z) - 1."""
+    # shifted per element, so that a value depends on its z alone: a count
+    # per call, ceil(10 - min z), would let the rest of the call move it
+    out, z = _shift_up(np.asarray(z, dtype=float), lambda z: (z + 0.5) * np.log1p(1.0 / z) - 1.0)
     r = 1.0 / z
     series = np.zeros_like(r)
     for c in reversed(_STIRLING):
@@ -212,10 +232,7 @@ def _lgamma_step(z, h):
     """lgamma(z + h) - lgamma(z) to relative accuracy for small h: z is
     shifted up to 10 or more, where the Stirling form has no large terms
     and each series term c z^(1-2k) changes by a factor expm1(...)."""
-    total = np.zeros(np.broadcast(z, h).shape)
-    for _ in range(max(0, math.ceil(10.0 - np.min(z, initial=10.0)))):
-        total -= np.log1p(h / z)
-        z = z + 1.0
+    total, z = _shift_up(z, lambda z: -np.log1p(h / z))
     step = np.log1p(h / z)
     for k, c in enumerate(_STIRLING, start=1):
         total += c * z ** (1 - 2 * k) * np.expm1((1 - 2 * k) * step)
@@ -243,91 +260,64 @@ def _small_b_series(a, b, x, y):
     return -np.expm1(log_g) - np.exp(log_g) * b * total
 
 
-def _flat_shapes(p, q, term, k, i):
-    """Shapes and shape term at elements i of a flat block, per element for
-    the front factor, and as the arguments of _fraction: per element when
-    k is None, else one pair per run of elements with its count."""
-    if k is None:
-        pk, qk, tk = (v[i] if np.ndim(v) else v for v in (p, q, term))
-        return (pk, qk, tk), (pk, qk, None)
-    counts = np.bincount(k[i], minlength=np.size(p))
-    live = counts > 0
-    return (p[k[i]], q[k[i]], term[k[i]]), (p[live], q[live], counts[live])
+def _pair_flat(a, b, term, k, x, cdf=False):
+    """(I_x(a + 1, b), 1 - I_x(a, b + 1)), and with cdf also I_x(a, b), at
+    1-d elements x whose shapes and shape term are a[k], b[k] and term[k],
+    with k nondecreasing; when k is None, they are floats or parallel to x.
 
-
-def _betainc_flat(a, b, k, x, from_tail=False):
-    """betainc at 1-d elements x whose shapes are a[k], b[k], with k
-    nondecreasing; when k is None, a and b are floats or parallel to x.
-    from_tail is passed on to _fraction."""
-    ak, bk = (a, b) if k is None else (a[k], b[k])
-    out = (x >= 1.0).astype(float)
-    out[np.isnan(x)] = np.nan
+    All three come from the front factor F = x^a y^b / B(a, b) and one
+    continued fraction, as I_x(a, b + 1) - I_x(a + 1, b) = F (a + b) / (a b)
+    and I_x(a, b) = I_x(a + 1, b) + F / a (DLMF 8.17.20-21): that of
+    I_x(a + 1, b) up to the split point x = (a + 1) / (a + b + 2), and
+    that of 1 - I_x(a, b + 1) = I_y(b + 1, a) past it, each inside its own
+    convergent range.  A derived value would cancel where the shape it is
+    small in (a below the split, b past it) is below _SMALL_B; there it
+    comes from _small_b_series.  With cdf, the fraction is evaluated from
+    its tail (_fraction_from_tail)."""
+    ak, bk, tk = (a, b, term) if k is None else (a[k], b[k], term[k])
+    lower = np.where(np.isnan(x), np.nan, x >= 1.0)
+    outs = (lower, 1.0 - lower, lower.copy()) if cdf else (lower, 1.0 - lower)
     inner = (x > 0.0) & (x < 1.0)
     flip = x > (ak + 1.0) / (ak + bk + 2.0)
-    small = flip & (bk < _SMALL_B)
-    term = _shape_term(a, b)
-    for flipped in (False, True):
-        i = np.flatnonzero(inner & (flip & ~small if flipped else ~flip))
-        if i.size == 0:
-            continue
-        # the flipped side evaluates I_{1-x}(b, a), with x as its 1 - x
-        p, q, xs, ys = (b, a, 1.0 - x[i], x[i]) if flipped else (a, b, x[i], 1.0 - x[i])
-        (pk, qk, tk), shapes = _flat_shapes(p, q, term, k, i)
-        value = np.exp(_log_front(pk, qk, xs, ys, tk))
-        value /= _fraction(*shapes, xs, pk * ys - qk * xs, from_tail)
-        out[i] = 1.0 - value if flipped else value
-    i = np.flatnonzero(inner & small)
-    if i.size:
-        a_i, b_i = (np.broadcast_to(v, x.shape)[i] for v in (ak, bk))
-        out[i] = _small_b_series(a_i, b_i, x[i], 1.0 - x[i])
-    return (out,)
-
-
-def _pair_flat(a, b, k, x):
-    """(I_x(a + 1, b), 1 - I_x(a, b + 1)) at 1-d elements x, shapes as in
-    _betainc_flat.
-
-    Both share the front factor F = x^a y^b / B(a, b) and differ by
-    I_x(a, b + 1) - I_x(a + 1, b) = F (a + b) / (a b) (DLMF 8.17.20-21),
-    so one continued fraction gives both: that of I_x(a + 1, b) up to the
-    split point x = (a + 1) / (a + b + 2), and that of
-    1 - I_x(a, b + 1) = I_y(b + 1, a) past it, each inside its own
-    convergent range.  The partner derived from it cancels only where the
-    shape it is small in (a below the split, b past it) is below
-    _SMALL_B; there it comes from _small_b_series."""
-    ak, bk = (a, b) if k is None else (a[k], b[k])
-    lower = (x >= 1.0).astype(float)
-    lower[np.isnan(x)] = np.nan
-    upper = 1.0 - lower
-    inner = (x > 0.0) & (x < 1.0)
-    flip = x > (ak + 1.0) / (ak + bk + 2.0)
-    term = _shape_term(a, b)
     for flipped in (False, True):
         i = np.flatnonzero(inner & (flip if flipped else ~flip))
         if i.size == 0:
             continue
         # the flipped side swaps the shapes, and x with its 1 - x
         p, q, xs, ys = (b, a, 1.0 - x[i], x[i]) if flipped else (a, b, x[i], 1.0 - x[i])
-        (pk, qk, tk), (sp, sq, counts) = _flat_shapes(p, q, term, k, i)
-        front = np.exp(_log_front(pk, qk, xs, ys, tk))
-        direct = xs * front * ((pk + qk) / pk) / _fraction(
-            sp + 1.0, sq, counts, xs, (pk + 1.0) * ys - qk * xs)
+        pk, qk = (bk, ak) if flipped else (ak, bk)
+        pk, qk, ti = (v[i] if np.ndim(v) else v for v in (pk, qk, tk))
+        sp, sq, counts = pk, qk, None
+        if k is not None:  # one pair per run of elements, with its count
+            counts = np.bincount(k[i], minlength=np.size(p))
+            sp, sq, counts = p[counts > 0], q[counts > 0], counts[counts > 0]
+        front = np.exp(_log_front(pk, qk, xs, ys, ti))
+        frac = _fraction(sp + 1.0, sq, counts, xs, (pk + 1.0) * ys - qk * xs, cdf)
+        direct = xs * front * ((pk + qk) / pk) / frac
         partner = (1.0 - front * ((pk + qk) / (pk * qk))) - direct
         pk, qk = (np.broadcast_to(v, xs.shape) for v in (pk, qk))
         small = np.flatnonzero(pk < _SMALL_B)
         if small.size:
             partner[small] = _small_b_series(qk[small] + 1.0, pk[small], ys[small], xs[small])
-        lower[i], upper[i] = (partner, direct) if flipped else (direct, partner)
-    return lower, upper
+        values = [partner, direct] if flipped else [direct, partner]
+        if cdf:
+            whole = (front / pk) * (1.0 + xs * (pk + qk) / frac)
+            if flipped:
+                whole = 1.0 - whole
+                whole[small] = partner[small] + front[small] / qk[small]
+            values.append(whole)
+        for out, value in zip(outs, values):
+            out[i] = value
+    return outs
 
 
-def _broadcast(flat, n_out, a, b, x):
-    """The n_out outputs of flat at the broadcast of a, b and x, like
-    scipy's ufuncs.  flat(a, b, k, x) works through the elements in blocks
-    of _BLOCK (_RUN_BLOCK when the shapes come one pair per run of
-    elements), so that each step's arrays stay in cache, and gets each
-    block's distinct shape pairs with the run index k of every element
-    (see _betainc_flat)."""
+def _broadcast(a, b, x, cdf=False):
+    """_pair_flat's outputs at the broadcast of a, b and x, like scipy's
+    ufuncs: the shape term once per shape pair, then blocks of _BLOCK
+    elements (_RUN_BLOCK when the shapes come one pair per run of
+    elements), each with its distinct shape pairs and the run index k of
+    every element.  No step depends on the other elements of the call, so
+    a value is the same bits whatever it is broadcast with."""
     a, b, x = (np.asarray(v, dtype=float) for v in (a, b, x))
     shape = np.broadcast_shapes(a.shape, b.shape, x.shape)
     ab_shape = np.broadcast_shapes(a.shape, b.shape)
@@ -337,19 +327,21 @@ def _broadcast(flat, n_out, a, b, x):
     perm = sorted(range(len(shape)), key=lambda axis: ab_shape[axis] == 1)
     xs = np.broadcast_to(x, shape).transpose(perm).ravel()
     sa, sb = (np.broadcast_to(v, ab_shape).transpose(perm).ravel() for v in (a, b))
-    outs = [np.empty(xs.size) for _ in range(n_out)]
+    term = _shape_term(sa, sb)
+    outs = [np.empty(xs.size) for _ in range(3 if cdf else 2)]
     run = xs.size // max(sa.size, 1)
     block = _BLOCK if sa.size == 1 or run == 1 else _RUN_BLOCK
     for lo in range(0, xs.size, block):
         hi = min(lo + block, xs.size)
         if sa.size == 1:
-            shapes = float(sa[0]), float(sb[0]), None
+            shapes = float(sa[0]), float(sb[0]), float(term[0]), None
         elif run == 1:
-            shapes = sa[lo:hi], sb[lo:hi], None
+            shapes = sa[lo:hi], sb[lo:hi], term[lo:hi], None
         else:
             first, last = lo // run, (hi - 1) // run + 1
-            shapes = sa[first:last], sb[first:last], np.arange(lo, hi) // run - first
-        for out, value in zip(outs, flat(*shapes, xs[lo:hi])):
+            shapes = (sa[first:last], sb[first:last], term[first:last],
+                      np.arange(lo, hi) // run - first)
+        for out, value in zip(outs, _pair_flat(*shapes, xs[lo:hi], cdf)):
             out[lo:hi] = value
     back = [perm.index(axis) for axis in range(len(shape))]
     return tuple(out.reshape([shape[axis] for axis in perm]).transpose(back)[()] for out in outs)
@@ -360,12 +352,17 @@ def betainc(a, b, x):
     betainc: arguments broadcast, shapes must be positive, and I = 0 at
     x <= 0, 1 at x >= 1.
 
-    Inside (0, 1) it is the front factor x^a y^b / B(a, b) (_log_front)
-    over DiDonato and Morris's continued fraction (_fraction) on the side
-    x <= (a + 1) / (a + b + 2), and 1 - I_{1-x}(b, a) past it, except for
-    b < _SMALL_B (_small_b_series).  Relative error stays within 1e-12.
+    Inside (0, 1) it is I_x(a + 1, b) + F / a (DLMF 8.17.20), a sum of
+    positive terms, from the front factor F = x^a y^b / B(a, b) and the
+    continued fraction of I_x(a + 1, b) that _partial_pair evaluates, on
+    the side x <= (a + 1) / (a + b + 2); past it, 1 - I_{1-x}(b, a) the same
+    way, or for b < _SMALL_B the power series of I_x(a + 1, b) plus F / a.
+    The fraction is evaluated from its tail (_fraction_from_tail), which
+    keeps values at adjacent x in order far more often than Lentz's
+    forward products.  Relative error stays within 1e-12, and a value is
+    the same bits whatever it is broadcast with.
     """
-    return _broadcast(_betainc_flat, 1, a, b, x)[0]
+    return _broadcast(a, b, x, cdf=True)[2]
 
 
 def _partial_pair(a, b, x):
@@ -373,7 +370,7 @@ def _partial_pair(a, b, x):
     front factor and one continued fraction per element (_pair_flat).
     Both are within 1e-12 relative, the second also as x -> 1, where
     1 - betainc(a, b + 1, x) would lose its digits."""
-    return _broadcast(_pair_flat, 2, a, b, x)
+    return _broadcast(a, b, x)
 
 
 def _beta_pdf_arr(c, a, b):
@@ -395,18 +392,14 @@ def beta_pdf(c: float, p: BetaParams) -> float:
 
 
 def regularized_incomplete_beta(x: float, p: BetaParams) -> float:
-    """CDF of the beta distribution at x, i.e. I_x(alpha, beta).
-
-    Nondecreasing in x with I_0 = 0 and I_1 = 1; relative error within
-    1e-12, including integer shapes in the tens of thousands.  betainc's
-    algorithm, but with the continued fraction also evaluated from its
-    tail (_fraction_from_tail), so that the result stays in order at
-    adjacent x, where the true values differ by less than an ulp.
+    """CDF of the beta distribution at x, i.e. I_x(alpha, beta): betainc
+    at one point, the same bits as betainc gives it in any broadcast
+    (I_x(a + 1, b) + F / a, DLMF 8.17.20).  I_0 = 0 and I_1 = 1; relative
+    error within 1e-12, including integer shapes in the tens of thousands.
     """
     if not (np.isfinite(x) and 0.0 <= x <= 1.0):
         raise InputError(f"x must lie in [0, 1], got {x}")
-    return float(_betainc_flat(float(p.alpha), float(p.beta), None, np.array([x], dtype=float),
-                               from_tail=True)[0][0])
+    return float(betainc(p.alpha, p.beta, x))
 
 
 class WeightFunction:

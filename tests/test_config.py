@@ -46,6 +46,10 @@ def test_default_config_valid():
         ({"weight_path": "w.csv"}, "tabulated weight only"),
         ({"weight": "beta", "weight_alpha": 2.0, "weight_beta": 2.0, "weight_path": "w.csv"},
          "tabulated weight only"),
+        ({"prior": "beta", "seed": 1, "outer_samples": 100.5}, "outer_samples must be an integer"),
+        ({"prior": "beta", "seed": 1.5}, "seed must be an integer"),
+        ({"prior": "beta", "seed": True}, "seed must be an integer"),
+        ({"resolution": 2048.5}, "resolution must be an integer"),
     ],
 )
 def test_rejections(kwargs, message):
@@ -55,6 +59,13 @@ def test_rejections(kwargs, message):
 
 def test_monte_carlo_with_seed_valid():
     EvalConfig(prior="beta", seed=7).validate()
+
+
+def test_numpy_integers_valid():
+    import numpy as np
+
+    EvalConfig(prior="beta", seed=np.int64(7), outer_samples=np.int32(100),
+               resolution=np.uint16(2048)).validate()
 
 
 def test_prior_shapes_up_to_one_valid_in_optimal_mode():
