@@ -47,7 +47,6 @@ _EXPORTS = {
     "loss_curve": "loss",
     "REPORT_SCHEMA": "report",
     "build_report": "report",
-    "evaluate_column": "report",
     "render_report": "report",
     "ScoringRule": "scoring",
     "PropernessReport": "scoring",

@@ -5,9 +5,9 @@ of the root seed.  Chunk boundaries and per-chunk streams depend only on
 (seed, total), and partial results are reduced in chunk order, so a
 result depends on nothing but the seed and the draw count.  Chunks and
 their streams are made as they start and their results are consumed as
-they finish, so memory does not grow with the sample count.  Callers
-validate the seed and the count (EvalConfig.validate) before they get
-here.
+they finish, so memory does not grow with the sample count.  The seed
+and the count come from an EvalConfig, which checked them when it was
+built.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ environment.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import sys
@@ -16,12 +17,12 @@ from pathlib import Path
 
 import click
 
-from .config import EvalConfig
+from .config import BETA_PRIOR_DEFAULTS, EvalConfig
 from .errors import ConfigError, DegenerateDataError, HmetricError
 
 logger = logging.getLogger("hmetric")
 
-# The numeric names the commands call, by the module that defines them.
+# The numeric names the commands use, by the module that defines them.
 # They load once a config is built, so --help and a config error start
 # without numpy or scipy; until then, reading one as a module attribute
 # loads them too.
@@ -31,6 +32,7 @@ _NUMERIC = {
     "ingest": "empirical",
     "empirical_cdfs": "empirical",
     "loss_curve": "loss",
+    "CURVE_GRID": "loss",
     "build_report": "report",
     "render_report": "report",
     "resolve_priors": "report",
@@ -81,40 +83,45 @@ def _run(body):
         sys.exit(2)
 
 
-def _config_options(fn):
-    options = [
-        click.option("--weight", default="default", show_default=True,
-                     help="Cost weight: 'default', 'beta', or 'tabulated:<csv path>'."),
-        click.option("--alpha", type=float, default=None,
-                     help="Alpha shape for --weight beta."),
-        click.option("--beta", type=float, default=None,
-                     help="Beta shape for --weight beta."),
-        click.option("--prior", default="empirical", show_default=True,
-                     help="Prior handling: 'empirical', 'fixed', or 'beta' "
-                          "(pi0 drawn from Beta(2,2); needs --seed)."),
-        click.option("--pi0", type=float, default=None, help="pi0 for --prior fixed."),
-        click.option("--mode", default="calibrated", show_default=True,
-                     help="Threshold rule: 'calibrated' or 'optimal'."),
-        click.option("--resolution", type=int, default=4096, show_default=True,
-                     help="Grid resolution for curves."),
-        click.option("--mc-samples", "outer_samples", type=int, default=10000, show_default=True,
-                     help="Number of prior draws under --prior beta."),
-        click.option("--seed", type=int, default=None,
-                     help="Seed of the prior draws; required with --prior beta."),
-        click.option("--normalize", default="reject", show_default=True,
-                     help="Score normalization: 'reject', 'minmax' or 'logistic'."),
-        click.option("--screen", default="", help="Screening proportions, e.g. '0.1,0.25'."),
-        click.option("--u-dist", multiple=True,
-                     help="Independent threshold distribution: 'pooled', "
-                          "'class1-ranks' or 'point:<t>' (repeatable)."),
-    ]
-    for opt in reversed(options):
-        fn = opt(fn)
-    return fn
+def _options(*options):
+    """A decorator that declares the given click options, in their order."""
+    return lambda fn: functools.reduce(lambda f, opt: opt(f), reversed(options), fn)
 
 
-def _build_config(weight, alpha, beta, prior, pi0, mode, resolution,
-                  outer_samples, seed, normalize, screen, u_dist) -> EvalConfig:
+# The config flags every command reads.
+_SHARED_OPTIONS = (
+    click.option("--weight", default="default", show_default=True,
+                 help="Cost weight: 'default', 'beta', or 'tabulated:<csv path>'."),
+    click.option("--alpha", type=float, default=None, help="Alpha shape for --weight beta."),
+    click.option("--beta", type=float, default=None, help="Beta shape for --weight beta."),
+    click.option("--prior", default="empirical", show_default=True,
+                 help="Prior handling: 'empirical', 'fixed', or 'beta' "
+                      "(pi0 drawn from Beta(2,2); evaluate and compare only, with --seed)."),
+    click.option("--pi0", type=float, default=None, help="pi0 for --prior fixed."),
+    click.option("--mode", default="calibrated", show_default=True,
+                 help="Threshold rule: 'calibrated' or 'optimal'."),
+    click.option("--normalize", default="reject", show_default=True,
+                 help="Score normalization: 'reject', 'minmax' or 'logistic'."),
+)
+# The config flags only a report reads.
+_REPORT_OPTIONS = (
+    click.option("--mc-samples", "outer_samples", type=int, default=None,
+                 help="Number of prior draws under --prior beta, rejected without it.  "
+                      f"[default: {BETA_PRIOR_DEFAULTS['outer_samples']}]"),
+    click.option("--seed", type=int, default=None,
+                 help="Seed of the prior draws; required with --prior beta, "
+                      "rejected without it."),
+    click.option("--screen", default="", help="Screening proportions, e.g. '0.1,0.25'."),
+    click.option("--u-dist", multiple=True,
+                 help="Independent threshold distribution: 'pooled', "
+                      "'class1-ranks' or 'point:<t>' (repeatable)."),
+)
+# The floor of curves --resolution; its default is loss.CURVE_GRID, 4096.
+MIN_RESOLUTION = 1024
+
+
+def _build_config(weight, alpha, beta, prior, pi0, mode, normalize,
+                  outer_samples=None, seed=None, screen="", u_dist=()) -> EvalConfig:
     weight_kind, weight_path = weight, None
     if weight.startswith("tabulated:"):
         weight_kind, weight_path = "tabulated", weight.split(":", 1)[1]
@@ -137,13 +144,12 @@ def _build_config(weight, alpha, beta, prior, pi0, mode, resolution,
         prior=prior,
         pi0=pi0,
         threshold_mode=mode,
-        resolution=resolution,
         outer_samples=outer_samples,
         seed=seed,
         normalization=normalize,
         screen_proportions=tuple(proportions),
         u_dists=tuple(u_dist),
-    ).validate()
+    )
     _load_numeric()
     return config
 
@@ -174,7 +180,7 @@ def main():
 
 @main.command()
 @click.argument("input_csv", type=str)
-@_config_options
+@_options(*_SHARED_OPTIONS, *_REPORT_OPTIONS)
 @click.option("--out", default="-", show_default=True, help="Report path ('-' for stdout).")
 def evaluate(input_csv, out, **cfg):
     """Evaluate every score column of INPUT_CSV and write a JSON report."""
@@ -192,7 +198,7 @@ def evaluate(input_csv, out, **cfg):
 @click.argument("input_csv", type=str)
 @click.option("--columns", required=True,
               help="Comma-separated score columns to compare (at least two).")
-@_config_options
+@_options(*_SHARED_OPTIONS, *_REPORT_OPTIONS)
 @click.option("--out", default="-", show_default=True, help="Report path ('-' for stdout).")
 def compare(input_csv, columns, out, **cfg):
     """Compare score columns under one shared weight and prior, ranking
@@ -244,17 +250,22 @@ def _write_csv(path: Path, header: str, xs, ys):
 @click.argument("input_csv", type=str)
 @click.option("--column", default=None,
               help="Score column to plot (defaults to the only score column).")
-@_config_options
+@_options(*_SHARED_OPTIONS)
+@click.option("--resolution", type=int, default=None,
+              help=f"Cost grid points of the loss and weight curves, at least {MIN_RESOLUTION}.  "
+                   "[default: 4096]")
 @click.option("--out-dir", required=True, help="Directory for the curve CSVs.")
-def curves(input_csv, column, out_dir, **cfg):
+def curves(input_csv, column, resolution, out_dir, **cfg):
     """Write plot-ready CSVs: the minimum-loss curve over costs, the cost
     weight density, and the ROC points over pooled thresholds."""
 
     def body():
-        # ahead of the config's validation, whose messages about a beta
+        # ahead of the config's own checks, whose messages about a beta
         # prior (such as its seed) cannot help here
         if cfg["prior"] == "beta":
             raise ConfigError("curves need a concrete prior; use empirical or fixed")
+        if resolution is not None and resolution < MIN_RESOLUTION:
+            raise ConfigError(f"resolution must be at least {MIN_RESOLUTION}, got {resolution}")
         config = _build_config(**cfg)
         names, all_columns, labels = read_scores_csv(input_csv)
         name = column
@@ -276,7 +287,7 @@ def curves(input_csv, column, out_dir, **cfg):
         out_path.mkdir(parents=True, exist_ok=True)
 
         curve = loss_curve(priors, cdfs, mode=config.threshold_mode,
-                           grid_size=config.resolution)
+                           grid_size=CURVE_GRID if resolution is None else resolution)
         _write_csv(out_path / "loss_curve.csv", "c,min_loss", curve.grid, curve.loss)
         _write_csv(out_path / "weight.csv", "c,density", curve.grid, weight.density(curve.grid))
 

@@ -3,9 +3,12 @@
 A config freezes every choice that affects a metric value: cost weight,
 prior handling, threshold rule, the number of prior draws and their seed
 under a beta prior, and score normalization (AUC ties always earn half
-credit).  A value that the chosen kind would ignore is rejected, not
-dropped.  Reports echo the full config so every number they contain is
-reproducible.
+credit).  It is checked once, when built.  A value that the chosen kind
+would ignore is rejected, not dropped: the weight shapes belong to a beta
+weight, the weight file to a tabulated weight, pi0 to a fixed prior, and
+the seed, the draw count and the prior shapes to a beta prior, which
+fills in defaults for the last three.  Reports echo the full config so
+every number they contain is reproducible.
 """
 
 from __future__ import annotations
@@ -56,6 +59,18 @@ def threshold_law(spec: str):
     return thresholds.PointMass(t=t)
 
 
+# The fields that belong to one kind of weight or prior, each with the
+# config field that names the kind and the kind it belongs to.  They
+# default to None, and a value set under another kind is rejected.
+KIND_FIELDS = {
+    "weight_alpha": ("weight", "beta"), "weight_beta": ("weight", "beta"),
+    "weight_path": ("weight", "tabulated"), "pi0": ("prior", "fixed"),
+    **dict.fromkeys(("seed", "outer_samples", "prior_alpha", "prior_beta"), ("prior", "beta")),
+}
+# What a beta prior takes where these are unset; its seed has no default.
+BETA_PRIOR_DEFAULTS = {"outer_samples": 10000, "prior_alpha": 2.0, "prior_beta": 2.0}
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     weight: str = "default"
@@ -64,56 +79,50 @@ class EvalConfig:
     weight_path: str | None = None
     prior: str = "empirical"
     pi0: float | None = None
-    prior_alpha: float = 2.0
-    prior_beta: float = 2.0
+    prior_alpha: float | None = None
+    prior_beta: float | None = None
     threshold_mode: str = "calibrated"
-    resolution: int = 4096
-    outer_samples: int = 10000
+    outer_samples: int | None = None
     seed: int | None = None
     normalization: str = "reject"
     screen_proportions: tuple[float, ...] = ()
     u_dists: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "screen_proportions", tuple(self.screen_proportions))
-        object.__setattr__(self, "u_dists", tuple(self.u_dists))
+        def put(name, value):
+            object.__setattr__(self, name, value)
 
-    def validate(self) -> "EvalConfig":
-        if self.weight not in WEIGHT_KINDS:
-            raise ConfigError(f"unknown weight kind {self.weight!r}; expected {WEIGHT_KINDS}")
+        put("screen_proportions", tuple(self.screen_proportions))
+        put("u_dists", tuple(self.u_dists))
+        for name, what, kinds in (("weight", "weight kind", WEIGHT_KINDS),
+                                  ("prior", "prior kind", PRIOR_KINDS),
+                                  ("threshold_mode", "threshold mode", THRESHOLD_MODES),
+                                  ("normalization", "normalization", NORMALIZATIONS)):
+            if getattr(self, name) not in kinds:
+                raise ConfigError(f"unknown {what} {getattr(self, name)!r}; expected {kinds}")
+        for name, (field, kind) in KIND_FIELDS.items():
+            if getattr(self, name) is not None and getattr(self, field) != kind:
+                raise ConfigError(f"{name} applies to a {kind} {field} only, "
+                                  f"not to {getattr(self, field)!r}")
         if self.weight == "beta":
             if self.weight_alpha is None or self.weight_beta is None:
                 raise ConfigError("beta weight requires alpha and beta")
             if not (0 < self.weight_alpha < math.inf and 0 < self.weight_beta < math.inf):
                 raise ConfigError("beta weight shapes must be positive and finite")
-        elif self.weight_alpha is not None or self.weight_beta is not None:
-            raise ConfigError(f"weight shapes apply to a beta weight only, not to {self.weight!r}")
-        if self.weight == "tabulated":
-            if not self.weight_path:
-                raise ConfigError("tabulated weight requires a file path")
-        elif self.weight_path is not None:
-            raise ConfigError(f"a weight file applies to a tabulated weight only, "
-                              f"not to {self.weight!r}")
-        if self.prior not in PRIOR_KINDS:
-            raise ConfigError(f"unknown prior kind {self.prior!r}; expected {PRIOR_KINDS}")
-        if self.prior == "fixed":
-            if self.pi0 is None or not (0.0 < self.pi0 < 1.0):
-                raise ConfigError("fixed prior requires pi0 strictly inside (0, 1)")
-        elif self.pi0 is not None:
-            raise ConfigError(f"pi0 applies to a fixed prior only, not to {self.prior!r}")
-        if self.threshold_mode not in THRESHOLD_MODES:
-            raise ConfigError(
-                f"unknown threshold mode {self.threshold_mode!r}; expected {THRESHOLD_MODES}"
-            )
+        if self.weight == "tabulated" and not self.weight_path:
+            raise ConfigError("tabulated weight requires a file path")
+        if self.prior == "fixed" and (self.pi0 is None or not 0.0 < self.pi0 < 1.0):
+            raise ConfigError("fixed prior requires pi0 strictly inside (0, 1)")
         if self.prior == "beta":
+            for name, value in BETA_PRIOR_DEFAULTS.items():
+                if getattr(self, name) is None:
+                    put(name, value)
             alpha, beta = self.prior_alpha, self.prior_beta
             if not (0 < alpha < math.inf and 0 < beta < math.inf):
                 raise ConfigError("prior beta shapes must be positive and finite")
             if self.weight != "default":
-                raise ConfigError(
-                    "a distributed prior determines its own conditional weight; "
-                    "explicit weights require a fixed or empirical prior"
-                )
+                raise ConfigError("a distributed prior determines its own conditional weight; "
+                                  "explicit weights require a fixed or empirical prior")
             # in calibrated mode the loss-to-reference ratio grows like 1/pi0 as
             # pi0 -> 0 and like 1/pi1 as pi1 -> 0, so its mean under the prior,
             # and with it H, exists only when both shapes exceed 1
@@ -122,31 +131,26 @@ class EvalConfig:
                     f"in calibrated mode H under a Beta({alpha:g}, {beta:g}) prior does not "
                     "exist (the mean loss ratio diverges); both prior shapes must exceed 1"
                 )
-        # numpy integers pass; bools, though Integral, are not counts or seeds
-        for name in ("resolution", "outer_samples") + ("seed",) * (self.seed is not None):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.resolution < 1024:
-            raise ConfigError(f"resolution must be at least 1024, got {self.resolution}")
-        # a standard error needs two draws
-        if self.outer_samples < 2:
-            raise ConfigError(f"outer_samples must be at least 2, got {self.outer_samples}")
-        if self.normalization not in NORMALIZATIONS:
-            raise ConfigError(f"unknown normalization {self.normalization!r}")
+            if self.seed is None:
+                raise ConfigError("a beta prior is estimated from seeded draws and requires a "
+                                  "seed; there is no silent default")
+            # numpy integers pass and are kept as ints, so the echo serializes;
+            # bools, though Integral, are not counts or seeds
+            for name in ("outer_samples", "seed"):
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ConfigError(f"{name} must be an integer, got {value!r}")
+                put(name, int(value))
+            # a standard error needs two draws
+            if self.outer_samples < 2:
+                raise ConfigError(f"outer_samples must be at least 2, got {self.outer_samples}")
+            if self.seed < 0:
+                raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         for p in self.screen_proportions:
             if not (0.0 < p < 1.0):
                 raise ConfigError(f"screening proportion must lie in (0, 1), got {p}")
         for spec in self.u_dists:
             _point_mass_at(spec)
-        if self.prior == "beta" and self.seed is None:
-            raise ConfigError(
-                "a beta prior is estimated from seeded draws and requires a seed; "
-                "there is no silent default"
-            )
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        return self
 
     def describe(self) -> dict:
         return asdict(self)

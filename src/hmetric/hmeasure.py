@@ -142,7 +142,6 @@ def h_measure_fixed(
     threshold mode; the reference loss comes from the weight's exact
     partial moments at pi1.  Both are exact, so mc_stderr is None.
     """
-    config.validate()
     if config.prior == "beta":
         raise ConfigError("a beta prior keeps pi0 distributed; "
                           "its H comes from h_measure_uncertain_priors")
@@ -269,7 +268,6 @@ def _uncertain_priors(columns: list[LabeledScores], config: EvalConfig) -> list[
     """h_measure_uncertain_priors of each column, over one set of draws:
     each chunk draws its priors and evaluates their reference loss once,
     then every column's loss ratio at them."""
-    config.validate()
     if config.prior != "beta":
         raise ConfigError(f"the prior-uncertain H-measure needs a beta prior, not {config.prior!r}")
     alpha, beta = config.prior_alpha, config.prior_beta

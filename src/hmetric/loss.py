@@ -40,6 +40,9 @@ __all__ = [
     "loss_curve",
 ]
 
+# Cost grid points of a loss curve, unless the caller picks another number.
+CURVE_GRID = 4096
+
 
 @dataclass(frozen=True)
 class LossCurve:
@@ -188,10 +191,10 @@ def loss_curve(
     priors: ClassPriors,
     cdfs: EmpiricalCdfPair,
     mode: str = "calibrated",
-    grid_size: int = 512,
+    grid_size: int = CURVE_GRID,
 ) -> LossCurve:
     """Minimum loss on a uniform open cost grid, for curve emission."""
-    if grid_size < 2:
-        raise ConfigError(f"grid_size must be at least 2, got {grid_size}")
+    if grid_size < 2 or grid_size != int(grid_size):
+        raise ConfigError(f"grid_size must be a whole number of at least 2, got {grid_size}")
     grid = (np.arange(grid_size) + 0.5) / grid_size
     return LossCurve(grid=grid, loss=np.asarray(min_loss(grid, priors, cdfs, mode)), mode=mode)

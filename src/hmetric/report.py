@@ -28,7 +28,6 @@ from .hmeasure import (
     HResult,
     _uncertain_priors,
     h_measure_fixed,
-    h_measure_uncertain_priors,
     resolve_priors,
     resolve_weight,
 )
@@ -37,34 +36,18 @@ __all__ = [
     "REPORT_SCHEMA",
     "resolve_priors",
     "resolve_weight",
-    "evaluate_column",
     "build_report",
     "render_report",
     "fingerprint_arrays",
 ]
 
 
-def evaluate_column(
-    data: LabeledScores,
-    config: EvalConfig,
-    shared_weight: WeightFunction | None = None,
-    shared_priors: ClassPriors | None = None,
-    hres: HResult | None = None,
-) -> dict:
-    """All metrics for one score column, as a JSON-ready mapping.
-
-    The priors and weight are resolved from the config unless shared ones
-    are given.  Under a beta prior they are the empirical priors and the
-    default weight, which serve the metrics other than H.  H is computed
-    here unless hres, the column's H under this config, is given.
-    """
-    config.validate()
-    priors = shared_priors or resolve_priors(config, data)
-    weight = shared_weight or resolve_weight(config, priors)
-    if hres is None:
-        hres = (h_measure_uncertain_priors(data, config) if config.prior == "beta"
-                else h_measure_fixed(data, priors=priors, w=weight, config=config))
-
+def _column_metrics(data: LabeledScores, config: EvalConfig, priors: ClassPriors,
+                    weight: WeightFunction, hres: HResult) -> dict:
+    """All metrics for one score column, as a JSON-ready mapping, around
+    hres, the column's H under config.  Under a beta prior, priors and
+    weight are the empirical priors and the default weight, which serve
+    the metrics other than H."""
     auc_res = auc_mann_whitney(data)
     if config.u_dists or config.screen_proportions:
         # only these metrics need it, and a report without them skips the import
@@ -120,7 +103,6 @@ def build_report(
     columns by H and by AUC and flags any rank disagreement; the single
     shared weight instance is what makes those rankings commensurable.
     """
-    config.validate()
     if not columns:
         raise ConfigError("need at least one score column")
     if compare and len(columns) < 2:
@@ -130,16 +112,18 @@ def build_report(
         name: ingest(scores, labels, normalization=config.normalization)
         for name, scores in columns.items()
     }
-    shared_priors = resolve_priors(config, next(iter(ingested.values())))
-    shared_weight = resolve_weight(config, shared_priors)
-    # under a beta prior all columns share the draws and their references
-    h_results = (_uncertain_priors(list(ingested.values()), config)
-                 if config.prior == "beta" else [None] * len(ingested))
+    priors = resolve_priors(config, next(iter(ingested.values())))
+    weight = resolve_weight(config, priors)
+    if config.prior == "beta":
+        # all columns share the draws and their references
+        h_results = _uncertain_priors(list(ingested.values()), config)
+    else:
+        # each column's H as its other metrics are computed
+        h_results = (h_measure_fixed(data, priors=priors, w=weight, config=config)
+                     for data in ingested.values())
 
     column_reports = {
-        name: evaluate_column(
-            data, config, shared_weight=shared_weight, shared_priors=shared_priors, hres=hres
-        )
+        name: _column_metrics(data, config, priors, weight, hres)
         for (name, data), hres in zip(ingested.items(), h_results)
     }
 

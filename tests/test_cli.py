@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -13,6 +14,7 @@ from jsonschema import validate
 import hmetric
 from hmetric import REPORT_SCHEMA
 from hmetric.cli import CSV_CHUNK, _write_csv, main
+from hmetric.loss import CURVE_GRID
 
 GOLDEN_H_CAL = 0.33054877872925612091
 
@@ -197,11 +199,13 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("extra", [["--prior", "beta"], []])
     def test_negative_seed_exit_3(self, runner, fixtures_dir, extra):
+        # without a beta prior no seed is read, whatever its sign
         result = runner.invoke(
             main, ["evaluate", str(fixtures_dir / "golden4.csv"), *extra, "--seed", "-1"]
         )
         assert result.exit_code == 3, result.output
-        assert "seed must be a non-negative integer, got -1" in result.output
+        assert ("seed must be a non-negative integer, got -1" if extra
+                else "seed applies to a beta prior only, not to 'empirical'") in result.output
 
     def test_single_class_exit_4(self, runner, tmp_path):
         degenerate = tmp_path / "one_class.csv"
@@ -229,7 +233,7 @@ class TestEvaluate:
         assert result.exit_code == 0, result.output
         assert sorted(_strict_loads(result.output)["provenance"]["config"]) == [
             "normalization", "outer_samples", "pi0", "prior", "prior_alpha", "prior_beta",
-            "resolution", "screen_proportions", "seed", "threshold_mode", "u_dists", "weight",
+            "screen_proportions", "seed", "threshold_mode", "u_dists", "weight",
             "weight_alpha", "weight_beta", "weight_path",
         ]
 
@@ -424,12 +428,11 @@ class TestCurves:
             assert (tmp_path / name).read_bytes() == text.getvalue().encode("utf-8"), name
         assert tied == (cdfs.u.size < data.n)
 
-    @pytest.mark.parametrize("extra", [[], ["--seed", "1"]])
-    def test_beta_prior_exit_3_names_the_prior(self, runner, fixtures_dir, tmp_path, extra):
-        # with or without a seed, the message is about the prior: a seed,
-        # which a beta prior needs elsewhere, does not help here
+    def test_beta_prior_exit_3_names_the_prior(self, runner, fixtures_dir, tmp_path):
+        # the message is about the prior, not about the seed that a beta
+        # prior needs in a report
         result = runner.invoke(main, ["curves", str(fixtures_dir / "golden4.csv"),
-                                      "--prior", "beta", *extra, "--out-dir", str(tmp_path)])
+                                      "--prior", "beta", "--out-dir", str(tmp_path)])
         assert result.exit_code == 3
         assert "curves need a concrete prior; use empirical or fixed" in result.output
         assert "seed" not in result.output
@@ -446,6 +449,21 @@ class TestCurves:
             "{:.10g},{:.10g}\r\n".format(x, y) for x, y in zip(xs.tolist(), ys.tolist()))
         assert (tmp_path / "curve.csv").read_bytes() == want.encode("utf-8")
 
+    @pytest.mark.parametrize("resolution,rows", [([], 4096), (["--resolution", "1024"], 1024)])
+    def test_resolution_sets_the_curve_grid(self, runner, fixtures_dir, tmp_path,
+                                            resolution, rows):
+        result = runner.invoke(main, ["curves", str(fixtures_dir / "golden4.csv"),
+                                      *resolution, "--out-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        for name in ("loss_curve.csv", "weight.csv"):
+            assert len((tmp_path / name).read_text().splitlines()) == rows + 1
+
+    def test_resolution_below_floor_exit_3(self, runner, fixtures_dir, tmp_path):
+        result = runner.invoke(main, ["curves", str(fixtures_dir / "golden4.csv"),
+                                      "--resolution", "1023", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 3
+        assert "resolution must be at least 1024, got 1023" in result.output
+
     def test_multi_column_needs_choice(self, runner, fixtures_dir, tmp_path):
         result = runner.invoke(
             main,
@@ -453,6 +471,38 @@ class TestCurves:
         )
         assert result.exit_code == 3
         assert "--column" in result.output
+
+
+SHARED_FLAGS = ["--weight", "--alpha", "--beta", "--prior", "--pi0", "--mode", "--normalize"]
+REPORT_FLAGS = ["--mc-samples", "--seed", "--screen", "--u-dist"]
+
+
+def test_command_flags_are_pinned():
+    # each command declares only the flags it reads; a flag added to or
+    # dropped from a command shows up in these lists
+    flags = {name: [p.opts[0] for p in command.params if isinstance(p, click.Option)]
+             for name, command in main.commands.items()}
+    assert flags == {
+        "evaluate": [*SHARED_FLAGS, *REPORT_FLAGS, "--out"],
+        "compare": ["--columns", *SHARED_FLAGS, *REPORT_FLAGS, "--out"],
+        "curves": ["--column", *SHARED_FLAGS, "--resolution", "--out-dir"],
+    }
+    resolution = next(p for p in main.commands["curves"].params if p.name == "resolution")
+    assert f"[default: {CURVE_GRID}]" in resolution.help
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("curves", ["--seed", "1"]),
+    ("curves", ["--screen", "0.1"]),
+    ("evaluate", ["--resolution", "2048"]),
+])
+def test_flag_another_command_reads_is_a_usage_error(runner, fixtures_dir, tmp_path,
+                                                     command, flag):
+    out = ["--out-dir", str(tmp_path)] if command == "curves" else []
+    result = runner.invoke(main, [command, str(fixtures_dir / "golden4.csv"), *flag, *out])
+    assert result.exit_code == 2
+    # click's wording of the error differs between versions
+    assert "No such option" in result.output and flag[0] in result.output
 
 
 def _fresh_interpreter(code: str, *args: str) -> str:
@@ -492,6 +542,8 @@ def test_import_leaves_out_numpy_and_scipy(module):
         (["evaluate", "golden4.csv", "--weight", "beta", "--alpha", "2", "--beta", "1e400"], 3),
         (["evaluate", "golden4.csv", "--pi0", "0.3"], 3),
         (["evaluate", "golden4.csv", "--alpha", "5", "--beta", "1"], 3),
+        (["evaluate", "golden4.csv", "--seed", "1"], 3),
+        (["curves", "golden4.csv", "--resolution", "512", "--out-dir", "."], 3),
     ],
 )
 def test_help_and_config_errors_leave_out_numpy_and_scipy(fixtures_dir, args, exit_code):

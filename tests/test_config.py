@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 
 from hmetric import ConfigError, EvalConfig
 
 
 def test_default_config_valid():
-    EvalConfig().validate()
+    EvalConfig()
 
 
 @pytest.mark.parametrize(
@@ -20,7 +21,7 @@ def test_default_config_valid():
         ({"prior": "beta", "prior_alpha": 0.0, "seed": 1}, "positive"),
         ({"threshold_mode": "argmax"}, "threshold mode"),
         ({"weight": "beta", "weight_alpha": float("nan"), "weight_beta": 2.0}, "finite"),
-        ({"resolution": 512}, "1024"),
+        ({"seed": 7}, "seed applies to a beta prior only, not to 'empirical'"),
         ({"weight": "beta", "weight_alpha": 2.0, "weight_beta": float("inf")}, "finite"),
         ({"outer_samples": 0}, "outer_samples"),
         ({"pi0": 0.3}, "fixed prior only"),
@@ -36,7 +37,7 @@ def test_default_config_valid():
         ({"prior": "beta", "prior_alpha": 1.0, "seed": 1}, "must exceed 1"),
         ({"prior": "beta", "prior_beta": 0.5, "seed": 1}, "must exceed 1"),
         ({"prior": "beta", "seed": -1}, "non-negative"),
-        ({"seed": -5}, "non-negative"),
+        ({"prior": "beta", "seed": np.int64(-5)}, "non-negative"),
         ({"weight": "tabulated", "weight_path": "w.csv", "weight_beta": 2.0}, "beta weight only"),
         ({"prior": "beta", "outer_samples": 1, "seed": 7}, "outer_samples must be at least 2"),
         ({"prior": "beta", "prior_alpha": float("inf"), "seed": 1}, "finite"),
@@ -49,33 +50,46 @@ def test_default_config_valid():
         ({"prior": "beta", "seed": 1, "outer_samples": 100.5}, "outer_samples must be an integer"),
         ({"prior": "beta", "seed": 1.5}, "seed must be an integer"),
         ({"prior": "beta", "seed": True}, "seed must be an integer"),
-        ({"resolution": 2048.5}, "resolution must be an integer"),
+        ({"prior": "fixed", "pi0": 0.3, "seed": 7}, "seed applies to a beta prior only"),
+        ({"outer_samples": 100}, "outer_samples applies to a beta prior only"),
+        ({"prior": "fixed", "pi0": 0.3, "outer_samples": 100},
+         "outer_samples applies to a beta prior only"),
+        ({"prior_alpha": 0.5}, "prior_alpha applies to a beta prior only"),
+        ({"prior": "fixed", "pi0": 0.3, "prior_alpha": 3.0},
+         "prior_alpha applies to a beta prior only"),
+        ({"prior_beta": -3.0}, "prior_beta applies to a beta prior only"),
+        ({"prior": "fixed", "pi0": 0.3, "prior_beta": 3.0},
+         "prior_beta applies to a beta prior only"),
     ],
 )
 def test_rejections(kwargs, message):
     with pytest.raises(ConfigError, match=message):
-        EvalConfig(**kwargs).validate()
+        EvalConfig(**kwargs)
 
 
 def test_monte_carlo_with_seed_valid():
-    EvalConfig(prior="beta", seed=7).validate()
+    EvalConfig(prior="beta", seed=7)
 
 
 def test_numpy_integers_valid():
-    import numpy as np
+    EvalConfig(prior="beta", seed=np.int64(7), outer_samples=np.int32(100))
 
-    EvalConfig(prior="beta", seed=np.int64(7), outer_samples=np.int32(100),
-               resolution=np.uint16(2048)).validate()
+
+def test_beta_prior_fills_in_its_defaults():
+    cfg = EvalConfig(prior="beta", seed=7)
+    assert (cfg.outer_samples, cfg.prior_alpha, cfg.prior_beta) == (10000, 2.0, 2.0)
+    assert type(cfg.prior_alpha) is float
+    assert (EvalConfig().outer_samples, EvalConfig().prior_alpha) == (None, None)
 
 
 def test_prior_shapes_up_to_one_valid_in_optimal_mode():
     # the optimal loss ratio stays bounded as pi0 -> 0 or 1
     EvalConfig(prior="beta", prior_alpha=0.5, prior_beta=1.0, threshold_mode="optimal",
-               seed=7).validate()
+               seed=7)
 
 
 def test_describe_round_trips_through_config():
-    cfg = EvalConfig(screen_proportions=(0.1,), u_dists=("pooled",), seed=3)
+    cfg = EvalConfig(prior="beta", screen_proportions=(0.1,), u_dists=("pooled",), seed=3)
     echo = cfg.describe()
     rebuilt = EvalConfig(**echo)
     assert rebuilt == cfg
@@ -85,6 +99,6 @@ def test_describe_keys_are_pinned():
     # a knob added to or dropped from the config shows up in this list
     assert sorted(EvalConfig().describe()) == [
         "normalization", "outer_samples", "pi0", "prior", "prior_alpha", "prior_beta",
-        "resolution", "screen_proportions", "seed", "threshold_mode", "u_dists", "weight",
+        "screen_proportions", "seed", "threshold_mode", "u_dists", "weight",
         "weight_alpha", "weight_beta", "weight_path",
     ]

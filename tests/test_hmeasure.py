@@ -216,7 +216,7 @@ class TestHMeasureUncertainPriors:
 
     @pytest.mark.parametrize("prior", ["empirical", "fixed"])
     def test_rejects_a_concrete_prior(self, golden4, prior):
-        cfg = EvalConfig(prior=prior, pi0=0.3 if prior == "fixed" else None, seed=1)
+        cfg = EvalConfig(prior=prior, pi0=0.3 if prior == "fixed" else None)
         with pytest.raises(ConfigError, match="needs a beta prior"):
             h_measure_uncertain_priors(golden4, config=cfg)
 
@@ -224,10 +224,9 @@ class TestHMeasureUncertainPriors:
     def test_calibrated_mode_needs_shapes_above_one(self, golden4, shapes):
         # the mean loss ratio diverges unless both shapes exceed one
         alpha, beta = shapes
-        cfg = EvalConfig(prior="beta", prior_alpha=alpha, prior_beta=beta, seed=6,
-                         outer_samples=100)
         with pytest.raises(ConfigError, match="must exceed 1"):
-            h_measure_uncertain_priors(golden4, config=cfg)
+            EvalConfig(prior="beta", prior_alpha=alpha, prior_beta=beta, seed=6,
+                       outer_samples=100)
 
     def test_optimal_mode_accepts_shapes_up_to_one(self, golden4):
         cfg = EvalConfig(prior="beta", prior_alpha=1.0, prior_beta=0.5, threshold_mode="optimal",

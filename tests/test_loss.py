@@ -258,3 +258,6 @@ class TestLossCurve:
         priors, cdfs = _setup(golden4)
         with pytest.raises(ConfigError):
             loss_curve(priors, cdfs, grid_size=1)
+        # a fractional count would end the open grid at c = 1
+        with pytest.raises(ConfigError, match="whole number"):
+            loss_curve(priors, cdfs, grid_size=4.5)

@@ -23,9 +23,9 @@ sys.path.insert(0, str(root / "src"))
 import hmetric, hmetric.config, hmetric.errors
 
 hmetric.config.EvalConfig(prior="beta", seed=1, screen_proportions=(0.1,),
-                          u_dists=("pooled", "point:0.5")).validate()
+                          u_dists=("pooled", "point:0.5"))
 try:
-    hmetric.config.EvalConfig(threshold_mode="bogus").validate()
+    hmetric.config.EvalConfig(threshold_mode="bogus")
 except hmetric.errors.ConfigError:
     pass
 else:

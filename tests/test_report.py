@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from jsonschema import validate
@@ -113,11 +115,18 @@ class TestBuildReport:
             assert col["diagnostics"]["suggest_label_inversion"] is True
 
     def test_distributed_prior_rejects_explicit_weight(self):
-        cols, labels = _columns(11)
-        config = EvalConfig(prior="beta", seed=1, weight="beta",
-                            weight_alpha=2.0, weight_beta=2.0, outer_samples=1000)
         with pytest.raises(ConfigError, match="conditional weight"):
-            build_report(cols, labels, config)
+            EvalConfig(prior="beta", seed=1, weight="beta",
+                       weight_alpha=2.0, weight_beta=2.0, outer_samples=1000)
+
+    def test_numpy_integers_render(self):
+        # the config keeps a numpy seed and draw count as Python ints, so
+        # the report's echo serializes
+        cols, labels = _columns(13)
+        config = EvalConfig(prior="beta", seed=np.int64(7), outer_samples=np.int32(100))
+        echo = json.loads(render_report(build_report(cols, labels, config)))["provenance"]["config"]
+        assert (echo["seed"], echo["outer_samples"]) == (7, 100)
+        assert (type(config.seed), type(config.outer_samples)) == (int, int)
 
     def test_fingerprint_stable(self):
         cols, labels = _columns(12)
@@ -141,8 +150,7 @@ def test_one_sort_per_score_column(monkeypatch, compare, mode, prior):
     config = EvalConfig(
         threshold_mode=mode,
         prior=prior,
-        seed=3,
-        outer_samples=200,
+        **({"seed": 3, "outer_samples": 200} if prior == "beta" else {}),
         screen_proportions=(0.25, 0.5),
         u_dists=("pooled", "class1-ranks", "point:0.5"),
     )
