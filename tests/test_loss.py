@@ -258,6 +258,9 @@ class TestLossCurve:
         priors, cdfs = _setup(golden4)
         with pytest.raises(ConfigError):
             loss_curve(priors, cdfs, grid_size=1)
+
+    def test_fractional_grid_size_rejected(self, golden4):
         # a fractional count would end the open grid at c = 1
+        priors, cdfs = _setup(golden4)
         with pytest.raises(ConfigError, match="whole number"):
             loss_curve(priors, cdfs, grid_size=4.5)
