@@ -2,9 +2,9 @@
 cost-weighted losses, alongside the AUC.
 
 The exports load on first access (PEP 562), so importing the package, its
-config and its errors needs neither numpy nor scipy.  numpy loads with the
-first module that computes a number; scipy loads only when a callable
-weight generates a scoring rule.
+config and its errors needs no numpy.  numpy loads with the first module
+that computes a number.  The package never imports scipy: the incomplete
+beta and the quadrature of a callable weight are its own.
 """
 
 from importlib import import_module

@@ -24,8 +24,8 @@ logger = logging.getLogger("hmetric")
 
 # The numeric names the commands use, by the module that defines them.
 # They load once a config is built, so --help and a config error start
-# without numpy or scipy; until then, reading one as a module attribute
-# loads them too.
+# without numpy; until then, reading one as a module attribute loads them
+# too.
 _NUMERIC = {
     "read_bytes": "empirical",
     "read_scores_csv": "empirical",

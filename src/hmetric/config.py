@@ -69,6 +69,15 @@ KIND_FIELDS = {
 }
 # What a beta prior takes where these are unset; its seed has no default.
 BETA_PRIOR_DEFAULTS = {"outer_samples": 10000, "prior_alpha": 2.0, "prior_beta": 2.0}
+# The numeric fields and the Python type each is stored as, so that the echo
+# serializes whatever numpy number was passed.
+NUMBER_FIELDS = {**dict.fromkeys(("weight_alpha", "weight_beta", "pi0", "prior_alpha",
+                                  "prior_beta"), float), "outer_samples": int, "seed": int}
+# The largest beta weight shape: the incomplete beta keeps its 1e-12 relative
+# accuracy up to it (2.5e-13 at a = b = 1e6 within 5 sd of the mean, against
+# a 50-digit series; 1.7e-12 at 1e7), and its continued fraction, which
+# needs O(sqrt(a + b)) steps there, stops converging at 1e14.
+MAX_WEIGHT_SHAPE = 1e6
 
 
 @dataclass(frozen=True)
@@ -104,11 +113,23 @@ class EvalConfig:
             if getattr(self, name) is not None and getattr(self, field) != kind:
                 raise ConfigError(f"{name} applies to a {kind} {field} only, "
                                   f"not to {getattr(self, field)!r}")
+        # numpy numbers are stored as Python ones; bools, though Integral,
+        # are not counts, seeds, shapes or priors
+        for name, cast in NUMBER_FIELDS.items():
+            value = getattr(self, name)
+            kind, what = ((numbers.Integral, "an integer") if cast is int
+                          else (numbers.Real, "a real number"))
+            if value is not None:
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ConfigError(f"{name} must be {what}, got {value!r}")
+                put(name, cast(value))
         if self.weight == "beta":
             if self.weight_alpha is None or self.weight_beta is None:
                 raise ConfigError("beta weight requires alpha and beta")
             if not (0 < self.weight_alpha < math.inf and 0 < self.weight_beta < math.inf):
                 raise ConfigError("beta weight shapes must be positive and finite")
+            if max(self.weight_alpha, self.weight_beta) > MAX_WEIGHT_SHAPE:
+                raise ConfigError(f"beta weight shapes must be at most {MAX_WEIGHT_SHAPE:g}")
         if self.weight == "tabulated" and not self.weight_path:
             raise ConfigError("tabulated weight requires a file path")
         if self.prior == "fixed" and (self.pi0 is None or not 0.0 < self.pi0 < 1.0):
@@ -134,13 +155,6 @@ class EvalConfig:
             if self.seed is None:
                 raise ConfigError("a beta prior is estimated from seeded draws and requires a "
                                   "seed; there is no silent default")
-            # numpy integers pass and are kept as ints, so the echo serializes;
-            # bools, though Integral, are not counts or seeds
-            for name in ("outer_samples", "seed"):
-                value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise ConfigError(f"{name} must be an integer, got {value!r}")
-                put(name, int(value))
             # a standard error needs two draws
             if self.outer_samples < 2:
                 raise ConfigError(f"outer_samples must be at least 2, got {self.outer_samples}")

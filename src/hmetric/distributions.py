@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import MAX_WEIGHT_SHAPE
 from .empirical import csv_records
 from .errors import InputError
 
@@ -44,16 +45,17 @@ MIN_TABULATED_POINTS = 1024
 
 @dataclass(frozen=True)
 class BetaParams:
-    """Shape parameters of a beta distribution; both must be positive."""
+    """Shape parameters of a beta distribution; both must be positive and
+    at most MAX_WEIGHT_SHAPE, up to which the incomplete beta is verified."""
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise InputError(f"alpha must be a positive real, got {self.alpha}")
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise InputError(f"beta must be a positive real, got {self.beta}")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not (np.isfinite(value) and 0 < value <= MAX_WEIGHT_SHAPE):
+                raise InputError(f"{name} must be a positive real at most "
+                                 f"{MAX_WEIGHT_SHAPE:g}, got {value}")
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)

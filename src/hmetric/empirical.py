@@ -219,7 +219,7 @@ def ingest(scores, labels, normalization: str = "reject") -> LabeledScores:
         raise InputError(
             f"unknown normalization {normalization!r}; expected one of {NORMALIZATIONS}"
         )
-    scores = np.asarray(scores, dtype=float)
+    raw, scores = scores, np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.ndim != 1 or labels.ndim != 1:
         raise InputError("scores and labels must be one-dimensional")
@@ -235,7 +235,7 @@ def ingest(scores, labels, normalization: str = "reject") -> LabeledScores:
     if not np.all(np.isin(labels, (0, 1))):
         bad = int(np.flatnonzero(~np.isin(labels, (0, 1)))[0])
         raise InputError(f"labels must be 0 or 1; offending value at position {bad}")
-    labels = labels.astype(np.int8)
+    labels = labels.astype(np.int8)  # a copy, whatever the caller passed
 
     if normalization == "minmax":
         lo, hi = float(scores.min()), float(scores.max())
@@ -252,10 +252,12 @@ def ingest(scores, labels, normalization: str = "reject") -> LabeledScores:
                 f"score {scores[bad]} at position {bad} outside [0, 1]; "
                 "pass normalization='minmax' or 'logistic' to rescale"
             )
+        # minmax and logistic return fresh arrays; np.asarray may have kept
+        # the caller's buffer, which the caller may still write to
+        if scores is raw or scores.base is not None:
+            scores = scores.copy()
 
-    scores = scores.copy()
     scores.setflags(write=False)
-    labels = labels.copy()
     labels.setflags(write=False)
     return LabeledScores(scores=scores, labels=labels, normalization=normalization)
 

@@ -521,6 +521,15 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert _fresh_interpreter(code) == "False"
 
 
+def test_callable_weight_rule_leaves_out_scipy():
+    # a raw density's moments come from the package's own tanh-sinh rule
+    code = ("import sys\nimport numpy as np\nfrom hmetric import rule_from_weight\n"
+            "rule = rule_from_weight(lambda c: 1 / (c * (1 - c)))\n"
+            "rule.loss0(np.arange(0.001, 1.0, 0.001))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_interpreter(code) == "[]"
+
+
 NUMERIC_LOADED = "sorted({'numpy', 'scipy'} & set(sys.modules))"
 
 
@@ -544,6 +553,7 @@ def test_import_leaves_out_numpy_and_scipy(module):
         (["evaluate", "golden4.csv", "--alpha", "5", "--beta", "1"], 3),
         (["evaluate", "golden4.csv", "--seed", "1"], 3),
         (["curves", "golden4.csv", "--resolution", "512", "--out-dir", "."], 3),
+        (["evaluate", "golden4.csv", "--weight", "beta", "--alpha", "1e14", "--beta", "1e14"], 3),
     ],
 )
 def test_help_and_config_errors_leave_out_numpy_and_scipy(fixtures_dir, args, exit_code):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hmetric import ConfigError, EvalConfig
+from hmetric.config import MAX_WEIGHT_SHAPE
 
 
 def test_default_config_valid():
@@ -60,6 +61,12 @@ def test_default_config_valid():
         ({"prior_beta": -3.0}, "prior_beta applies to a beta prior only"),
         ({"prior": "fixed", "pi0": 0.3, "prior_beta": 3.0},
          "prior_beta applies to a beta prior only"),
+        ({"weight": "beta", "weight_alpha": True, "weight_beta": 2.0},
+         "weight_alpha must be a real number"),
+        ({"prior": "fixed", "pi0": "0.3"}, "pi0 must be a real number"),
+        ({"prior": "beta", "seed": 1, "prior_beta": 3j}, "prior_beta must be a real number"),
+        ({"weight": "beta", "weight_alpha": 2.0, "weight_beta": 1e14}, "at most 1e\\+06"),
+        ({"weight": "beta", "weight_alpha": 1.000001e6, "weight_beta": 2.0}, "at most 1e\\+06"),
     ],
 )
 def test_rejections(kwargs, message):
@@ -73,6 +80,11 @@ def test_monte_carlo_with_seed_valid():
 
 def test_numpy_integers_valid():
     EvalConfig(prior="beta", seed=np.int64(7), outer_samples=np.int32(100))
+
+
+def test_weight_shapes_up_to_the_bound_valid():
+    cfg = EvalConfig(weight="beta", weight_alpha=MAX_WEIGHT_SHAPE, weight_beta=MAX_WEIGHT_SHAPE)
+    assert cfg.weight_alpha == 1e6
 
 
 def test_beta_prior_fills_in_its_defaults():

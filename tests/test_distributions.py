@@ -17,6 +17,7 @@ from hmetric import (
     regularized_incomplete_beta,
 )
 from hmetric import distributions
+from hmetric.config import MAX_WEIGHT_SHAPE
 from hmetric.distributions import betainc
 from oracles import (
     beta_density,
@@ -51,7 +52,8 @@ class TestBetaPdf:
         with pytest.raises(InputError):
             beta_pdf(c, BetaParams(0.5, 2.0))
 
-    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 2.0), (1.0, 0.0), (float("nan"), 1.0)])
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 2.0), (1.0, 0.0), (float("nan"), 1.0),
+                                     (2e6, 1.0), (1.0, 1e14)])
     def test_bad_params(self, a, b):
         with pytest.raises(InputError):
             BetaParams(a, b)
@@ -200,6 +202,17 @@ class TestBetainc:
     def test_small_shape_against_mpmath(self, a, b, x):
         # 1 - I_{1-x}(b, a) was 1e-12 to 3e-12 off at the first three
         assert betainc(a, b, x) == pytest.approx(hyp_betainc(a, b, x), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("b", [MAX_WEIGHT_SHAPE, 1e3])
+    def test_largest_weight_shape_against_series(self, b):
+        # the shape bound is where the 1e-12 contract still holds: within
+        # 5 sd of the mean, where the continued fraction is longest
+        a = MAX_WEIGHT_SHAPE
+        mean, sd = a / (a + b), np.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
+        x = mean + np.arange(-5, 6) * sd
+        want = [hyp_betainc(a, b, xi) for xi in x]
+        np.testing.assert_allclose(betainc(a, b, x), want, rtol=1e-12, atol=0)
+        BetaParams(a, b)  # the bound itself is accepted
 
     def test_broadcast_matches_elementwise(self, monkeypatch):
         # blocks smaller than a row of x, so rows of shapes straddle them;

@@ -1,3 +1,4 @@
+import array
 import ast
 import re
 from pathlib import Path
@@ -67,6 +68,21 @@ class TestIngest:
         data = ingest([0.1, 0.2], [0, 1])
         with pytest.raises(ValueError):
             data.scores[0] = 0.7
+
+    @pytest.mark.parametrize("normalization", ["reject", "minmax", "logistic"])
+    @pytest.mark.parametrize("make", [
+        np.array,
+        lambda v: np.array([v, v])[1],  # a view of a larger array
+        lambda v: array.array("d", v),  # a buffer np.asarray shares
+    ], ids=["array", "view", "buffer"])
+    def test_later_writes_to_the_inputs_leave_it_unchanged(self, make, normalization):
+        scores, labels = make([0.2, 0.9, 0.4]), np.array([0, 1, 1])
+        data = ingest(scores, labels, normalization=normalization)
+        kept = data.scores.copy(), data.labels.copy()
+        scores[0], labels[0] = 0.7, 1
+        np.testing.assert_array_equal(data.scores, kept[0])
+        np.testing.assert_array_equal(data.labels, kept[1])
+        assert not (data.scores.flags.writeable or data.labels.flags.writeable)
 
 
 class TestEmpiricalPriors:

@@ -128,6 +128,21 @@ class TestBuildReport:
         assert (echo["seed"], echo["outer_samples"]) == (7, 100)
         assert (type(config.seed), type(config.outer_samples)) == (int, int)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"weight": "beta", "weight_alpha": np.int64(2), "weight_beta": 5.0}, "weight_alpha"),
+        ({"prior": "beta", "seed": 1, "prior_alpha": np.float32(3), "outer_samples": 100},
+         "prior_alpha"),
+        ({"prior": "fixed", "pi0": np.float32(0.3)}, "pi0"),
+    ])
+    def test_numpy_floats_render(self, kwargs, name):
+        # the config stores numpy numbers in its float fields as Python
+        # floats, so the report's echo serializes
+        cols, labels = _columns(13)
+        config = EvalConfig(**kwargs)
+        echo = json.loads(render_report(build_report(cols, labels, config)))["provenance"]["config"]
+        assert echo[name] == float(kwargs[name])
+        assert type(getattr(config, name)) is float
+
     def test_fingerprint_stable(self):
         cols, labels = _columns(12)
         f1 = report_mod.fingerprint_arrays(cols, labels)

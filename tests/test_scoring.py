@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from hmetric import (
     squared_error_rule,
 )
 from hmetric.empirical import ClassPriors, empirical_cdfs, empirical_priors
+from hmetric import scoring
+from hmetric.scoring import UNBOUNDED_WEIGHT_EPS
 from conftest import random_dataset
 
 # frozen 40-digit oracle: integral of c b(c; 1.5, 1.5) over (0, 0.3)
@@ -170,6 +174,63 @@ class TestRuleFromWeight:
     def test_non_integrable_weight_rejected(self):
         with pytest.raises(InputError, match="converge|integrated"):
             rule_from_weight(lambda c: 1.0 / c**2)
+
+    @pytest.mark.parametrize("density", [
+        lambda c: 1.0 / c**2,
+        lambda c: 3.0 / c**2,  # both decades' sums come out equal to the bit
+        lambda c: 1.0 / (1.0 - c) ** 2,
+    ], ids=["at_0", "at_0_equal_sums", "at_1"])
+    def test_mass_must_fall_toward_each_end(self, density):
+        # c w(c) = 1/c near 0, or (1 - c) w(c) = 1/(1 - c) near 1, carries
+        # log 10 on every decade, so the truncated moments do not converge
+        with pytest.raises(InputError, match="lose mass"):
+            rule_from_weight(density)
+
+    def test_jump_inside_a_segment_fails_the_half_step_check(self):
+        # the tanh-sinh sums converge only where the density is smooth; a
+        # step at 0.45 leaves the half-step sums about 1e-2 apart
+        with pytest.raises(InputError, match="do not converge numerically"):
+            rule_from_weight(lambda c: 1.0 if c < 0.45 else 2.0)
+
+    def test_integrable_singularity_accepted(self):
+        # c^-0.5 diverges at 0 but c w(c) = c^0.5 loses mass there; the
+        # truncation at eps leaves out (2/3) eps^1.5 of loss0
+        rule = rule_from_weight(lambda c: c**-0.5)
+        q = np.arange(0.001, 1.0, 0.001)
+        assert np.max(np.abs(rule.loss0(q) - 2.0 / 3.0 * q**1.5)) <= 1e-9
+        want1 = 4.0 / 3.0 - 2.0 * np.sqrt(q) + 2.0 / 3.0 * q**1.5
+        assert np.max(np.abs(rule.loss1(1.0 - q) - want1)) <= 1e-12
+
+    def test_segment_blocks_do_not_change_the_bits(self, monkeypatch):
+        # each segment's sums depend on its own nodes only
+        grid = np.arange(0.001, 1.0, 0.001)
+        want = rule_from_weight(lambda c: 1.0 / (c * (1.0 - c))).loss0(grid)
+        monkeypatch.setattr(scoring, "_SEGMENT_BLOCK", 7)
+        got = rule_from_weight(lambda c: 1.0 / (c * (1.0 - c))).loss0(grid)
+        np.testing.assert_array_equal(got, want)
+
+    def test_raising_density_is_input_error(self):
+        def density(c):
+            raise ValueError("no density here")
+
+        with pytest.raises(InputError, match="could not be integrated: no density here"):
+            rule_from_weight(density)
+
+    @pytest.mark.parametrize("a,b,tol", [
+        (2.0, 3.0, 1e-12),
+        (1.5, 4.0, 1e-12),
+        (10.0, 10.0, 1e-12),
+        # eps truncation: c b(c) carries about (2/3) eps^1.5 / pi below eps
+        (0.5, 0.5, 1.01 * 2.0 / 3.0 * UNBOUNDED_WEIGHT_EPS**1.5 / math.pi),
+    ])
+    def test_callable_beta_density_matches_closed_form(self, a, b, tol):
+        # a density written with math functions, integrated node by node
+        norm = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+        rule = rule_from_weight(lambda c: c ** (a - 1) * (1 - c) ** (b - 1) / norm)
+        grid = np.arange(0.001, 1.0, 0.001)
+        m0, m1 = BetaWeight(a, b).partial_moments(grid)
+        assert np.max(np.abs(rule.loss0(grid) - m0)) <= tol
+        assert np.max(np.abs(rule.loss1(1.0 - grid) - m1)) <= tol
 
 
 class TestDatasetConsistency:
