@@ -20,7 +20,6 @@ _EXPORTS = {
     "WeightFunction": "distributions",
     "beta_pdf": "distributions",
     "regularized_incomplete_beta": "distributions",
-    "load_tabulated_weight": "distributions",
     "LabeledScores": "empirical",
     "ClassPriors": "empirical",
     "EmpiricalCdfPair": "empirical",
@@ -28,6 +27,7 @@ _EXPORTS = {
     "empirical_priors": "empirical",
     "empirical_cdfs": "empirical",
     "read_scores_csv": "empirical",
+    "load_tabulated_weight": "empirical",
     "HmetricError": "errors",
     "InputError": "errors",
     "ConfigError": "errors",

@@ -29,6 +29,7 @@ logger = logging.getLogger("hmetric")
 _NUMERIC = {
     "read_bytes": "empirical",
     "read_scores_csv": "empirical",
+    "score_names": "empirical",
     "ingest": "empirical",
     "empirical_cdfs": "empirical",
     "loss_curve": "loss",
@@ -163,11 +164,17 @@ def _write_report(report: dict, out: str):
         logger.info("wrote report to %s", out)
 
 
-def _read_fingerprinted(input_csv: str):
-    """Read INPUT_CSV once; parse those bytes and fingerprint the same bytes."""
+def _read_fingerprinted(input_csv: str, wanted=None):
+    """Read INPUT_CSV once: check its header for the wanted score columns,
+    then parse those bytes and fingerprint the same bytes."""
     import hashlib
 
     raw = read_bytes(input_csv)
+    if wanted is not None:
+        names = score_names(input_csv, raw)
+        missing = [name for name in wanted if name not in names]
+        if missing:
+            raise ConfigError(f"score columns not in the input: {', '.join(missing)}")
     names, columns, labels = read_scores_csv(input_csv, content=raw)
     return names, columns, labels, "sha256:" + hashlib.sha256(raw).hexdigest()
 
@@ -210,13 +217,9 @@ def compare(input_csv, columns, out, **cfg):
         repeated = [name for name in dict.fromkeys(wanted) if wanted.count(name) > 1]
         if repeated:
             raise ConfigError(f"score columns listed more than once: {', '.join(repeated)}")
-        names, all_columns, labels, fingerprint = _read_fingerprinted(input_csv)
-        missing = [name for name in wanted if name not in all_columns]
-        if missing:
-            raise ConfigError(f"score columns not in the input: {', '.join(missing)}")
-        selected = {name: all_columns[name] for name in wanted}
+        names, all_columns, labels, fingerprint = _read_fingerprinted(input_csv, wanted)
         report = build_report(
-            selected,
+            {name: all_columns[name] for name in wanted},
             labels,
             config,
             data_fingerprint=fingerprint,
@@ -267,18 +270,17 @@ def curves(input_csv, column, resolution, out_dir, **cfg):
         if resolution is not None and resolution < MIN_RESOLUTION:
             raise ConfigError(f"resolution must be at least {MIN_RESOLUTION}, got {resolution}")
         config = _build_config(**cfg)
-        names, all_columns, labels = read_scores_csv(input_csv)
-        name = column
-        if name is None:
-            if len(names) != 1:
-                raise ConfigError(
-                    f"input has {len(names)} score columns; pick one with --column"
-                )
-            name = names[0]
-        elif name not in all_columns:
-            raise ConfigError(f"score column {name!r} not in the input")
+        raw = read_bytes(input_csv)
+        names = score_names(input_csv, raw)
+        if column is None and len(names) != 1:
+            raise ConfigError(f"input has {len(names)} score columns; pick one with --column")
+        if column is not None and column not in names:
+            raise ConfigError(f"score column {column!r} not in the input")
+        _, all_columns, labels = read_scores_csv(input_csv, content=raw)
+        del raw  # parsed: the curves need none of the bytes
 
-        data = ingest(all_columns[name], labels, normalization=config.normalization)
+        data = ingest(all_columns[names[0] if column is None else column], labels,
+                      normalization=config.normalization)
         priors = resolve_priors(config, data)
         weight = resolve_weight(config, priors)
         cdfs = empirical_cdfs(data)

@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .config import MAX_WEIGHT_SHAPE
-from .empirical import csv_records
 from .errors import InputError
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "beta_pdf",
     "regularized_incomplete_beta",
     "betainc",
-    "load_tabulated_weight",
 ]
 
 # Tabulated grids coarser than this are rejected: linear interpolation on
@@ -162,11 +159,11 @@ def _fraction(a, b, counts, x, lam, from_tail=False):
     I_x(a, b) = x^a y^b / B(a, b) / fraction.  a and b are the shapes:
     floats, arrays parallel to x (counts None), or arrays of which shape
     pair j belongs to the next counts[j] elements; the per-step
-    coefficients are computed on them.  Evaluated
-    by modified Lentz; converged elements leave the working set every
-    _CF_CHECK steps, and an element still unconverged at _CF_MAX_STEPS
-    raises.  With from_tail, each element's converged approximant is
-    evaluated once more by _fraction_from_tail."""
+    coefficients are computed on them.  Evaluated by modified Lentz;
+    converged elements leave the working set every _CF_CHECK steps, and an
+    element still unconverged at _CF_MAX_STEPS raises an InputError naming
+    a - 1 and b, _pair_flat's shapes.  With from_tail, each element's
+    converged approximant is evaluated once more by _fraction_from_tail."""
     out = np.empty(x.size)
     steps = np.empty(x.size, dtype=np.intp) if from_tail else None
     start = a, b, counts, x, lam
@@ -207,8 +204,8 @@ def _fraction(a, b, counts, x, lam, from_tail=False):
                     a, b, counts = a[live], b[live], counts[live]
                 elif np.ndim(a):
                     a, b = a[keep], b[keep]
-    raise ArithmeticError(
-        f"incomplete beta continued fraction did not converge in {_CF_MAX_STEPS} steps")
+    raise InputError(f"incomplete beta with shapes {float(np.ravel(a)[0]) - 1.0:g} and "
+                     f"{float(np.ravel(b)[0]):g} did not converge in {_CF_MAX_STEPS} steps")
 
 
 def _fraction_from_tail(a, b, counts, x, lam, steps):
@@ -587,32 +584,3 @@ class TabulatedWeight(WeightFunction):
             "points": int(self.grid.size),
             "support": [float(self.grid[0]), float(self.grid[-1])],
         }
-
-
-def load_tabulated_weight(path: str | Path) -> TabulatedWeight:
-    """Read a tabulated weight from a two-column CSV with header ``c,density``."""
-    path = Path(path)
-    try:
-        content = path.read_bytes()
-    except OSError as exc:
-        raise InputError(f"cannot read tabulated weight file {path}: {exc}") from exc
-    reader = csv_records(path, content)
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["c", "density"]:
-        raise InputError(f"{path}: tabulated weight CSV must have header 'c,density'")
-    grid, dens = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != 2:
-            raise InputError(f"{path}:{lineno}: expected two columns, got {len(row)}")
-        try:
-            c, d = float(row[0]), float(row[1])
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: non-numeric value: {exc}") from exc
-        for name, raw, value in (("c", row[0], c), ("density", row[1], d)):
-            if not math.isfinite(value):
-                raise InputError(
-                    f"{path}:{lineno}: non-finite value {raw.strip()!r} in column {name!r}"
-                )
-        grid.append(c)
-        dens.append(d)
-    return TabulatedWeight(np.asarray(grid), np.asarray(dens))

@@ -19,7 +19,8 @@ read_scores_csv parses a plain file (every data field bare digits, '.',
 'e', 'E', '+' or '-', labels exactly 0 or 1, rows ending in LF or CRLF, no
 blank row, every value finite: what numpy.savetxt and pandas write) in
 one numpy pass.  Any other file, and any file with a malformed row, goes
-through the line reader, which reports the row by its line number.
+through the line reader, which reports the row by its line number, as it
+does for a tabulated weight file.  score_names reads the header alone.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import NORMALIZATIONS
+from .distributions import TabulatedWeight
 from .errors import DegenerateDataError, InputError
 
 __all__ = [
@@ -46,6 +48,7 @@ __all__ = [
     "empirical_priors",
     "empirical_cdfs",
     "read_scores_csv",
+    "load_tabulated_weight",
 ]
 
 
@@ -364,6 +367,18 @@ def _read_plain(path: Path, content: bytes):
     return list(columns), columns, table[:, label_idx].astype(np.int8)
 
 
+def score_names(path: str | Path, content: bytes) -> list[str]:
+    """The score column names read_scores_csv(path, content=content) returns,
+    from the header: no row is parsed, and only the 8 KiB chunks holding it decoded."""
+    path = Path(path)
+    stream = io.TextIOWrapper(io.BytesIO(content), encoding="utf-8-sig", newline="")
+    try:
+        record = next(csv.reader(stream), None)
+    except UnicodeDecodeError:
+        record = next(csv_records(path, content), None)  # names the line
+    return [h for h in _header(path, record) if h != "label"]
+
+
 def _header(path: Path, record: list[str] | None) -> list[str]:
     if record is None:
         raise InputError(f"{path}: empty file, expected a header row")
@@ -377,15 +392,22 @@ def _header(path: Path, record: list[str] | None) -> list[str]:
     return header
 
 
-def _read_lines(path: Path, content: bytes):
+def _weight_header(path: Path, record: list[str] | None) -> list[str]:
+    if record is None or [h.strip() for h in record] != ["c", "density"]:
+        raise InputError(f"{path}: tabulated weight CSV must have header 'c,density'")
+    return ["c", "density"]
+
+
+def _read_lines(path: Path, content: bytes, header_rule=_header, noun: str = "score"):
     """The line reader: record by record, with the csv module.  It is the
     only code that reports a malformed file, and a malformed row by its
-    line number."""
+    line number.  header_rule checks the header record and returns its
+    names; a 'label' column holds 0 or 1, each other one a finite noun."""
     reader = csv_records(path, content)
-    header = _header(path, next(reader, None))
-    score_names = [h for h in header if h != "label"]
-    label_idx = header.index("label")
-    cols: dict[str, list[float]] = {name: [] for name in score_names}
+    header = header_rule(path, next(reader, None))
+    label_idx = header.index("label") if "label" in header else None
+    value_idx = [k for k in range(len(header)) if k != label_idx]
+    cols: list[list[float]] = [[] for _ in header]
     labels: list[int] = []
     for lineno, row in enumerate(reader, start=2):
         if len(row) != len(header):
@@ -395,26 +417,33 @@ def _read_lines(path: Path, content: bytes):
         for name, value in zip(header, row):
             if value.strip() == "":
                 raise InputError(f"{path}:{lineno}: missing value in column {name!r}")
-        raw_label = row[label_idx].strip()
-        if raw_label not in ("0", "1"):
-            raise InputError(
-                f"{path}:{lineno}: label must be 0 or 1, got {raw_label!r}"
-            )
-        labels.append(int(raw_label))
-        for name in score_names:
-            value = row[header.index(name)].strip()
+        if label_idx is not None:
+            raw_label = row[label_idx].strip()
+            if raw_label not in ("0", "1"):
+                raise InputError(
+                    f"{path}:{lineno}: label must be 0 or 1, got {raw_label!r}"
+                )
+            labels.append(int(raw_label))
+        for k in value_idx:
+            value = row[k].strip()
             try:
-                score = float(value)
+                number = float(value)
             except ValueError:
                 raise InputError(
-                    f"{path}:{lineno}: non-numeric score {value!r} in column {name!r}"
+                    f"{path}:{lineno}: non-numeric {noun} {value!r} in column {header[k]!r}"
                 ) from None
-            if not math.isfinite(score):
+            if not math.isfinite(number):
                 raise InputError(
-                    f"{path}:{lineno}: non-finite score {value!r} in column {name!r}"
+                    f"{path}:{lineno}: non-finite {noun} {value!r} in column {header[k]!r}"
                 )
-            cols[name].append(score)
-    if not labels:
+            cols[k].append(number)
+    if not cols[value_idx[0]]:
         raise InputError(f"{path}: no data rows")
-    columns = {name: np.asarray(vals, dtype=float) for name, vals in cols.items()}
-    return score_names, columns, np.asarray(labels, dtype=np.int8)
+    columns = {header[k]: np.asarray(cols[k], dtype=float) for k in value_idx}
+    return list(columns), columns, np.asarray(labels, dtype=np.int8)
+
+
+def load_tabulated_weight(path: str | Path) -> TabulatedWeight:
+    """A tabulated weight from a CSV with header ``c,density``, read as score rows are."""
+    _, columns, _ = _read_lines(Path(path), read_bytes(path), _weight_header, "value")
+    return TabulatedWeight(columns["c"], columns["density"])

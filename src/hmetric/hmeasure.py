@@ -40,8 +40,9 @@ import numpy as np
 
 from ._mc import combine_mean_stderr, run_chunks
 from .config import EvalConfig
-from .distributions import BetaWeight, WeightFunction, _partial_pair, load_tabulated_weight
-from .empirical import ClassPriors, EmpiricalCdfPair, LabeledScores, empirical_cdfs, empirical_priors
+from .distributions import BetaWeight, WeightFunction, _partial_pair
+from .empirical import (ClassPriors, EmpiricalCdfPair, LabeledScores, empirical_cdfs,
+                        empirical_priors, load_tabulated_weight)
 from .errors import ConfigError
 from .loss import _hull_envelope, expected_min_loss, reference_loss
 

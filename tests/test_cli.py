@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import click
 import numpy as np
@@ -12,7 +13,7 @@ from click.testing import CliRunner
 from jsonschema import validate
 
 import hmetric
-from hmetric import REPORT_SCHEMA
+from hmetric import REPORT_SCHEMA, empirical
 from hmetric.cli import CSV_CHUNK, _write_csv, main
 from hmetric.loss import CURVE_GRID
 
@@ -473,6 +474,41 @@ class TestCurves:
         assert "--column" in result.output
 
 
+# Column choices the header alone settles.
+HEADER_REJECTIONS = [
+    (["compare", "--columns", "model_a,nope"], "score columns not in the input: nope"),
+    (["curves", "--column", "nope"], "score column 'nope' not in the input"),
+    (["curves"], "input has 2 score columns; pick one with --column"),
+]
+
+
+def _reject(runner, tmp_path, path, args):
+    argv = [args[0], str(path), *args[1:]]
+    if args[0] == "curves":
+        argv += ["--out-dir", str(tmp_path / "curves")]
+    return runner.invoke(main, argv)
+
+
+@pytest.mark.parametrize("args, message", HEADER_REJECTIONS)
+def test_columns_checked_before_a_malformed_row(runner, tmp_path, args, message):
+    # a command that parsed the rows first would exit 2 on the third line
+    path = tmp_path / "scores.csv"
+    path.write_text("label,model_a,model_b\n0,0.1,0.2\n1,oops,0.8\n", encoding="utf-8")
+    result = _reject(runner, tmp_path, path, args)
+    assert result.exit_code == 3, result.output
+    assert result.output == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args, message", HEADER_REJECTIONS)
+def test_columns_checked_with_no_row_parsed(runner, fixtures_dir, tmp_path, args, message):
+    parsed = AssertionError("a row was parsed")
+    with mock.patch.object(empirical, "_read_plain", side_effect=parsed), \
+            mock.patch.object(empirical, "_read_lines", side_effect=parsed):
+        result = _reject(runner, tmp_path, fixtures_dir / "rank_disagreement.csv", args)
+    assert result.exit_code == 3, result.output
+    assert result.output == f"error: {message}\n"
+
+
 SHARED_FLAGS = ["--weight", "--alpha", "--beta", "--prior", "--pi0", "--mode", "--normalize"]
 REPORT_FLAGS = ["--mc-samples", "--seed", "--screen", "--u-dist"]
 
@@ -606,3 +642,20 @@ def test_load_keeps_names_set_before_it(fixtures_dir, tmp_path):
             "    print(exc.code, len(calls))")
     args = ["curves", str(fixtures_dir / "golden4.csv"), "--out-dir", str(tmp_path)]
     assert _fresh_interpreter(code, *args) == "0 1"
+
+
+def test_unconverged_kernel_exits_2_without_traceback(fixtures_dir):
+    # a continued fraction cut at 8 steps stands in for shapes the kernel
+    # cannot handle: that is one error line and exit code 2, not a crash
+    src = str(Path(hmetric.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys\nfrom hmetric import distributions\nfrom hmetric.cli import main\n"
+            "distributions._CF_MAX_STEPS = 8\nmain(sys.argv[1:])")
+    args = ["evaluate", str(fixtures_dir / "golden4.csv"), "--weight", "beta",
+            "--alpha", "3e4", "--beta", "3e4"]
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.splitlines() == [
+        "error: incomplete beta with shapes 30000 and 30000 did not converge in 8 steps"]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,7 @@ from scipy.special import betaincinv
 from hmetric import (
     BetaParams,
     BetaWeight,
+    HmetricError,
     InputError,
     TabulatedWeight,
     beta_pdf,
@@ -253,7 +256,7 @@ class TestBetainc:
 
     def test_unconverged_fraction_raises(self, monkeypatch):
         monkeypatch.setattr(distributions, "_CF_MAX_STEPS", 8)
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(HmetricError, match="shapes 30000 and 30000 did not converge"):
             betainc(3e4, 3e4, 0.5)
 
 
@@ -458,3 +461,31 @@ class TestTabulatedWeight:
         bad_value.write_text("c,density\n0.1,abc\n", encoding="utf-8")
         with pytest.raises(InputError, match="bad2.csv:2"):
             load_tabulated_weight(bad_value)
+
+    def test_csv_crlf_and_quoted_fields(self, tmp_path):
+        grid, dens = self._beta22_table()
+        path = tmp_path / "w.csv"
+        lines = ['"c","density"'] + [f'"{c:.17g}",{d:.17g}' for c, d in zip(grid, dens)]
+        path.write_bytes(b"\xef\xbb\xbf" + "\r\n".join(lines).encode("utf-8") + b"\r\n")
+        w = load_tabulated_weight(path)
+        assert w.grid.tobytes() == grid.tobytes()
+        assert w.density(grid).tobytes() == dens.tobytes()
+
+    # a weight file's rows are read by the score file's line reader, with
+    # its messages, values being called values rather than scores
+    @pytest.mark.parametrize("body, message", [
+        ("0.1,abc\n", "w.csv:2: non-numeric value 'abc' in column 'density'"),
+        ("0.1,1.0\n0.2,1.0,3\n", "w.csv:3: expected 2 fields, got 3"),
+        ("0.1,1.0\n0.2,\n", "w.csv:3: missing value in column 'density'"),
+        ("", "w.csv: no data rows"),
+    ])
+    def test_csv_rows_read_as_score_rows(self, tmp_path, body, message):
+        path = tmp_path / "w.csv"
+        path.write_text("c,density\n" + body, encoding="utf-8")
+        with pytest.raises(InputError, match=re.escape(message)):
+            load_tabulated_weight(path)
+
+    def test_csv_unreadable(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(InputError, match=re.escape(f"cannot read {path}: ")):
+            load_tabulated_weight(path)

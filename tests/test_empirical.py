@@ -392,6 +392,33 @@ class TestBulkReader:
             read_scores_csv(path)
 
 
+class TestScoreNames:
+    """The header read alone gives read_scores_csv's names, or its error."""
+
+    @given(_csv_texts())
+    @example(b'label,"a\nb"\n0,0.5\n')  # a quoted name across two lines
+    @example(b"label,s\r0,0.5\r1,0.6\r")  # lone CR line ends
+    @example(b"\xef\xbb\xbf" + b"label,s\n0,0.5\n")
+    @settings(max_examples=200, deadline=None)
+    def test_names_match_the_reader(self, content):
+        try:
+            names = read_scores_csv("in.csv", content=content)[0]
+        except InputError:
+            return
+        assert empirical.score_names("in.csv", content) == names
+
+    @pytest.mark.parametrize("content, message", [
+        (b"label,s\xff\n0,0.1\n1,0.9\n", "in.csv:1: not UTF-8 text"),
+        (b"label,s\n0,0.1\n1,0.9\xff\n", "in.csv:3: not UTF-8 text"),
+        (b"s,t\n0.1,0.2\n", "in.csv: header must contain a 'label' column"),
+        (b"", "in.csv: empty file, expected a header row"),
+    ])
+    def test_rejections_match_the_reader(self, content, message):
+        for read in (empirical.score_names, lambda p, c: read_scores_csv(p, content=c)):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                read("in.csv", content)
+
+
 def test_regexes_need_no_newer_python():
     """pyproject.toml declares Python 3.10: no pattern in the package may use
     a possessive quantifier or an atomic group, which re accepts from 3.11
