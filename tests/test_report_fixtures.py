@@ -41,6 +41,9 @@ REPORTS = {
     "evaluate_golden4_beta_weight": [
         "evaluate", "golden4.csv", "--prior", "fixed", "--pi0", "0.3", "--weight", "beta",
         "--alpha", "2", "--beta", "5"],
+    "compare_rank_disagreement_prior_beta": [
+        "compare", "rank_disagreement.csv", "--columns", "model_a,model_b", "--prior", "beta",
+        "--seed", "5", "--mc-samples", "40000"],
 }
 CURVES = "curves_golden4"
 CURVE_FILES = ("loss_curve.csv", "weight.csv", "roc.csv")
