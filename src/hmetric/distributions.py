@@ -372,6 +372,14 @@ def _partial_pair(a, b, x):
     return _broadcast(a, b, x)
 
 
+def _beta_moments(a, b, u):
+    """The partial moments of a Beta(a, b) cost weight at u, broadcast:
+    (a/(a+b)) I_u(a + 1, b) and (b/(a+b)) (1 - I_u(a, b + 1)), by the
+    shape shift c b(c; a, b) = (a/(a+b)) b(c; a + 1, b)."""
+    below, above = _partial_pair(a, b, u)
+    return (a / (a + b)) * below, (b / (a + b)) * above
+
+
 def _beta_pdf_arr(c, a, b):
     """Beta density on interior points; no domain checks."""
     c = np.asarray(c, dtype=float)
@@ -441,7 +449,7 @@ class BetaWeight(WeightFunction):
     Partial moments come in closed form from the shape-shift identity
     c b(c; a, b) = (a / (a + b)) b(c; a + 1, b), so m0 and m1 reduce to
     regularized incomplete betas with one shape raised by one, which one
-    continued fraction gives together (_partial_pair).
+    continued fraction gives together (_beta_moments).
     """
 
     def __init__(self, alpha: float, beta: float):
@@ -476,11 +484,7 @@ class BetaWeight(WeightFunction):
         return (a - 1.0) / (a + b - 2.0)
 
     def partial_moments(self, upper):
-        u = _check_upper(upper)
-        a, b = self.alpha, self.beta
-        below, above = _partial_pair(a, b, u)
-        m0 = (a / (a + b)) * below
-        m1 = (b / (a + b)) * above
+        m0, m1 = _beta_moments(self.alpha, self.beta, _check_upper(upper))
         if np.isscalar(upper):
             return float(m0), float(m1)
         return m0, m1

@@ -11,11 +11,13 @@ When the class proportions themselves are uncertain, pi0 is drawn from
 the config's Beta(prior_alpha, prior_beta) (Beta(2, 2) by default), the
 cost weight becomes the conditional Beta(2 - pi0, 1 + pi0), and H is one
 minus the expected loss-to-reference ratio over the prior draws,
-estimated by seeded Monte Carlo with a deterministic chunk layout.  A
-report draws the priors once for all its columns, and the reference loss
-is evaluated exactly once per draw.  Every partial moment here comes from
-one partial pair per point (distributions._partial_pair: I_u(a + 1, b)
-and 1 - I_u(a, b + 1) from one front factor and one continued fraction).
+estimated by seeded Monte Carlo: one loop over _mc's chunk streams adds
+each column's ratio sums in chunk order.  A report draws the priors once
+for all its columns, and the reference loss is evaluated exactly once per
+draw.  Every partial moment here comes from one partial pair per point
+(distributions._partial_pair: I_u(a + 1, b) and 1 - I_u(a, b + 1) from
+one front factor and one continued fraction), scaled into the conditional
+weight's moments by distributions._beta_moments outside the class sums.
 In calibrated mode the loss needs two count-weighted sums over the
 column's scores, of I_s(3 - pi0, 1 + pi0) over class 0 and of
 1 - I_s(2 - pi0, 2 + pi0) over class 1; both are analytic in pi0 on
@@ -38,9 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mc import combine_mean_stderr, run_chunks
+from ._mc import chunk_streams
 from .config import EvalConfig
-from .distributions import BetaWeight, WeightFunction, _partial_pair
+from .distributions import BetaWeight, WeightFunction, _beta_moments, _partial_pair
 from .empirical import (ClassPriors, EmpiricalCdfPair, LabeledScores, empirical_cdfs,
                         empirical_priors, load_tabulated_weight)
 from .errors import ConfigError
@@ -170,17 +172,10 @@ def _conditional_shapes(pi0s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 - pi0s, 1.0 + pi0s
 
 
-def _partial_moments_batch(pi0s, upper):
-    """m0 and m1 at upper under each draw's conditional weight."""
-    a, b = _conditional_shapes(pi0s)
-    below, above = _partial_pair(a, b, upper)
-    return (a / (a + b)) * below, (b / (a + b)) * above
-
-
 def _reference_loss_batch(pi0s: np.ndarray) -> np.ndarray:
     """Closed-form no-skill loss at each prior, under the conditional weight."""
     pi1s = 1.0 - pi0s
-    m0, m1 = _partial_moments_batch(pi0s, pi1s)
+    m0, m1 = _beta_moments(*_conditional_shapes(pi0s), pi1s)
     return pi0s * m0 + pi1s * m1
 
 
@@ -257,10 +252,11 @@ def _loss_at(cdfs: EmpiricalCdfPair, mode: str):
     if mode == "calibrated":
         coef = _calibrated_coefficients(cdfs)
         return lambda pi0s: _calibrated_loss_batch(pi0s, coef)
+    hull = cdfs.hull
 
     def loss(pi0s):
-        env = _hull_envelope(pi0s[:, None], cdfs.hull)
-        return env.integrate(*_partial_moments_batch(pi0s[:, None], env.breaks))
+        env = _hull_envelope(pi0s[:, None], hull)
+        return env.integrate(*_beta_moments(*_conditional_shapes(pi0s[:, None]), env.breaks))
 
     return loss
 
@@ -268,26 +264,24 @@ def _loss_at(cdfs: EmpiricalCdfPair, mode: str):
 def _uncertain_priors(columns: list[LabeledScores], config: EvalConfig) -> list[HResult]:
     """h_measure_uncertain_priors of each column, over one set of draws:
     each chunk draws its priors and evaluates their reference loss once,
-    then every column's loss ratio at them."""
-    if config.prior != "beta":
-        raise ConfigError(f"the prior-uncertain H-measure needs a beta prior, not {config.prior!r}")
+    then every column's loss ratio at them, whose sums are added in chunk
+    order."""
     alpha, beta = config.prior_alpha, config.prior_beta
     losses = [_loss_at(empirical_cdfs(data), config.threshold_mode) for data in columns]
+    sums = [0.0] * len(losses)
+    squares = [0.0] * len(losses)
     tiny = np.finfo(float).tiny
-
-    def one_chunk(rng, count):
+    for rng, count in chunk_streams(config.seed, config.outer_samples):
         pi0s = np.clip(rng.beta(alpha, beta, size=count), tiny, 1.0 - 1e-16)
         reference = _reference_loss_batch(pi0s)
-        sums = []
-        for loss in losses:
+        for k, loss in enumerate(losses):
             ratios = loss(pi0s) / reference
-            sums.append((float(np.sum(ratios)), float(np.sum(ratios * ratios)), count))
-        return sums
-
-    chunks = run_chunks(one_chunk, config.seed, config.outer_samples)
+            sums[k] += float(np.sum(ratios))
+            squares[k] += float(np.sum(ratios * ratios))
+    n = config.outer_samples
     results = []
-    for parts in zip(*chunks):  # one column's chunk sums, in chunk order
-        mean_ratio, stderr = combine_mean_stderr(parts)
+    for s, ss in zip(sums, squares):
+        mean_ratio = s / n
         h = 1.0 - mean_ratio
         results.append(HResult(
             h=float(h),
@@ -295,7 +289,7 @@ def _uncertain_priors(columns: list[LabeledScores], config: EvalConfig) -> list[
             reference_loss=1.0,
             weight_used={"kind": "beta_conditional_on_prior"},
             prior_used={"kind": "beta", "alpha": alpha, "beta": beta},
-            mc_stderr=stderr,
+            mc_stderr=float(np.sqrt(max(ss - n * mean_ratio * mean_ratio, 0.0) / (n - 1) / n)),
             warnings=_warnings_for(h, config.threshold_mode) + _heavy_tail(config),
         ))
     return results
@@ -312,4 +306,6 @@ def h_measure_uncertain_priors(data: LabeledScores, config: EvalConfig) -> HResu
     prior draws.  The empirical CDFs stay fixed while the prior varies;
     only the class weighting changes.
     """
+    if config.prior != "beta":
+        raise ConfigError(f"the prior-uncertain H-measure needs a beta prior, not {config.prior!r}")
     return _uncertain_priors([data], config)[0]

@@ -15,6 +15,7 @@ from hmetric import (
 )
 from hmetric.empirical import ClassPriors, empirical_cdfs
 from hmetric.report import build_report
+import hmetric.distributions as distributions
 import hmetric.hmeasure as hmeasure
 from hmetric.hmeasure import PRIOR_NODES, _loss_at, _reference_loss_batch
 from conftest import random_dataset
@@ -306,7 +307,9 @@ def _counting_pairs(monkeypatch):
         seen.append(np.broadcast(a, b, x).size)
         return own(a, b, x)
 
+    # the class sums call it from hmeasure, the per-draw moments through _beta_moments
     monkeypatch.setattr(hmeasure, "_partial_pair", counted)
+    monkeypatch.setattr(distributions, "_partial_pair", counted)
     return seen
 
 

@@ -1,4 +1,4 @@
-"""Chunked Monte Carlo: per-chunk streams made as chunks start, results
+"""Chunked Monte Carlo: per-chunk streams made as chunks are asked for,
 in chunk order, memory flat in the number of chunks."""
 
 import tracemalloc
@@ -6,16 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hmetric._mc import MC_CHUNK, combine_mean_stderr, run_chunks
+from hmetric._mc import MC_CHUNK, chunk_streams
 
 
 def _draws(rng, count):
     v = rng.random(count)
     return float(v.sum()), float(v @ v), count
-
-
-def _trivial(rng, count):
-    return 0.0, 0.0, count
 
 
 @pytest.mark.parametrize("total", [2, MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK + 7])
@@ -25,16 +21,15 @@ def test_chunks_match_spawned_streams(total):
     counts = [MC_CHUNK] * full + ([rem] if rem else [])
     streams = np.random.SeedSequence(17).spawn(len(counts))
     want = [_draws(np.random.default_rng(s), c) for s, c in zip(streams, counts)]
-    assert list(run_chunks(_draws, 17, total)) == want
+    assert [_draws(rng, count) for rng, count in chunk_streams(17, total)] == want
 
 
 def test_memory_flat_in_chunk_count():
-    combine_mean_stderr(run_chunks(_trivial, 5, 100, chunk=1))  # first-use allocations
+    sum(count for _, count in chunk_streams(5, 100, chunk=1))  # first-use allocations
     tracemalloc.start()
     try:
-        combine_mean_stderr(run_chunks(_trivial, 5, 20000, chunk=1))
+        sum(count for _, count in chunk_streams(5, 20000, chunk=1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-
