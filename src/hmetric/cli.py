@@ -217,6 +217,8 @@ def compare(input_csv, columns, out, **cfg):
         repeated = [name for name in dict.fromkeys(wanted) if wanted.count(name) > 1]
         if repeated:
             raise ConfigError(f"score columns listed more than once: {', '.join(repeated)}")
+        if len(wanted) < 2:
+            raise ConfigError("comparison requires at least two score columns")
         names, all_columns, labels, fingerprint = _read_fingerprinted(input_csv, wanted)
         report = build_report(
             {name: all_columns[name] for name in wanted},
@@ -276,11 +278,11 @@ def curves(input_csv, column, resolution, out_dir, **cfg):
             raise ConfigError(f"input has {len(names)} score columns; pick one with --column")
         if column is not None and column not in names:
             raise ConfigError(f"score column {column!r} not in the input")
-        _, all_columns, labels = read_scores_csv(input_csv, content=raw)
+        _, columns, labels = read_scores_csv(input_csv, content=raw)
         del raw  # parsed: the curves need none of the bytes
-
-        data = ingest(all_columns[names[0] if column is None else column], labels,
+        data = ingest(columns.pop(names[0] if column is None else column), labels,
                       normalization=config.normalization)
+        del columns  # nor the columns they do not plot
         priors = resolve_priors(config, data)
         weight = resolve_weight(config, priors)
         cdfs = empirical_cdfs(data)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, asdict
 
 from .errors import ConfigError
@@ -30,6 +31,8 @@ NORMALIZATIONS = ("reject", "minmax", "logistic")
 def _point_mass_at(spec: str) -> float | None:
     """The threshold of a 'point:<t>' spec, None for 'pooled' and
     'class1-ranks'; any other spec is a ConfigError."""
+    if not isinstance(spec, str):
+        raise ConfigError(f"a threshold distribution spec must be a string, got {spec!r}")
     if spec in ("pooled", "class1-ranks"):
         return None
     if spec.startswith("point:"):
@@ -70,7 +73,8 @@ KIND_FIELDS = {
 # What a beta prior takes where these are unset; its seed has no default.
 BETA_PRIOR_DEFAULTS = {"outer_samples": 10000, "prior_alpha": 2.0, "prior_beta": 2.0}
 # The numeric fields and the Python type each is stored as, so that the echo
-# serializes whatever numpy number was passed.
+# serializes whatever numpy number was passed; screening proportions are
+# stored as floats the same way.
 NUMBER_FIELDS = {**dict.fromkeys(("weight_alpha", "weight_beta", "pi0", "prior_alpha",
                                   "prior_beta"), float), "outer_samples": int, "seed": int}
 # The largest beta weight shape: the incomplete beta keeps its 1e-12 relative
@@ -78,6 +82,16 @@ NUMBER_FIELDS = {**dict.fromkeys(("weight_alpha", "weight_beta", "pi0", "prior_a
 # a 50-digit series; 1.7e-12 at 1e7), and its continued fraction, which
 # needs O(sqrt(a + b)) steps there, stops converging at 1e14.
 MAX_WEIGHT_SHAPE = 1e6
+
+
+def _as_number(what, value, cast):
+    """value as the Python number cast makes of it; bools, though Integral,
+    are not counts, seeds, shapes, priors or proportions."""
+    kind, noun = ((numbers.Integral, "an integer") if cast is int
+                  else (numbers.Real, "a real number"))
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{what} must be {noun}, got {value!r}")
+    return cast(value)
 
 
 @dataclass(frozen=True)
@@ -101,7 +115,12 @@ class EvalConfig:
         def put(name, value):
             object.__setattr__(self, name, value)
 
-        put("screen_proportions", tuple(self.screen_proportions))
+        for name in ("screen_proportions", "u_dists"):
+            value = getattr(self, name)
+            if isinstance(value, str) or not isinstance(value, Iterable):
+                raise ConfigError(f"{name} must be a sequence, got {value!r}")
+        put("screen_proportions", tuple(_as_number("screening proportion", p, float)
+                                        for p in self.screen_proportions))
         put("u_dists", tuple(self.u_dists))
         for name, what, kinds in (("weight", "weight kind", WEIGHT_KINDS),
                                   ("prior", "prior kind", PRIOR_KINDS),
@@ -113,16 +132,9 @@ class EvalConfig:
             if getattr(self, name) is not None and getattr(self, field) != kind:
                 raise ConfigError(f"{name} applies to a {kind} {field} only, "
                                   f"not to {getattr(self, field)!r}")
-        # numpy numbers are stored as Python ones; bools, though Integral,
-        # are not counts, seeds, shapes or priors
         for name, cast in NUMBER_FIELDS.items():
-            value = getattr(self, name)
-            kind, what = ((numbers.Integral, "an integer") if cast is int
-                          else (numbers.Real, "a real number"))
-            if value is not None:
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise ConfigError(f"{name} must be {what}, got {value!r}")
-                put(name, cast(value))
+            if getattr(self, name) is not None:
+                put(name, _as_number(name, getattr(self, name), cast))
         if self.weight == "beta":
             if self.weight_alpha is None or self.weight_beta is None:
                 raise ConfigError("beta weight requires alpha and beta")

@@ -278,6 +278,7 @@ def _uncertain_priors(columns: list[LabeledScores], config: EvalConfig) -> list[
             ratios = loss(pi0s) / reference
             sums[k] += float(np.sum(ratios))
             squares[k] += float(np.sum(ratios * ratios))
+            del ratios  # not held through the next column's batch
     n = config.outer_samples
     results = []
     for s, ss in zip(sums, squares):

@@ -474,11 +474,13 @@ class TestCurves:
         assert "--column" in result.output
 
 
-# Column choices the header alone settles.
+# Column choices the header alone settles, or the arguments alone.
 HEADER_REJECTIONS = [
     (["compare", "--columns", "model_a,nope"], "score columns not in the input: nope"),
     (["curves", "--column", "nope"], "score column 'nope' not in the input"),
     (["curves"], "input has 2 score columns; pick one with --column"),
+    (["compare", "--columns", "model_a"], "comparison requires at least two score columns"),
+    (["compare", "--columns", ","], "comparison requires at least two score columns"),
 ]
 
 
@@ -507,6 +509,31 @@ def test_columns_checked_with_no_row_parsed(runner, fixtures_dir, tmp_path, args
         result = _reject(runner, tmp_path, fixtures_dir / "rank_disagreement.csv", args)
     assert result.exit_code == 3, result.output
     assert result.output == f"error: {message}\n"
+
+
+def test_curves_frees_the_columns_it_does_not_plot(runner, fixtures_dir, tmp_path, monkeypatch):
+    import weakref
+
+    import hmetric.cli as cli
+
+    parsed = {}
+    read, curve = cli.read_scores_csv, cli.loss_curve
+
+    def reading(*args, **kwargs):
+        names, columns, labels = read(*args, **kwargs)
+        parsed.update((name, weakref.ref(scores)) for name, scores in columns.items())
+        return names, columns, labels
+
+    def plotting(*args, **kwargs):
+        assert parsed["model_b"]() is None, "the unplotted column is still alive"
+        return curve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_scores_csv", reading)
+    monkeypatch.setattr(cli, "loss_curve", plotting)
+    result = runner.invoke(main, ["curves", str(fixtures_dir / "rank_disagreement.csv"),
+                                  "--column", "model_a", "--out-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert sorted(parsed) == ["model_a", "model_b"]
 
 
 SHARED_FLAGS = ["--weight", "--alpha", "--beta", "--prior", "--pi0", "--mode", "--normalize"]

@@ -67,6 +67,14 @@ def test_default_config_valid():
         ({"prior": "beta", "seed": 1, "prior_beta": 3j}, "prior_beta must be a real number"),
         ({"weight": "beta", "weight_alpha": 2.0, "weight_beta": 1e14}, "at most 1e\\+06"),
         ({"weight": "beta", "weight_alpha": 1.000001e6, "weight_beta": 2.0}, "at most 1e\\+06"),
+        ({"screen_proportions": ("0.25",)}, "screening proportion must be a real number"),
+        ({"screen_proportions": (None,)}, "screening proportion must be a real number"),
+        ({"screen_proportions": (True,)}, "screening proportion must be a real number"),
+        ({"screen_proportions": "0.25"}, "screen_proportions must be a sequence"),
+        ({"u_dists": (0.5,)}, "spec must be a string, got 0.5"),
+        ({"u_dists": "pooled"}, "u_dists must be a sequence, got 'pooled'"),
+        ({"u_dists": None}, "u_dists must be a sequence, got None"),
+        ({"screen_proportions": 0.25}, "screen_proportions must be a sequence, got 0.25"),
     ],
 )
 def test_rejections(kwargs, message):

@@ -143,6 +143,15 @@ class TestBuildReport:
         assert echo[name] == float(kwargs[name])
         assert type(getattr(config, name)) is float
 
+    def test_numpy_screening_proportions_render(self):
+        # screening proportions are stored as Python floats like the float
+        # fields, so the report's echo serializes
+        cols, labels = _columns(13)
+        config = EvalConfig(screen_proportions=(np.float32(0.25),))
+        echo = json.loads(render_report(build_report(cols, labels, config)))["provenance"]["config"]
+        assert echo["screen_proportions"] == [0.25]
+        assert type(config.screen_proportions[0]) is float
+
     def test_fingerprint_stable(self):
         cols, labels = _columns(12)
         f1 = report_mod.fingerprint_arrays(cols, labels)

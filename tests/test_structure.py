@@ -1,7 +1,10 @@
-"""Where the CSV format is decided: empirical.py holds the package's only
+"""Where decisions live, read from the source by its syntax tree, so
+nothing is imported to check them: empirical.py holds the package's only
 csv reader, and distributions.py, which computes the cost weights, reads
-no file (both read from the source by its syntax tree, so nothing is
-imported to check them)."""
+no file; _mc.py alone makes random streams, so the seed's chunk layout is
+in one module; and in hmeasure.py only the calibrated class sums call the
+bare partial pair, every other partial moment going through
+distributions._beta_moments."""
 
 import ast
 from pathlib import Path
@@ -34,3 +37,30 @@ def test_csv_reader_called_only_in_empirical():
         and isinstance(node.func.value, ast.Name) and node.func.value.id == "csv"
     }
     assert callers == {"empirical.py"}
+
+
+def _called_name(node):
+    """The name a call is made by: f(...) or module.f(...)."""
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_random_streams_made_only_in_mc():
+    callers = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in _nodes(path)
+        if isinstance(node, ast.Call) and _called_name(node) in {"default_rng", "SeedSequence"}
+    }
+    assert callers == {"_mc.py"}
+
+
+def test_partial_pair_called_only_in_node_sums():
+    module = ast.parse((SRC / "hmeasure.py").read_bytes())
+    callers = {
+        top.name if isinstance(top, ast.FunctionDef) else type(top).__name__
+        for top in module.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and _called_name(node) == "_partial_pair"
+    }
+    assert callers == {"_node_sums"}
