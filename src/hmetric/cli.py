@@ -23,9 +23,9 @@ from .errors import ConfigError, DegenerateDataError, HmetricError
 logger = logging.getLogger("hmetric")
 
 # The numeric names the commands use, by the module that defines them.
-# They load once a config is built, so --help and a config error start
-# without numpy; until then, reading one as a module attribute loads them
-# too.
+# A command loads the modules it calls once its config is built, so --help
+# and a config error start without numpy; reading a name as a module
+# attribute loads them all.
 _NUMERIC = {
     "read_bytes": "empirical",
     "read_scores_csv": "empirical",
@@ -36,17 +36,17 @@ _NUMERIC = {
     "CURVE_GRID": "loss",
     "build_report": "report",
     "render_report": "report",
-    "resolve_priors": "report",
-    "resolve_weight": "report",
+    "resolve_priors": "hmeasure",
+    "resolve_weight": "hmeasure",
 }
 
 
-def _load_numeric():
-    """Bind every numeric name not yet bound here; a name already set,
-    such as a wrapped or patched one, is kept."""
+def _load_numeric(*modules):
+    """Bind the numeric names of the given modules (all by default) not yet
+    bound here; a name already set, such as a wrapped or patched one, is kept."""
     names = globals()
     for name, module in _NUMERIC.items():
-        if name not in names:
+        if name not in names and (not modules or module in modules):
             names[name] = getattr(import_module(f".{module}", __package__), name)
 
 
@@ -137,7 +137,7 @@ def _build_config(weight, alpha, beta, prior, pi0, mode, normalize,
                 proportions.append(float(token))
             except ValueError:
                 raise ConfigError(f"bad screening proportion {token!r}") from None
-    config = EvalConfig(
+    return EvalConfig(
         weight=weight_kind,
         weight_alpha=alpha,
         weight_beta=beta,
@@ -151,8 +151,6 @@ def _build_config(weight, alpha, beta, prior, pi0, mode, normalize,
         screen_proportions=tuple(proportions),
         u_dists=tuple(u_dist),
     )
-    _load_numeric()
-    return config
 
 
 def _write_report(report: dict, out: str):
@@ -194,6 +192,7 @@ def evaluate(input_csv, out, **cfg):
 
     def body():
         config = _build_config(**cfg)
+        _load_numeric()
         names, columns, labels, fingerprint = _read_fingerprinted(input_csv)
         report = build_report(columns, labels, config, data_fingerprint=fingerprint)
         _write_report(report, out)
@@ -219,6 +218,7 @@ def compare(input_csv, columns, out, **cfg):
             raise ConfigError(f"score columns listed more than once: {', '.join(repeated)}")
         if len(wanted) < 2:
             raise ConfigError("comparison requires at least two score columns")
+        _load_numeric()
         names, all_columns, labels, fingerprint = _read_fingerprinted(input_csv, wanted)
         report = build_report(
             {name: all_columns[name] for name in wanted},
@@ -232,9 +232,8 @@ def compare(input_csv, columns, out, **cfg):
     _run(body)
 
 
-# Rows per chunk of a curve CSV: only one chunk's Python floats exist at a
-# time, whatever the number of rows.  Iterating the arrays themselves would
-# take no memory at all but twice the time.
+# Rows per chunk of a curve CSV: only one chunk's Python floats and
+# strings exist at a time, whatever the number of rows.
 CSV_CHUNK = 1024
 
 
@@ -242,13 +241,22 @@ def _write_csv(path: Path, header: str, xs, ys):
     """Two parallel float arrays as CSV columns at 10 significant digits,
     in the csv module's default dialect (CRLF line ends; no number needs
     quoting).  The rows are formatted CSV_CHUNK at a time, so the memory
-    they take stays flat in the number of rows."""
-    row = "{:.10g},{:.10g}\r\n".format
+    they take stays flat in the number of rows, and each run of equal
+    values in a chunk's column is formatted once: an ROC row moves only
+    one of its two coordinates."""
+    import numpy as np
+
+    def texts(values):
+        bits = values.view(np.int64)  # so that -0.0 after 0.0 starts a run
+        new = np.concatenate(([True], bits[1:] != bits[:-1]))
+        formatted = np.array(list(map("{:.10g}".format, values[new].tolist())), dtype=object)
+        return formatted[np.cumsum(new) - 1].tolist()
+
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(header + "\r\n")
         for lo in range(0, xs.size, CSV_CHUNK):
-            hi = lo + CSV_CHUNK
-            fh.writelines(map(row, xs[lo:hi].tolist(), ys[lo:hi].tolist()))
+            rows = zip(texts(xs[lo:lo + CSV_CHUNK]), texts(ys[lo:lo + CSV_CHUNK]))
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 @main.command()
@@ -272,6 +280,7 @@ def curves(input_csv, column, resolution, out_dir, **cfg):
         if resolution is not None and resolution < MIN_RESOLUTION:
             raise ConfigError(f"resolution must be at least {MIN_RESOLUTION}, got {resolution}")
         config = _build_config(**cfg)
+        _load_numeric("empirical", "loss", "hmeasure")  # no report code
         raw = read_bytes(input_csv)
         names = score_names(input_csv, raw)
         if column is None and len(names) != 1:

@@ -450,6 +450,47 @@ class TestCurves:
             "{:.10g},{:.10g}\r\n".format(x, y) for x, y in zip(xs.tolist(), ys.tolist()))
         assert (tmp_path / "curve.csv").read_bytes() == want.encode("utf-8")
 
+    @pytest.mark.parametrize("runs", [
+        [1] * (2 * CSV_CHUNK + 3),  # tpr holds for every row, over whole chunks
+        [CSV_CHUNK - 1, 1, CSV_CHUNK + 1, 1, 2, 1, 3],
+        [3, 3 * CSV_CHUNK, 1, 1, 1, 1, 5],  # fpr holds over whole chunks
+        [CSV_CHUNK + 1] * 7,  # every chunk boundary inside a run
+    ])
+    def test_csv_rows_with_runs_across_chunks(self, tmp_path, runs):
+        # ROC-shaped columns: each row moves one coordinate, so fpr holds
+        # through a run while tpr steps, and tpr holds where fpr steps
+        levels = np.array([1.0, 1.0 - 2.0**-53, 0.1, 5e-324, 0.0, -0.0, 1e10 / 3])
+        run = np.repeat(np.arange(len(runs)), runs)
+        steps = np.cumsum(np.r_[False, run[1:] == run[:-1]])
+        xs, ys = levels[run % levels.size], levels[steps % levels.size]
+        _write_csv(tmp_path / "roc.csv", "fpr,tpr", xs, ys)
+        want = "fpr,tpr\r\n" + "".join(
+            "{:.10g},{:.10g}\r\n".format(x, y) for x, y in zip(xs.tolist(), ys.tolist()))
+        assert (tmp_path / "roc.csv").read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("column", ["fine", "coarse"])
+    def test_roc_rows_over_chunks_with_shared_scores(self, runner, tmp_path, column):
+        rng = np.random.default_rng(19)
+        labels = (rng.random(5000) < 0.3).astype(int)
+        fine = 1.0 / (1.0 + np.exp(-(rng.standard_normal(5000) + labels)))
+        coarse = np.round(fine, 2)  # about 100 scores, each held by both classes
+        path = tmp_path / "scores.csv"
+        path.write_text("label,fine,coarse\n" + "".join(
+            f"{y},{f:.17g},{c:.2f}\n" for y, f, c in zip(labels, fine, coarse)), encoding="utf-8")
+        result = runner.invoke(main, ["curves", str(path), "--column", column,
+                                      "--out-dir", str(tmp_path / "curves")])
+        assert result.exit_code == 0, result.output
+
+        scores = np.loadtxt(path, delimiter=",", skiprows=1, usecols=1 + (column == "coarse"))
+        u, group = np.unique(scores, return_inverse=True)
+        assert (u.size > CSV_CHUNK) == (column == "fine")
+        rows = ["fpr,tpr\r\n"]
+        cum0 = np.cumsum(np.bincount(group[labels == 0], minlength=u.size))
+        cum1 = np.cumsum(np.bincount(group[labels == 1], minlength=u.size))
+        fpr, tpr = 1.0 - cum0 / cum0[-1], 1.0 - cum1 / cum1[-1]
+        rows += ["{:.10g},{:.10g}\r\n".format(x, y) for x, y in zip(fpr.tolist(), tpr.tolist())]
+        assert (tmp_path / "curves" / "roc.csv").read_bytes() == "".join(rows).encode("utf-8")
+
     @pytest.mark.parametrize("resolution,rows", [([], 4096), (["--resolution", "1024"], 1024)])
     def test_resolution_sets_the_curve_grid(self, runner, fixtures_dir, tmp_path,
                                             resolution, rows):
@@ -658,6 +699,30 @@ def test_compute_commands_leave_out_scipy(fixtures_dir, tmp_path, args):
             "    print(exc.code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
             "                           or m in ('numpy.polynomial', 'hmetric.thresholds')))")
     assert _fresh_interpreter(code, *args) == "0 []"
+
+
+REPORT_CODE = ["hmetric.auc", "hmetric.report"]
+
+
+@pytest.mark.parametrize(
+    "args,loaded",
+    [
+        (["curves", "golden4.csv", "--out-dir", "{tmp}/curves"], []),
+        (["evaluate", "golden4.csv", "--out", "{tmp}/report.json"], REPORT_CODE),
+        (["compare", "rank_disagreement.csv", "--columns", "model_a,model_b",
+          "--out", "{tmp}/report.json"], REPORT_CODE),
+    ],
+)
+def test_only_report_commands_load_report_code(fixtures_dir, tmp_path, args, loaded):
+    # curves writes no report, so it skips the AUC, JSON and schema imports
+    args = [str(fixtures_dir / a) if a.endswith(".csv") and "{" not in a
+            else a.format(tmp=tmp_path) for a in args]
+    code = ("import sys\nfrom hmetric.cli import main\n"
+            "try:\n    main(sys.argv[1:])\nexcept SystemExit as exc:\n"
+            f"    print(exc.code, sorted({{*{REPORT_CODE!r}}} & set(sys.modules)))")
+    assert _fresh_interpreter(code, *args) == f"0 {loaded}"
+    if loaded:
+        validate(_read_report(tmp_path / "report.json"), REPORT_SCHEMA)
 
 
 def test_load_keeps_names_set_before_it(fixtures_dir, tmp_path):

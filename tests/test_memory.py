@@ -111,6 +111,18 @@ def test_curve_writer_flat_in_rows(tmp_path):
     assert peaks[1] < MB
 
 
+def test_curve_writer_flat_in_rows_with_runs(tmp_path):
+    # ROC-shaped: each row steps fpr or tpr, in runs of 3,000 rows, so a
+    # run covers whole chunks and each value is formatted once per chunk
+    peaks = []
+    for n in (20_000, 200_000):
+        step1 = (np.arange(n) // 3000) % 2 == 1
+        xs, ys = 1.0 - np.cumsum(~step1) / n, 1.0 - np.cumsum(step1) / n
+        peaks.append(_traced_peak(partial(_write_csv, tmp_path / "roc.csv", "fpr,tpr", xs, ys)))
+    assert peaks[1] < peaks[0] + 64 * 1024
+    assert peaks[1] < MB
+
+
 # Peak resident set over the import floor, in MB, on 1e5 rows: measured
 # 13.0 for evaluate, 12.6 for compare and 10.0 for curves (20.2, 13.1 and
 # 16.5 before the working set was bounded).
