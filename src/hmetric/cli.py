@@ -72,10 +72,10 @@ def _exit_code(exc: HmetricError) -> int:
     return 2
 
 
-def _run(body):
+def _run(body, *args):
     _setup_logging()
     try:
-        body()
+        body(*args)
     except HmetricError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(_exit_code(exc))
@@ -89,31 +89,33 @@ def _options(*options):
     return lambda fn: functools.reduce(lambda f, opt: opt(f), reversed(options), fn)
 
 
-# The config flags every command reads.
+# The config flags every command reads, each stored under the name of the
+# EvalConfig field it sets; --weight also carries a tabulated weight's path.
 _SHARED_OPTIONS = (
     click.option("--weight", default="default", show_default=True,
                  help="Cost weight: 'default', 'beta', or 'tabulated:<csv path>'."),
-    click.option("--alpha", type=float, default=None, help="Alpha shape for --weight beta."),
-    click.option("--beta", type=float, default=None, help="Beta shape for --weight beta."),
+    click.option("--alpha", "weight_alpha", type=float, help="Alpha shape for --weight beta."),
+    click.option("--beta", "weight_beta", type=float, help="Beta shape for --weight beta."),
     click.option("--prior", default="empirical", show_default=True,
                  help="Prior handling: 'empirical', 'fixed', or 'beta' "
                       "(pi0 drawn from Beta(2,2); evaluate and compare only, with --seed)."),
-    click.option("--pi0", type=float, default=None, help="pi0 for --prior fixed."),
-    click.option("--mode", default="calibrated", show_default=True,
+    click.option("--pi0", type=float, help="pi0 for --prior fixed."),
+    click.option("--mode", "threshold_mode", default="calibrated", show_default=True,
                  help="Threshold rule: 'calibrated' or 'optimal'."),
-    click.option("--normalize", default="reject", show_default=True,
+    click.option("--normalize", "normalization", default="reject", show_default=True,
                  help="Score normalization: 'reject', 'minmax' or 'logistic'."),
 )
-# The config flags only a report reads.
+# The config flags only a report reads; --screen is a comma list.
 _REPORT_OPTIONS = (
-    click.option("--mc-samples", "outer_samples", type=int, default=None,
+    click.option("--mc-samples", "outer_samples", type=int,
                  help="Number of prior draws under --prior beta, rejected without it.  "
                       f"[default: {BETA_PRIOR_DEFAULTS['outer_samples']}]"),
-    click.option("--seed", type=int, default=None,
+    click.option("--seed", type=int,
                  help="Seed of the prior draws; required with --prior beta, "
                       "rejected without it."),
-    click.option("--screen", default="", help="Screening proportions, e.g. '0.1,0.25'."),
-    click.option("--u-dist", multiple=True,
+    click.option("--screen", "screen_proportions", default="",
+                 help="Screening proportions, e.g. '0.1,0.25'."),
+    click.option("--u-dist", "u_dists", multiple=True,
                  help="Independent threshold distribution: 'pooled', "
                       "'class1-ranks' or 'point:<t>' (repeatable)."),
 )
@@ -121,60 +123,67 @@ _REPORT_OPTIONS = (
 MIN_RESOLUTION = 1024
 
 
-def _build_config(weight, alpha, beta, prior, pi0, mode, normalize,
-                  outer_samples=None, seed=None, screen="", u_dist=()) -> EvalConfig:
-    weight_kind, weight_path = weight, None
+def _build_config(weight, screen_proportions="", **fields) -> EvalConfig:
+    """The config the flags set: each flag's value is its field's, but for
+    the path --weight carries after 'tabulated:' and the comma list of --screen."""
+    weight_path = None
     if weight.startswith("tabulated:"):
-        weight_kind, weight_path = "tabulated", weight.split(":", 1)[1]
+        weight, weight_path = "tabulated", weight.split(":", 1)[1]
     elif weight == "tabulated":
         raise ConfigError("tabulated weight needs a path: --weight tabulated:<csv path>")
-    if weight_kind == "beta" and (alpha is None or beta is None):
+    if weight == "beta" and (fields["weight_alpha"] is None or fields["weight_beta"] is None):
         raise ConfigError("--weight beta requires --alpha and --beta")
     proportions = []
-    if screen:
-        for token in screen.split(","):
-            try:
-                proportions.append(float(token))
-            except ValueError:
-                raise ConfigError(f"bad screening proportion {token!r}") from None
-    return EvalConfig(
-        weight=weight_kind,
-        weight_alpha=alpha,
-        weight_beta=beta,
-        weight_path=weight_path,
-        prior=prior,
-        pi0=pi0,
-        threshold_mode=mode,
-        outer_samples=outer_samples,
-        seed=seed,
-        normalization=normalize,
-        screen_proportions=tuple(proportions),
-        u_dists=tuple(u_dist),
-    )
+    for token in screen_proportions.split(",") if screen_proportions else ():
+        try:
+            proportions.append(float(token))
+        except ValueError:
+            raise ConfigError(f"bad screening proportion {token!r}") from None
+    return EvalConfig(weight=weight, weight_path=weight_path,
+                      screen_proportions=proportions, **fields)
 
 
-def _write_report(report: dict, out: str):
-    text = render_report(report)
+def _read_columns(input_csv: str, pick=None):
+    """(The bytes of INPUT_CSV, its score columns, its labels), from one
+    read.  pick, when given, chooses the columns to keep from the score
+    column names, taken from the header before any row is parsed."""
+    raw = read_bytes(input_csv)
+    kept = None if pick is None else pick(score_names(input_csv, raw))
+    _, columns, labels = read_scores_csv(input_csv, content=raw)
+    if kept is not None:
+        columns = {name: columns[name] for name in kept}
+    return raw, columns, labels
+
+
+def _report(input_csv: str, out: str, cfg: dict, wanted=None):
+    """Write the JSON report on every score column of INPUT_CSV or, with
+    wanted, the comparison report on those columns."""
+    config = _build_config(**cfg)
+    if wanted is not None:
+        repeated = [name for name in dict.fromkeys(wanted) if wanted.count(name) > 1]
+        if repeated:
+            raise ConfigError(f"score columns listed more than once: {', '.join(repeated)}")
+        if len(wanted) < 2:
+            raise ConfigError("comparison requires at least two score columns")
+    _load_numeric()
+    import hashlib
+
+    def pick(names):
+        missing = [name for name in wanted if name not in names]
+        if missing:
+            raise ConfigError(f"score columns not in the input: {', '.join(missing)}")
+        return wanted
+
+    raw, columns, labels = _read_columns(input_csv, None if wanted is None else pick)
+    fingerprint = "sha256:" + hashlib.sha256(raw).hexdigest()
+    del raw  # hashed: the report needs none of the bytes
+    text = render_report(build_report(columns, labels, config, data_fingerprint=fingerprint,
+                                      compare=wanted is not None))
     if out == "-":
         click.echo(text, nl=False)
     else:
         Path(out).write_text(text, encoding="utf-8")
         logger.info("wrote report to %s", out)
-
-
-def _read_fingerprinted(input_csv: str, wanted=None):
-    """Read INPUT_CSV once: check its header for the wanted score columns,
-    then parse those bytes and fingerprint the same bytes."""
-    import hashlib
-
-    raw = read_bytes(input_csv)
-    if wanted is not None:
-        names = score_names(input_csv, raw)
-        missing = [name for name in wanted if name not in names]
-        if missing:
-            raise ConfigError(f"score columns not in the input: {', '.join(missing)}")
-    names, columns, labels = read_scores_csv(input_csv, content=raw)
-    return names, columns, labels, "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
 @click.group()
@@ -189,15 +198,7 @@ def main():
 @click.option("--out", default="-", show_default=True, help="Report path ('-' for stdout).")
 def evaluate(input_csv, out, **cfg):
     """Evaluate every score column of INPUT_CSV and write a JSON report."""
-
-    def body():
-        config = _build_config(**cfg)
-        _load_numeric()
-        names, columns, labels, fingerprint = _read_fingerprinted(input_csv)
-        report = build_report(columns, labels, config, data_fingerprint=fingerprint)
-        _write_report(report, out)
-
-    _run(body)
+    _run(_report, input_csv, out, cfg)
 
 
 @main.command()
@@ -209,27 +210,7 @@ def evaluate(input_csv, out, **cfg):
 def compare(input_csv, columns, out, **cfg):
     """Compare score columns under one shared weight and prior, ranking
     them by H and by AUC and flagging rank disagreements."""
-
-    def body():
-        config = _build_config(**cfg)
-        wanted = [token.strip() for token in columns.split(",") if token.strip()]
-        repeated = [name for name in dict.fromkeys(wanted) if wanted.count(name) > 1]
-        if repeated:
-            raise ConfigError(f"score columns listed more than once: {', '.join(repeated)}")
-        if len(wanted) < 2:
-            raise ConfigError("comparison requires at least two score columns")
-        _load_numeric()
-        names, all_columns, labels, fingerprint = _read_fingerprinted(input_csv, wanted)
-        report = build_report(
-            {name: all_columns[name] for name in wanted},
-            labels,
-            config,
-            data_fingerprint=fingerprint,
-            compare=True,
-        )
-        _write_report(report, out)
-
-    _run(body)
+    _run(_report, input_csv, out, cfg, [t.strip() for t in columns.split(",") if t.strip()])
 
 
 # Rows per chunk of a curve CSV: only one chunk's Python floats and
@@ -272,6 +253,13 @@ def curves(input_csv, column, resolution, out_dir, **cfg):
     """Write plot-ready CSVs: the minimum-loss curve over costs, the cost
     weight density, and the ROC points over pooled thresholds."""
 
+    def pick(names):
+        if column is None and len(names) != 1:
+            raise ConfigError(f"input has {len(names)} score columns; pick one with --column")
+        if column is not None and column not in names:
+            raise ConfigError(f"score column {column!r} not in the input")
+        return [names[0] if column is None else column]
+
     def body():
         # ahead of the config's own checks, whose messages about a beta
         # prior (such as its seed) cannot help here
@@ -281,17 +269,9 @@ def curves(input_csv, column, resolution, out_dir, **cfg):
             raise ConfigError(f"resolution must be at least {MIN_RESOLUTION}, got {resolution}")
         config = _build_config(**cfg)
         _load_numeric("empirical", "loss", "hmeasure")  # no report code
-        raw = read_bytes(input_csv)
-        names = score_names(input_csv, raw)
-        if column is None and len(names) != 1:
-            raise ConfigError(f"input has {len(names)} score columns; pick one with --column")
-        if column is not None and column not in names:
-            raise ConfigError(f"score column {column!r} not in the input")
-        _, columns, labels = read_scores_csv(input_csv, content=raw)
-        del raw  # parsed: the curves need none of the bytes
-        data = ingest(columns.pop(names[0] if column is None else column), labels,
-                      normalization=config.normalization)
-        del columns  # nor the columns they do not plot
+        # the curves need none of the bytes, nor the columns they do not plot
+        columns, labels = _read_columns(input_csv, pick)[1:]
+        data = ingest(columns.popitem()[1], labels, normalization=config.normalization)
         priors = resolve_priors(config, data)
         weight = resolve_weight(config, priors)
         cdfs = empirical_cdfs(data)
