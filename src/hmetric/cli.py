@@ -119,13 +119,17 @@ _REPORT_OPTIONS = (
                  help="Independent threshold distribution: 'pooled', "
                       "'class1-ranks' or 'point:<t>' (repeatable)."),
 )
-# The floor of curves --resolution; its default is loss.CURVE_GRID, 4096.
+# The bounds of curves --resolution; its default is loss.CURVE_GRID, 4096.
+# The ceiling, 256 times that, keeps each grid-long array at 8 MB; unchecked,
+# a large value asked numpy for arrays of any size.
 MIN_RESOLUTION = 1024
+MAX_RESOLUTION = 1 << 20
 
 
 def _build_config(weight, screen_proportions="", **fields) -> EvalConfig:
-    """The config the flags set: each flag's value is its field's, but for
-    the path --weight carries after 'tabulated:' and the comma list of --screen."""
+    """The config the flags set.  Each flag is stored under its field's
+    name; only --weight, which can carry a tabulated weight's path, and
+    --screen, a comma list, are parsed here."""
     weight_path = None
     if weight.startswith("tabulated:"):
         weight, weight_path = "tabulated", weight.split(":", 1)[1]
@@ -246,8 +250,8 @@ def _write_csv(path: Path, header: str, xs, ys):
               help="Score column to plot (defaults to the only score column).")
 @_options(*_SHARED_OPTIONS)
 @click.option("--resolution", type=int, default=None,
-              help=f"Cost grid points of the loss and weight curves, at least {MIN_RESOLUTION}.  "
-                   "[default: 4096]")
+              help="Cost grid points of the loss and weight curves, from "
+                   f"{MIN_RESOLUTION} to {MAX_RESOLUTION}.  [default: 4096]")
 @click.option("--out-dir", required=True, help="Directory for the curve CSVs.")
 def curves(input_csv, column, resolution, out_dir, **cfg):
     """Write plot-ready CSVs: the minimum-loss curve over costs, the cost
@@ -267,6 +271,8 @@ def curves(input_csv, column, resolution, out_dir, **cfg):
             raise ConfigError("curves need a concrete prior; use empirical or fixed")
         if resolution is not None and resolution < MIN_RESOLUTION:
             raise ConfigError(f"resolution must be at least {MIN_RESOLUTION}, got {resolution}")
+        if resolution is not None and resolution > MAX_RESOLUTION:
+            raise ConfigError(f"resolution must be at most {MAX_RESOLUTION}, got {resolution}")
         config = _build_config(**cfg)
         _load_numeric("empirical", "loss", "hmeasure")  # no report code
         # the curves need none of the bytes, nor the columns they do not plot

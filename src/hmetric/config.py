@@ -82,6 +82,12 @@ NUMBER_FIELDS = {**dict.fromkeys(("weight_alpha", "weight_beta", "pi0", "prior_a
 # a 50-digit series; 1.7e-12 at 1e7), and its continued fraction, which
 # needs O(sqrt(a + b)) steps there, stops converging at 1e14.
 MAX_WEIGHT_SHAPE = 1e6
+# The smallest beta weight shape: with both shapes at it, the incomplete beta
+# and both partial moments keep the 1e-12 accuracy (1.0e-14 against a
+# 340-digit series), and the product of the two shapes, which the kernel
+# divides by, is still a normal float; it is subnormal below 1.5e-154 and
+# rounds to 0 below 2.2e-162.
+MIN_WEIGHT_SHAPE = 1e-150
 
 
 def _as_number(what, value, cast):
@@ -142,6 +148,8 @@ class EvalConfig:
                 raise ConfigError("beta weight shapes must be positive and finite")
             if max(self.weight_alpha, self.weight_beta) > MAX_WEIGHT_SHAPE:
                 raise ConfigError(f"beta weight shapes must be at most {MAX_WEIGHT_SHAPE:g}")
+            if min(self.weight_alpha, self.weight_beta) < MIN_WEIGHT_SHAPE:
+                raise ConfigError(f"beta weight shapes must be at least {MIN_WEIGHT_SHAPE:g}")
         if self.weight == "tabulated" and not self.weight_path:
             raise ConfigError("tabulated weight requires a file path")
         if self.prior == "fixed" and (self.pi0 is None or not 0.0 < self.pi0 < 1.0):
@@ -153,6 +161,11 @@ class EvalConfig:
             alpha, beta = self.prior_alpha, self.prior_beta
             if not (0 < alpha < math.inf and 0 < beta < math.inf):
                 raise ConfigError("prior beta shapes must be positive and finite")
+            # the draws of pi0 gather near alpha / (alpha + beta), and the loss
+            # ratio grows like 1/pi0 and 1/pi1, so a larger shape can overflow
+            # H and its standard error (a NaN error at prior_beta = 1e300)
+            if max(alpha, beta) > MAX_WEIGHT_SHAPE:
+                raise ConfigError(f"prior beta shapes must be at most {MAX_WEIGHT_SHAPE:g}")
             if self.weight != "default":
                 raise ConfigError("a distributed prior determines its own conditional weight; "
                                   "explicit weights require a fixed or empirical prior")

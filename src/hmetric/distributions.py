@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_WEIGHT_SHAPE
+from .config import MAX_WEIGHT_SHAPE, MIN_WEIGHT_SHAPE
 from .errors import InputError
 
 __all__ = [
@@ -42,16 +42,16 @@ MIN_TABULATED_POINTS = 1024
 
 @dataclass(frozen=True)
 class BetaParams:
-    """Shape parameters of a beta distribution; both must be positive and
-    at most MAX_WEIGHT_SHAPE, up to which the incomplete beta is verified."""
+    """Shape parameters of a beta distribution; both must lie between
+    MIN_WEIGHT_SHAPE and MAX_WEIGHT_SHAPE, where the incomplete beta is verified."""
 
     alpha: float
     beta: float
 
     def __post_init__(self):
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
-            if not (np.isfinite(value) and 0 < value <= MAX_WEIGHT_SHAPE):
-                raise InputError(f"{name} must be a positive real at most "
+            if not (np.isfinite(value) and MIN_WEIGHT_SHAPE <= value <= MAX_WEIGHT_SHAPE):
+                raise InputError(f"{name} must be a real from {MIN_WEIGHT_SHAPE:g} to "
                                  f"{MAX_WEIGHT_SHAPE:g}, got {value}")
 
 

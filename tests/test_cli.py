@@ -14,7 +14,8 @@ from jsonschema import validate
 
 import hmetric
 from hmetric import REPORT_SCHEMA, empirical
-from hmetric.cli import CSV_CHUNK, _write_csv, main
+from hmetric.cli import CSV_CHUNK, MAX_RESOLUTION, _write_csv, main
+from hmetric.config import EvalConfig
 from hmetric.loss import CURVE_GRID
 
 GOLDEN_H_CAL = 0.33054877872925612091
@@ -506,6 +507,13 @@ class TestCurves:
         assert result.exit_code == 3
         assert "resolution must be at least 1024, got 1023" in result.output
 
+    def test_resolution_above_ceiling_exit_3(self, runner, fixtures_dir, tmp_path):
+        too_fine = MAX_RESOLUTION + 1
+        result = runner.invoke(main, ["curves", str(fixtures_dir / "golden4.csv"),
+                                      "--resolution", str(too_fine), "--out-dir", str(tmp_path)])
+        assert result.exit_code == 3
+        assert f"resolution must be at most {MAX_RESOLUTION}, got {too_fine}" in result.output
+
     def test_multi_column_needs_choice(self, runner, fixtures_dir, tmp_path):
         result = runner.invoke(
             main,
@@ -595,6 +603,16 @@ def test_command_flags_are_pinned():
     assert f"[default: {CURVE_GRID}]" in resolution.help
 
 
+def test_config_flags_are_config_fields():
+    # each config flag is stored under the EvalConfig field it sets, so the
+    # commands hand the config every flag that is not their own by name
+    own = {"out", "columns", "column", "resolution", "out_dir"}
+    fields = set(EvalConfig.__dataclass_fields__)
+    for name, command in main.commands.items():
+        flags = {p.name for p in command.params if isinstance(p, click.Option)} - own
+        assert flags <= fields, (name, sorted(flags - fields))
+
+
 @pytest.mark.parametrize("command,flag", [
     ("curves", ["--seed", "1"]),
     ("curves", ["--screen", "0.1"]),
@@ -658,6 +676,9 @@ def test_import_leaves_out_numpy_and_scipy(module):
         (["evaluate", "golden4.csv", "--seed", "1"], 3),
         (["curves", "golden4.csv", "--resolution", "512", "--out-dir", "."], 3),
         (["evaluate", "golden4.csv", "--weight", "beta", "--alpha", "1e14", "--beta", "1e14"], 3),
+        (["evaluate", "golden4.csv", "--weight", "beta", "--alpha", "1e-200", "--beta", "1e-200"],
+         3),
+        (["curves", "golden4.csv", "--resolution", "99999999999999999999", "--out-dir", "."], 3),
     ],
 )
 def test_help_and_config_errors_leave_out_numpy_and_scipy(fixtures_dir, args, exit_code):
@@ -701,7 +722,7 @@ def test_compute_commands_leave_out_scipy(fixtures_dir, tmp_path, args):
     assert _fresh_interpreter(code, *args) == "0 []"
 
 
-REPORT_CODE = ["hmetric.auc", "hmetric.report"]
+REPORT_CODE = ["hashlib", "hmetric.auc", "hmetric.report"]
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hmetric import ConfigError, EvalConfig
-from hmetric.config import MAX_WEIGHT_SHAPE
+from hmetric.config import MAX_WEIGHT_SHAPE, MIN_WEIGHT_SHAPE
 
 
 def test_default_config_valid():
@@ -93,6 +93,26 @@ def test_numpy_integers_valid():
 def test_weight_shapes_up_to_the_bound_valid():
     cfg = EvalConfig(weight="beta", weight_alpha=MAX_WEIGHT_SHAPE, weight_beta=MAX_WEIGHT_SHAPE)
     assert cfg.weight_alpha == 1e6
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"weight": "beta", "weight_alpha": 1e-200, "weight_beta": 1e-200}, "at least 1e-150"),
+        ({"weight": "beta", "weight_alpha": 2.0, "weight_beta": 9e-151}, "at least 1e-150"),
+        ({"prior": "beta", "seed": 1, "prior_alpha": 1.0000001, "prior_beta": 1e300},
+         "prior beta shapes must be at most 1e\\+06"),
+        ({"prior": "beta", "seed": 1, "prior_alpha": 1.000001e6}, "at most 1e\\+06"),
+    ],
+)
+def test_shapes_past_their_bounds_rejected(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        EvalConfig(**kwargs)
+
+
+def test_shapes_at_their_bounds_valid():
+    EvalConfig(weight="beta", weight_alpha=MIN_WEIGHT_SHAPE, weight_beta=MIN_WEIGHT_SHAPE)
+    EvalConfig(prior="beta", seed=1, prior_alpha=MAX_WEIGHT_SHAPE, prior_beta=MAX_WEIGHT_SHAPE)
 
 
 def test_beta_prior_fills_in_its_defaults():

@@ -20,7 +20,7 @@ from hmetric import (
     regularized_incomplete_beta,
 )
 from hmetric import distributions
-from hmetric.config import MAX_WEIGHT_SHAPE
+from hmetric.config import MAX_WEIGHT_SHAPE, MIN_WEIGHT_SHAPE
 from hmetric.distributions import betainc
 from oracles import (
     beta_density,
@@ -261,6 +261,23 @@ class TestBetainc:
 
 
 class TestPartialMoments:
+    @pytest.mark.parametrize("a,b", [(MIN_WEIGHT_SHAPE, MIN_WEIGHT_SHAPE),
+                                     (MIN_WEIGHT_SHAPE, 1.0), (0.5, MIN_WEIGHT_SHAPE)])
+    def test_smallest_weight_shape_against_series(self, a, b):
+        # the shape bound is where the 1e-12 contract still holds; the
+        # series needs 340 digits, as u and m1 reach 1e-300 and 1e-156
+        u = np.array([1e-300, 1e-100, 1e-12, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9,
+                      1 - 1e-3, 1 - 1e-6, 1 - 1e-12])
+        w = BetaWeight(a, b)
+        m0, m1 = w.partial_moments(u)
+        pair = np.array([mp_partial_pair(a, b, ui, dps=340) for ui in u])
+        np.testing.assert_allclose(m0, a / (a + b) * pair[:, 0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(m1, b / (a + b) * pair[:, 1], rtol=1e-12, atol=0)
+        want = [hyp_betainc(a, b, ui, dps=340) for ui in u]
+        np.testing.assert_allclose(w.cdf(u), want, rtol=1e-12, atol=0)
+        with pytest.raises(InputError, match="from 1e-150"):
+            BetaWeight(a, MIN_WEIGHT_SHAPE / 2)
+
     def test_upper_zero(self):
         w = BetaWeight(2.0, 3.0)
         m0, m1 = w.partial_moments(0.0)

@@ -12,6 +12,7 @@ from hmetric import (
     build_report,
     render_report,
 )
+from hmetric.config import MAX_WEIGHT_SHAPE
 from conftest import random_dataset
 
 
@@ -158,6 +159,19 @@ class TestBuildReport:
         f2 = report_mod.fingerprint_arrays(dict(reversed(list(cols.items()))), labels)
         assert f1 == f2
         assert f1.startswith("sha256:")
+
+
+def test_prior_shapes_at_the_bound_render_finite():
+    # a prior shape of 1e300 put pi0 draws near 1e-300 and rendered a bare
+    # NaN standard error; at the bound H and its error stay finite
+    cols, labels = _columns()
+    config = EvalConfig(prior="beta", seed=1, outer_samples=100, prior_alpha=1.0000001,
+                        prior_beta=MAX_WEIGHT_SHAPE)
+
+    def refuse(constant):
+        raise ValueError(f"report holds {constant}, which is not JSON")
+
+    json.loads(render_report(build_report(cols, labels, config)), parse_constant=refuse)
 
 
 SORTS = ("sort", "argsort", "unique", "lexsort")
