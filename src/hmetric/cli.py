@@ -170,7 +170,7 @@ def _report(input_csv: str, out: str, cfg: dict, wanted=None):
         if len(wanted) < 2:
             raise ConfigError("comparison requires at least two score columns")
     _load_numeric()
-    import hashlib
+    import hashlib  # here, not at the top: curves hashes nothing
 
     def pick(names):
         missing = [name for name in wanted if name not in names]
