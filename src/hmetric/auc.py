@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .empirical import LabeledScores, empirical_cdfs, empirical_priors
 from .loss import min_loss
 
@@ -38,17 +40,19 @@ def auc_mann_whitney(data: LabeledScores) -> AucResult:
     """Mann-Whitney AUC from the tie-grouped counts, with half credit for
     cross-class ties: each class-1 score at u[k] beats the class-0 scores
     below u[k] and ties the count0[k] at it.  The sums are of half-integers,
-    so they are exact."""
+    taken in integers block by block, so they are exact."""
     cdfs = empirical_cdfs(data)  # raises on single-class data
     n0, n1 = cdfs.n0, cdfs.n1
-    count0 = cdfs.count0
-    wins = float(cdfs.count1 @ (2 * cdfs.cum0 - count0)) / 2.0
-    auc = wins / (n0 * n1)
+    twice_wins = tie_pairs = 0
+    for _, cum0, _, count0, count1 in cdfs.blocks():
+        twice_wins += int(np.add.reduce(count1 * (2 * cum0 - count0)))
+        tie_pairs += int(np.add.reduce(count0 * count1))
+    auc = twice_wins / 2.0 / (n0 * n1)
     pi0, pi1 = n0 / (n0 + n1), n1 / (n0 + n1)
     return AucResult(
         auc=float(auc),
         n_pairs=n0 * n1,
-        tie_pairs=int(count0 @ cdfs.count1),
+        tie_pairs=tie_pairs,
         equivalent_loss=float(2.0 * pi0 * pi1 * (1.0 - auc)),
     )
 
@@ -68,10 +72,12 @@ def mixture_weight_loss(data: LabeledScores, mode: str = "calibrated") -> float:
     """
     priors = empirical_priors(data)
     cdfs = empirical_cdfs(data)
-    if mode == "calibrated":  # threshold_loss(u, u, ...), without searching u for u
-        u = cdfs.u
-        losses = (u * priors.pi0 * (1.0 - cdfs.cum0 / cdfs.n0)
-                  + (1.0 - u) * priors.pi1 * (cdfs.cum1 / cdfs.n1))
-    else:
-        losses = min_loss(cdfs.u, priors, cdfs, mode=mode)
-    return float((cdfs.count0 + cdfs.count1) @ losses / data.n)
+    total = 0.0
+    for u, cum0, cum1, count0, count1 in cdfs.blocks():
+        if mode == "calibrated":  # threshold_loss(u, u, ...), without searching u for u
+            losses = (u * priors.pi0 * (1.0 - cum0 / cdfs.n0)
+                      + (1.0 - u) * priors.pi1 * (cum1 / cdfs.n1))
+        else:
+            losses = min_loss(u, priors, cdfs, mode=mode)
+        total += np.add.reduce((count0 + count1) * losses)
+    return float(total / data.n)

@@ -150,12 +150,15 @@ def _build_config(weight, screen_proportions="", **fields) -> EvalConfig:
 def _read_columns(input_csv: str, pick=None):
     """(The bytes of INPUT_CSV, its score columns, its labels), from one
     read.  pick, when given, chooses the columns to keep from the score
-    column names, taken from the header before any row is parsed."""
+    column names, taken from the header before any row is parsed.  The
+    columns are read-only."""
     raw = read_bytes(input_csv)
     kept = None if pick is None else pick(score_names(input_csv, raw))
     _, columns, labels = read_scores_csv(input_csv, content=raw)
     if kept is not None:
         columns = {name: columns[name] for name in kept}
+    for scores in columns.values():
+        scores.setflags(write=False)  # fresh and ours: ingest shares it, copying nothing
     return raw, columns, labels
 
 

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import NORMALIZATIONS
-from .distributions import TabulatedWeight
+from .distributions import _BLOCK, TabulatedWeight
 from .errors import DegenerateDataError, InputError
 
 __all__ = [
@@ -77,13 +77,17 @@ class LabeledScores:
 
     @cached_property
     def table(self) -> EmpiricalCdfPair:
-        """The tie-grouped table of these scores, built by one sort."""
+        """The tie-grouped table of these scores, built by one sort; the
+        sort's index and sorted copy are dropped as soon as they are read."""
         order = np.argsort(self.scores)
         ranked = self.scores[order]
+        ones = self.labels[order]
+        del order
         last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
-        cum1 = np.cumsum(self.labels[order], dtype=np.int64)[last]
-        cum0 = last + 1 - cum1
         u = ranked[last]
+        del ranked
+        cum1 = np.cumsum(ones, dtype=np.int64)[last]
+        cum0 = last + 1 - cum1
         for arr in (u, cum0, cum1):
             arr.setflags(write=False)
         return EmpiricalCdfPair(u=u, cum0=cum0, cum1=cum1)
@@ -143,6 +147,16 @@ class EmpiricalCdfPair:
     def sorted1(self) -> np.ndarray:
         """Class-1 scores in ascending order."""
         return np.repeat(self.u, self.count1)
+
+    def blocks(self):
+        """(u, cum0, cum1, count0, count1) of each run of _BLOCK groups, in
+        order, so that a sum over the groups holds one run's temporaries."""
+        for lo in range(0, self.u.size, _BLOCK):
+            run = slice(lo, lo + _BLOCK)
+            cum0, cum1 = self.cum0[run], self.cum1[run]
+            yield (self.u[run], cum0, cum1,
+                   np.diff(cum0, prepend=self.cum0[lo - 1] if lo else 0),
+                   np.diff(cum1, prepend=self.cum1[lo - 1] if lo else 0))
 
     def _cdf(self, cum, c):
         k = np.searchsorted(self.u, c, side="right")
@@ -217,6 +231,11 @@ def ingest(scores, labels, normalization: str = "reject") -> LabeledScores:
 
     Raises InputError for structural problems.  Single-class label vectors
     are accepted here (CDF-only use); metric entry points reject them.
+
+    Under reject, a float array that is read-only and owns its memory is
+    shared, not copied: whoever made it read-only has handed it over.  A
+    writeable array or a view is copied, so that no one can write to the
+    container's scores.
     """
     if normalization not in NORMALIZATIONS:
         raise InputError(
@@ -256,8 +275,8 @@ def ingest(scores, labels, normalization: str = "reject") -> LabeledScores:
                 "pass normalization='minmax' or 'logistic' to rescale"
             )
         # minmax and logistic return fresh arrays; np.asarray may have kept
-        # the caller's buffer, which the caller may still write to
-        if scores is raw or scores.base is not None:
+        # the caller's buffer, shared only when read-only and its own
+        if scores.base is not None or (scores is raw and scores.flags.writeable):
             scores = scores.copy()
 
     scores.setflags(write=False)

@@ -179,6 +179,14 @@ def _reference_loss_batch(pi0s: np.ndarray) -> np.ndarray:
     return pi0s * m0 + pi1s * m1
 
 
+def _contract(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """np.tensordot(weights, table, axes=1), for a 2-D weights and a table
+    of up to three axes, by one np.add.reduce along the contracted axis,
+    last and contiguous in the product: a BLAS product would add in an
+    order that follows its thread count and kernel."""
+    return np.add.reduce(table.T[..., None, :] * weights, axis=-1).T
+
+
 def _node_sums(u: np.ndarray, count0: np.ndarray, count1: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients, in x = 2 pi0 - 1, of count0 @ I_u(a + 1, b)
     and count1 @ (1 - I_u(a, b + 1)) under the conditional shapes (a, b),
@@ -194,16 +202,17 @@ def _node_sums(u: np.ndarray, count0: np.ndarray, count1: np.ndarray) -> np.ndar
     a, b = _conditional_shapes((x[:, None] + 1.0) / 2.0)
     values = np.zeros((PRIOR_NODES, 2) + count0.shape[1:])
     for i in range(0, u.size, NODE_RUN):
-        below, above = _partial_pair(a, b, u[i:i + NODE_RUN])
-        values[:, 0] += below @ count0[i:i + NODE_RUN]
-        values[:, 1] += above @ count1[i:i + NODE_RUN]
+        run = slice(i, i + NODE_RUN)
+        below, above = _partial_pair(a, b, u[run])
+        values[:, 0] += _contract(below, count0[run])
+        values[:, 1] += _contract(above, count1[run])
     # row j is T_j at the points, by chebvander's recurrence
     rows = np.empty((PRIOR_NODES, PRIOR_NODES))
     rows[0], rows[1] = 1.0, x
     for j in range(2, PRIOR_NODES):
         rows[j] = rows[j - 1] * (2 * x) - rows[j - 2]
     mean = values.mean(axis=0)
-    coef = np.tensordot(rows, values - mean, axes=1)
+    coef = _contract(rows, values - mean)
     coef *= 2.0 / PRIOR_NODES
     coef[0] = mean
     return coef

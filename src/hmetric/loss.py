@@ -146,11 +146,15 @@ def _calibrated_expected_loss(priors, cdfs, w: WeightFunction) -> float:
         L = pi0 mean_i m0(s0_i) + pi1 mean_j m1(s1_j)
 
     evaluated here once per distinct score, weighted by its class counts
-    (exact up to the accuracy of the weight's partial moments).
+    (exact up to the accuracy of the weight's partial moments), one block
+    of the table at a time.
     """
-    m0_vals, m1_vals = w.partial_moments(cdfs.u)
-    return float(priors.pi0 * (cdfs.count0 @ m0_vals) / cdfs.n0
-                 + priors.pi1 * (cdfs.count1 @ m1_vals) / cdfs.n1)
+    sum0 = sum1 = 0.0
+    for u, _, _, count0, count1 in cdfs.blocks():
+        m0_vals, m1_vals = w.partial_moments(u)
+        sum0 += np.add.reduce(count0 * m0_vals)
+        sum1 += np.add.reduce(count1 * m1_vals)
+    return float(priors.pi0 * sum0 / cdfs.n0 + priors.pi1 * sum1 / cdfs.n1)
 
 
 def expected_min_loss(

@@ -108,24 +108,24 @@ def build_report(
     if compare and len(columns) < 2:
         raise ConfigError("comparison requires at least two score columns")
 
-    ingested = {
-        name: ingest(scores, labels, normalization=config.normalization)
-        for name, scores in columns.items()
-    }
-    priors = resolve_priors(config, next(iter(ingested.values())))
-    weight = resolve_weight(config, priors)
+    ingested = (ingest(scores, labels, normalization=config.normalization)
+                for scores in columns.values())
     if config.prior == "beta":
-        # all columns share the draws and their references
-        h_results = _uncertain_priors(list(ingested.values()), config)
-    else:
-        # each column's H as its other metrics are computed
-        h_results = (h_measure_fixed(data, priors=priors, w=weight, config=config)
-                     for data in ingested.values())
+        # all columns share the draws and their references, so all are held
+        ingested = list(ingested)
+        h_results = iter(_uncertain_priors(ingested, config))
 
-    column_reports = {
-        name: _column_metrics(data, config, priors, weight, hres)
-        for (name, data), hres in zip(ingested.items(), h_results)
-    }
+    column_reports = {}
+    # under a fixed or empirical prior, ingested yields one column at a time:
+    # its H is computed with its other metrics, and its table is dropped
+    # before the next column's is built
+    for name, data in zip(columns, ingested):
+        if not column_reports:
+            priors = resolve_priors(config, data)
+            weight = resolve_weight(config, priors)
+        hres = (next(h_results) if config.prior == "beta"
+                else h_measure_fixed(data, priors=priors, w=weight, config=config))
+        column_reports[name] = _column_metrics(data, config, priors, weight, hres)
 
     report = {
         "schema_version": "1",

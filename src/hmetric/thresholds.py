@@ -98,6 +98,12 @@ def _rank_weights(u: RankUniformClass1, n1: int) -> np.ndarray:
     return w / total
 
 
+def _sum(terms: np.ndarray):
+    """The sum of an array, added in numpy's fixed pairwise order: an int
+    for integer terms, exact, and a float otherwise."""
+    return np.add.reduce(terms).item()
+
+
 def _expected_cdfs(u, cdfs) -> tuple[float, float]:
     """E_u[F0(t)] and E_u[F1(t)] for each supported threshold law.
 
@@ -110,14 +116,15 @@ def _expected_cdfs(u, cdfs) -> tuple[float, float]:
         return float(cdfs.f0(u.t)), float(cdfs.f1(u.t))
     if isinstance(u, PooledScoreThresholds):
         counts, n = cdfs.count0 + cdfs.count1, n0 + n1
-        return int(counts @ cdfs.cum0) / (n * n0), int(counts @ cdfs.cum1) / (n * n1)
+        return _sum(counts * cdfs.cum0) / (n * n0), _sum(counts * cdfs.cum1) / (n * n1)
     if isinstance(u, RankUniformClass1):
         if u.weights is None:
-            return int(cdfs.count1 @ cdfs.cum0) / (n1 * n0), int(cdfs.count1 @ cdfs.cum1) / n1**2
+            count1 = cdfs.count1
+            return _sum(count1 * cdfs.cum0) / (n1 * n0), _sum(count1 * cdfs.cum1) / n1**2
         w = _rank_weights(u, n1)
         return (
-            float(w @ np.repeat(cdfs.cum0, cdfs.count1)) / n0,
-            float(w @ np.repeat(cdfs.cum1, cdfs.count1)) / n1,
+            _sum(w * np.repeat(cdfs.cum0, cdfs.count1)) / n0,
+            _sum(w * np.repeat(cdfs.cum1, cdfs.count1)) / n1,
         )
     if isinstance(u, TabulatedThresholds):
         # F0/F1 are constant between pooled scores, so splitting there and
@@ -159,7 +166,7 @@ def rank_uniform_evaluation(data: LabeledScores, rank_weights=None) -> float:
     credits = cdfs.cum0 - 0.5 * cdfs.count0
     if rank_weights is None:
         # the same exact sum of half-integers as the AUC: bit-identical
-        return float(cdfs.count1 @ credits / (cdfs.n0 * cdfs.n1))
+        return _sum(cdfs.count1 * credits) / (cdfs.n0 * cdfs.n1)
     w = _rank_weights(RankUniformClass1(weights=tuple(rank_weights)), cdfs.n1)
     return float(np.sum(w * np.repeat(credits, cdfs.count1)) / cdfs.n0)
 

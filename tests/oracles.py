@@ -18,6 +18,8 @@ weight they integrate against is passed in and only answers cdf and
 partial_moments.
 """
 
+import math
+from collections import Counter
 from functools import lru_cache
 
 import mpmath
@@ -69,6 +71,20 @@ def brute_force_auc(s0, s1):
     s1 = np.asarray(s1)[None, :]
     wins = np.sum(s0 < s1) + 0.5 * np.sum(s0 == s1)
     return float(wins / (s0.size * s1.size))
+
+
+def exact_auc_counts(s0, s1):
+    """(Twice the Mann-Whitney wins, the cross-class tie pairs) in Python
+    integers, one distinct score at a time: the class-1 scores at a value
+    beat every class-0 score below it and tie each class-0 score at it."""
+    c0, c1 = Counter(np.asarray(s0).tolist()), Counter(np.asarray(s1).tolist())
+    twice_wins = ties = below0 = 0
+    for value in sorted(c0.keys() | c1.keys()):
+        k0, k1 = c0[value], c1[value]
+        twice_wins += k1 * (2 * below0 + k0)
+        ties += k0 * k1
+        below0 += k0
+    return twice_wins, ties
 
 
 def closed_reference_loss(pi0, a, b):
@@ -299,10 +315,11 @@ def stack_loop_expected_loss(s0, s1, pi0, w):
 
 def per_score_calibrated_loss(s0, s1, pi0, w):
     """Calibrated-mode expected loss pi0 mean m0(s0) + pi1 mean m1(s1),
-    one partial-moment evaluation per score."""
+    one partial-moment evaluation per score, each mean's sum added exactly
+    by math.fsum."""
     m0, _ = w.partial_moments(np.asarray(s0, dtype=float))
     _, m1 = w.partial_moments(np.asarray(s1, dtype=float))
-    return float(pi0 * np.mean(m0) + (1.0 - pi0) * np.mean(m1))
+    return pi0 * math.fsum(m0.tolist()) / m0.size + (1.0 - pi0) * math.fsum(m1.tolist()) / m1.size
 
 
 def _class_cdfs(s0, s1, t):
@@ -315,16 +332,17 @@ def _class_cdfs(s0, s1, t):
 
 
 def per_atom_mixture_loss(s0, s1, pi0, mode):
-    """Expected minimum loss under the pooled-score weight: the plain mean
-    of the minimum loss at each of the n pooled scores, the calibrated loss
-    from binary-search CDFs or the stack-loop envelope's value."""
+    """Expected minimum loss under the pooled-score weight: the mean of the
+    minimum loss at each of the n pooled scores, its sum added exactly by
+    math.fsum, the calibrated loss from binary-search CDFs or the
+    stack-loop envelope's value."""
     atoms = np.concatenate([s0, s1]).astype(float)
     if mode == "calibrated":
         f0, f1 = _class_cdfs(s0, s1, atoms)
         losses = atoms * pi0 * (1.0 - f0) + (1.0 - atoms) * (1.0 - pi0) * f1
     else:
         losses = stack_loop_envelope_value(stack_loop_envelope(s0, s1, pi0), atoms)
-    return float(np.mean(losses))
+    return math.fsum(losses.tolist()) / losses.size
 
 
 def per_score_threshold_cdfs(s0, s1, law, weights=None):

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -772,3 +773,28 @@ def test_unconverged_kernel_exits_2_without_traceback(fixtures_dir):
     assert out.stdout == ""
     assert out.stderr.splitlines() == [
         "error: incomplete beta with shapes 30000 and 30000 did not converge in 8 steps"]
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate"],
+    ["compare", "--columns", "model_a,model_b", "--prior", "beta", "--seed", "3"],
+])
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, command):
+    # a BLAS product's order of addition follows its thread count, so on
+    # these inputs one would move the reports' last digits between 1 and 2
+    rng = np.random.default_rng(21)
+    n = 20_000
+    labels = (rng.random(n) < 0.3).astype(int)
+    margins = rng.standard_normal((2, n)) + np.array([[1.5], [0.8]]) * (labels - 0.5)
+    path = tmp_path / "scores.csv"
+    path.write_text("label,model_a,model_b\n" + "".join(
+        map("{},{!r},{!r}\n".format, labels.tolist(), *(1.0 / (1.0 + np.exp(-margins))).tolist())))
+    src = str(Path(hmetric.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-m", "hmetric.cli", command[0], str(path),
+                              *command[1:]], env=env, capture_output=True, text=True, check=True)
+        reports.append(re.sub(r'"timestamp": "[^"]*"', "", out.stdout))
+    assert reports[0] == reports[1]

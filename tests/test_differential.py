@@ -3,7 +3,9 @@ rank-sum AUC, the stack-loop optimal envelope, the per-atom mixture-weight
 and threshold-law sums and the full monotone chain they replaced
 (tests/oracles.py), on the fixtures, 100 random datasets, one large input
 whose ROC hull has a long convex stretch between two flat tails, and
-tables built directly from class counts, up to counts near 2^40."""
+tables built directly from class counts, up to counts near 2^40.  On the
+large input, five blocks of the table's sums, the AUC counts are checked
+against Python integers and the float sums against math.fsum."""
 
 from pathlib import Path
 
@@ -30,9 +32,11 @@ from hmetric import (
     rank_uniform_evaluation,
     read_scores_csv,
 )
+from hmetric.distributions import _BLOCK
 
 from conftest import random_dataset
 from oracles import (
+    exact_auc_counts,
     monotone_chain_hull,
     per_atom_mixture_loss,
     per_score_calibrated_loss,
@@ -139,6 +143,28 @@ def test_auc_and_tie_pairs_bit_identical_to_rank_sums(big):
         assert res.auc == auc
         assert res.tie_pairs == tie_pairs
         assert rank_uniform_evaluation(data) == auc
+
+
+def test_auc_counts_exact_over_table_blocks(big):
+    # the sums run over the table in blocks of _BLOCK groups; this one has 5
+    cdfs = empirical_cdfs(big)
+    assert cdfs.u.size > 3 * _BLOCK
+    twice_wins, tie_pairs = exact_auc_counts(*_split(big))
+    res = auc_mann_whitney(big)
+    assert res.auc == twice_wins / 2 / (cdfs.n0 * cdfs.n1)
+    assert res.tie_pairs == tie_pairs
+
+
+@pytest.mark.parametrize("mode", ["calibrated", "optimal"])
+def test_table_float_sums_match_fsum_over_table_blocks(big, mode):
+    priors = empirical_priors(big)
+    ref = per_atom_mixture_loss(*_split(big), priors.pi0, mode)
+    assert mixture_weight_loss(big, mode=mode) == pytest.approx(ref, rel=TABLE_RTOL, abs=0.0)
+    if mode == "calibrated":
+        w = default_weight(priors)
+        ref = per_score_calibrated_loss(*_split(big), priors.pi0, w)
+        got = expected_min_loss(priors, empirical_cdfs(big), w, mode=mode)
+        assert got == pytest.approx(ref, rel=TABLE_RTOL, abs=0.0)
 
 
 @pytest.mark.parametrize("mode", ["calibrated", "optimal"])

@@ -84,6 +84,24 @@ class TestIngest:
         np.testing.assert_array_equal(data.labels, kept[1])
         assert not (data.scores.flags.writeable or data.labels.flags.writeable)
 
+    def test_read_only_array_that_owns_its_memory_is_shared(self):
+        scores = _read_only(np.array([0.2, 0.9, 0.4]))
+        assert np.shares_memory(ingest(scores, [0, 1, 1]).scores, scores)
+
+    @pytest.mark.parametrize("make", [
+        np.array,
+        lambda v: np.array([v, v])[1],
+        lambda v: _read_only(np.array([v, v])[1]),
+    ], ids=["writeable", "view", "read-only-view"])
+    def test_writeable_array_or_view_is_copied(self, make):
+        scores = make([0.2, 0.9, 0.4])
+        assert not np.shares_memory(ingest(scores, [0, 1, 1]).scores, scores)
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
 
 class TestEmpiricalPriors:
     def test_three_to_one(self):

@@ -4,7 +4,8 @@ csv reader, and distributions.py, which computes the cost weights, reads
 no file; _mc.py alone makes random streams, so the seed's chunk layout is
 in one module; and in hmeasure.py only the calibrated class sums call the
 bare partial pair, every other partial moment going through
-distributions._beta_moments."""
+distributions._beta_moments; and no code sums by a matrix product, whose
+order of addition BLAS picks by its thread count and CPU kernel."""
 
 import ast
 from pathlib import Path
@@ -64,3 +65,20 @@ def test_partial_pair_called_only_in_node_sums():
         if isinstance(node, ast.Call) and _called_name(node) == "_partial_pair"
     }
     assert callers == {"_node_sums"}
+
+
+MATRIX_PRODUCTS = {"dot", "vdot", "tensordot", "matmul", "einsum", "inner"}
+
+
+def test_no_matrix_products_in_src():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SRC.glob("*.py")
+        for node in _nodes(path)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Attribute) and node.attr in MATRIX_PRODUCTS
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in MATRIX_PRODUCTS
+        or isinstance(node, ast.ImportFrom) and any(a.name in MATRIX_PRODUCTS for a in node.names)
+    ]
+    assert found == []
