@@ -8,19 +8,13 @@ environment.
 
 from __future__ import annotations
 
-import functools
-import logging
+import argparse
 import os
 import sys
 from importlib import import_module
 from pathlib import Path
 
-import click
-
-from .config import BETA_PRIOR_DEFAULTS, EvalConfig
 from .errors import ConfigError, DegenerateDataError, HmetricError
-
-logger = logging.getLogger("hmetric")
 
 # The numeric names the commands use, by the module that defines them.
 # A command loads the modules it calls once its config is built, so --help
@@ -59,9 +53,19 @@ def __getattr__(name: str):
 
 def _setup_logging():
     """The level HMETRIC_LOG names (debug, info, ...); any other value,
-    such as a name in logging that is not a level, means warning."""
+    such as a name in logging that is not a level, means warning.  logging
+    loads here and in _info, once a command runs, so --help loads none."""
+    import logging
+
     level = getattr(logging, os.environ.get("HMETRIC_LOG", "warning").upper(), None)
     logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
+
+
+def _info(message: str, *args):
+    """Log message, formatted with args, at level info."""
+    import logging
+
+    logging.getLogger("hmetric").info(message, *args)
 
 
 def _exit_code(exc: HmetricError) -> int:
@@ -77,48 +81,54 @@ def _run(body, *args):
     try:
         body(*args)
     except HmetricError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(_exit_code(exc))
     except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
 
 
-def _options(*options):
-    """A decorator that declares the given click options, in their order."""
-    return lambda fn: functools.reduce(lambda f, opt: opt(f), reversed(options), fn)
+def _option(flag: str, dest: str | None = None, **kwargs):
+    """A flag's declaration: its name and the keywords of add_argument.
+    dest, the flag's name without its dashes by default, is where the
+    parsed value is stored."""
+    return flag, dict(kwargs, dest=dest or flag[2:].replace("-", "_"))
 
 
 # The config flags every command reads, each stored under the name of the
 # EvalConfig field it sets; --weight also carries a tabulated weight's path.
 _SHARED_OPTIONS = (
-    click.option("--weight", default="default", show_default=True,
-                 help="Cost weight: 'default', 'beta', or 'tabulated:<csv path>'."),
-    click.option("--alpha", "weight_alpha", type=float, help="Alpha shape for --weight beta."),
-    click.option("--beta", "weight_beta", type=float, help="Beta shape for --weight beta."),
-    click.option("--prior", default="empirical", show_default=True,
-                 help="Prior handling: 'empirical', 'fixed', or 'beta' "
-                      "(pi0 drawn from Beta(2,2); evaluate and compare only, with --seed)."),
-    click.option("--pi0", type=float, help="pi0 for --prior fixed."),
-    click.option("--mode", "threshold_mode", default="calibrated", show_default=True,
-                 help="Threshold rule: 'calibrated' or 'optimal'."),
-    click.option("--normalize", "normalization", default="reject", show_default=True,
-                 help="Score normalization: 'reject', 'minmax' or 'logistic'."),
+    _option("--weight", default="default",
+            help="Cost weight: 'default', 'beta', or 'tabulated:<csv path>'.  "
+                 "[default: %(default)s]"),
+    _option("--alpha", "weight_alpha", type=float, help="Alpha shape for --weight beta."),
+    _option("--beta", "weight_beta", type=float, help="Beta shape for --weight beta."),
+    _option("--prior", default="empirical",
+            help="Prior handling: 'empirical', 'fixed', or 'beta' (pi0 drawn from "
+                 "Beta(2,2); evaluate and compare only, with --seed).  [default: %(default)s]"),
+    _option("--pi0", type=float, help="pi0 for --prior fixed."),
+    _option("--mode", "threshold_mode", default="calibrated",
+            help="Threshold rule: 'calibrated' or 'optimal'.  [default: %(default)s]"),
+    _option("--normalize", "normalization", default="reject",
+            help="Score normalization: 'reject', 'minmax' or 'logistic'.  "
+                 "[default: %(default)s]"),
 )
-# The config flags only a report reads; --screen is a comma list.
+# The config flags only a report reads; --screen is a comma list.  The
+# default of --mc-samples is config.BETA_PRIOR_DEFAULTS's, which the config
+# fills in; it is written out here so that --help loads no config.
 _REPORT_OPTIONS = (
-    click.option("--mc-samples", "outer_samples", type=int,
-                 help="Number of prior draws under --prior beta, rejected without it.  "
-                      f"[default: {BETA_PRIOR_DEFAULTS['outer_samples']}]"),
-    click.option("--seed", type=int,
-                 help="Seed of the prior draws; required with --prior beta, "
-                      "rejected without it."),
-    click.option("--screen", "screen_proportions", default="",
-                 help="Screening proportions, e.g. '0.1,0.25'."),
-    click.option("--u-dist", "u_dists", multiple=True,
-                 help="Independent threshold distribution: 'pooled', "
-                      "'class1-ranks' or 'point:<t>' (repeatable)."),
+    _option("--mc-samples", "outer_samples", type=int,
+            help="Number of prior draws under --prior beta, rejected without it.  "
+                 "[default: 10000]"),
+    _option("--seed", type=int,
+            help="Seed of the prior draws; required with --prior beta, rejected without it."),
+    _option("--screen", "screen_proportions", default="",
+            help="Screening proportions, e.g. '0.1,0.25'."),
+    _option("--u-dist", "u_dists", action="append", default=[],
+            help="Independent threshold distribution: 'pooled', "
+                 "'class1-ranks' or 'point:<t>' (repeatable)."),
 )
+_OUT = _option("--out", default="-", help="Report path ('-' for stdout).  [default: %(default)s]")
 # The bounds of curves --resolution; its default is loss.CURVE_GRID, 4096.
 # The ceiling, 256 times that, keeps each grid-long array at 8 MB; unchecked,
 # a large value asked numpy for arrays of any size.
@@ -126,10 +136,12 @@ MIN_RESOLUTION = 1024
 MAX_RESOLUTION = 1 << 20
 
 
-def _build_config(weight, screen_proportions="", **fields) -> EvalConfig:
+def _build_config(weight, screen_proportions="", **fields):
     """The config the flags set.  Each flag is stored under its field's
     name; only --weight, which can carry a tabulated weight's path, and
     --screen, a comma list, are parsed here."""
+    from .config import EvalConfig  # here, so that --help loads no config
+
     weight_path = None
     if weight.startswith("tabulated:"):
         weight, weight_path = "tabulated", weight.split(":", 1)[1]
@@ -187,33 +199,17 @@ def _report(input_csv: str, out: str, cfg: dict, wanted=None):
     text = render_report(build_report(columns, labels, config, data_fingerprint=fingerprint,
                                       compare=wanted is not None))
     if out == "-":
-        click.echo(text, nl=False)
+        print(text, end="", flush=True)
     else:
         Path(out).write_text(text, encoding="utf-8")
-        logger.info("wrote report to %s", out)
+        _info("wrote report to %s", out)
 
 
-@click.group()
-def main():
-    """Evaluate binary classifier scores by the H-measure and related
-    cost-weighted losses, alongside the AUC."""
-
-
-@main.command()
-@click.argument("input_csv", type=str)
-@_options(*_SHARED_OPTIONS, *_REPORT_OPTIONS)
-@click.option("--out", default="-", show_default=True, help="Report path ('-' for stdout).")
 def evaluate(input_csv, out, **cfg):
     """Evaluate every score column of INPUT_CSV and write a JSON report."""
     _run(_report, input_csv, out, cfg)
 
 
-@main.command()
-@click.argument("input_csv", type=str)
-@click.option("--columns", required=True,
-              help="Comma-separated score columns to compare (at least two).")
-@_options(*_SHARED_OPTIONS, *_REPORT_OPTIONS)
-@click.option("--out", default="-", show_default=True, help="Report path ('-' for stdout).")
 def compare(input_csv, columns, out, **cfg):
     """Compare score columns under one shared weight and prior, ranking
     them by H and by AUC and flagging rank disagreements."""
@@ -247,15 +243,6 @@ def _write_csv(path: Path, header: str, xs, ys):
             fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
-@main.command()
-@click.argument("input_csv", type=str)
-@click.option("--column", default=None,
-              help="Score column to plot (defaults to the only score column).")
-@_options(*_SHARED_OPTIONS)
-@click.option("--resolution", type=int, default=None,
-              help="Cost grid points of the loss and weight curves, from "
-                   f"{MIN_RESOLUTION} to {MAX_RESOLUTION}.  [default: 4096]")
-@click.option("--out-dir", required=True, help="Directory for the curve CSVs.")
 def curves(input_csv, column, resolution, out_dir, **cfg):
     """Write plot-ready CSVs: the minimum-loss curve over costs, the cost
     weight density, and the ROC points over pooled thresholds."""
@@ -296,9 +283,79 @@ def curves(input_csv, column, resolution, out_dir, **cfg):
         # one row per distinct score t: 1 - F0(t), 1 - F1(t)
         _write_csv(out_path / "roc.csv", "fpr,tpr",
                    1.0 - cdfs.cum0 / cdfs.n0, 1.0 - cdfs.cum1 / cdfs.n1)
-        logger.info("wrote curves to %s", out_path)
+        _info("wrote curves to %s", out_path)
 
     _run(body)
+
+
+# command name -> (the function that runs it, the flags it reads after INPUT_CSV)
+_COMMANDS = {
+    "evaluate": (evaluate, (*_SHARED_OPTIONS, *_REPORT_OPTIONS, _OUT)),
+    "compare": (compare, (
+        _option("--columns", required=True,
+                help="Comma-separated score columns to compare (at least two)."),
+        *_SHARED_OPTIONS, *_REPORT_OPTIONS, _OUT)),
+    "curves": (curves, (
+        _option("--column", help="Score column to plot (defaults to the only score column)."),
+        *_SHARED_OPTIONS,
+        _option("--resolution", type=int,
+                help="Cost grid points of the loss and weight curves, from "
+                     f"{MIN_RESOLUTION} to {MAX_RESOLUTION}.  [default: 4096]"),
+        _option("--out-dir", required=True, help="Directory for the curve CSVs."))),
+}
+
+
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help with its usage line headed 'Usage:'."""
+
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every command.  Each parser reads --help, not -h, and
+    no flag by its prefix."""
+    keywords = dict(formatter_class=_Formatter, add_help=False, allow_abbrev=False)
+    parser = argparse.ArgumentParser(
+        prog="hmetric", **keywords,
+        description="Evaluate binary classifier scores by the H-measure and related "
+                    "cost-weighted losses, alongside the AUC.")
+    commands = parser.add_subparsers(dest="command", required=True, title="commands")
+    for name, (fn, options) in _COMMANDS.items():
+        command = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__, **keywords)
+        command.add_argument("input_csv", metavar="INPUT_CSV")
+        for flag, kwargs in options:
+            command.add_argument(flag, **kwargs)
+    for each in (parser, *commands.choices.values()):
+        each.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def _values_joined(args):
+    """args with each declared flag joined to the token after it, as
+    --flag=value: every flag takes a value, and that token is it even when
+    it starts with '-', as in --pi0 -1e-3, which argparse would otherwise
+    read as a flag."""
+    flags = {flag for _, options in _COMMANDS.values() for flag, _ in options}
+    joined, tokens = [], iter(args)
+    for token in tokens:
+        value = next(tokens, None) if token in flags else None
+        joined.append(token if value is None else f"{token}={value}")
+    return joined
+
+
+def main(args=None, standalone_mode=True):
+    """Run the command args names (the process's arguments by default) and
+    exit with its code; with standalone_mode false, return on success."""
+    options = vars(_parser().parse_args(_values_joined(sys.argv[1:] if args is None else args)))
+    _COMMANDS[options.pop("command")][0](**options)
+    if standalone_mode:
+        sys.exit(0)
+
+
+# The name the entry point had as a click group's method;
+# perfbench/traced_cli.py still calls main.main(args, standalone_mode=False).
+main.main = main
 
 
 if __name__ == "__main__":

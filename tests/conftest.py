@@ -1,4 +1,7 @@
+import contextlib
+import io
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -46,3 +49,23 @@ def random_dataset(seed, n=80, calibrated=False):
         labels = (rng.random(n) < 0.4).astype(int)
     labels[0], labels[1] = 0, 1
     return ingest(scores, labels)
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(args) -> CliResult:
+    """Run hmetric.cli.main(args) in this process: the code of the
+    SystemExit it ends in, and what it wrote to stdout and to stderr."""
+    from hmetric.cli import main
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            main(args)
+        except SystemExit as exc:
+            return CliResult(exc.code, stdout.getvalue(), stderr.getvalue())
+    raise AssertionError(f"main({args!r}) returned instead of exiting")

@@ -7,24 +7,18 @@ import sys
 from pathlib import Path
 from unittest import mock
 
-import click
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from conftest import run_cli
 from jsonschema import validate
 
 import hmetric
 from hmetric import REPORT_SCHEMA, empirical
-from hmetric.cli import CSV_CHUNK, MAX_RESOLUTION, _write_csv, main
-from hmetric.config import EvalConfig
+from hmetric.cli import _COMMANDS, CSV_CHUNK, MAX_RESOLUTION, _write_csv
+from hmetric.config import BETA_PRIOR_DEFAULTS, EvalConfig
 from hmetric.loss import CURVE_GRID
 
 GOLDEN_H_CAL = 0.33054877872925612091
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def _strict_loads(text):
@@ -41,41 +35,32 @@ def _read_report(path):
 
 
 class TestEvaluate:
-    def test_perfect_fixture(self, runner, fixtures_dir, tmp_path):
+    def test_perfect_fixture(self, fixtures_dir, tmp_path):
         out = tmp_path / "report.json"
-        result = runner.invoke(
-            main, ["evaluate", str(fixtures_dir / "perfect.csv"), "--out", str(out)]
-        )
-        assert result.exit_code == 0, result.output
+        result = run_cli(["evaluate", str(fixtures_dir / "perfect.csv"), "--out", str(out)])
+        assert result.exit_code == 0, result.stderr
         report = _read_report(out)
         validate(report, REPORT_SCHEMA)
         for col in report["columns"].values():
             assert col["h"]["h"] == 1.0
             assert col["auc"]["auc"] == 1.0
 
-    def test_constant_at_prior_fixture(self, runner, fixtures_dir, tmp_path):
+    def test_constant_at_prior_fixture(self, fixtures_dir, tmp_path):
         out = tmp_path / "report.json"
-        result = runner.invoke(
-            main, ["evaluate", str(fixtures_dir / "constant_at_prior.csv"), "--out", str(out)]
-        )
-        assert result.exit_code == 0, result.output
+        result = run_cli([
+            "evaluate", str(fixtures_dir / "constant_at_prior.csv"), "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.stderr
         report = _read_report(out)
         assert abs(report["columns"]["score"]["h"]["h"]) <= 1e-10
 
-    def test_golden_fixture_matches_oracle(self, runner, fixtures_dir, tmp_path):
+    def test_golden_fixture_matches_oracle(self, fixtures_dir, tmp_path):
         out = tmp_path / "report.json"
-        result = runner.invoke(
-            main,
-            [
-                "evaluate",
-                str(fixtures_dir / "golden4.csv"),
-                "--screen", "0.25,0.5",
-                "--u-dist", "pooled",
-                "--u-dist", "point:0.5",
-                "--out", str(out),
-            ],
-        )
-        assert result.exit_code == 0, result.output
+        result = run_cli([
+            "evaluate", str(fixtures_dir / "golden4.csv"), "--screen", "0.25,0.5", "--u-dist",
+            "pooled", "--u-dist", "point:0.5", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.stderr
         report = _read_report(out)
         validate(report, REPORT_SCHEMA)
         col = report["columns"]["score"]
@@ -84,61 +69,59 @@ class TestEvaluate:
         assert len(col["screening"]) == 2
         assert len(col["independent_threshold_losses"]) == 2
 
-    def test_stdout_output(self, runner, fixtures_dir):
-        result = runner.invoke(main, ["evaluate", str(fixtures_dir / "golden4.csv")])
+    def test_stdout_output(self, fixtures_dir):
+        result = run_cli(["evaluate", str(fixtures_dir / "golden4.csv")])
         assert result.exit_code == 0
-        report = _strict_loads(result.output)
+        report = _strict_loads(result.stdout)
         assert report["schema_version"] == "1"
 
-    def test_malformed_csv_exit_2(self, runner, tmp_path):
+    def test_malformed_csv_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("label,s\n0,0.1\n1,\n", encoding="utf-8")
-        result = runner.invoke(main, ["evaluate", str(bad)])
+        result = run_cli(["evaluate", str(bad)])
         assert result.exit_code == 2
-        assert "bad.csv:3" in result.output
+        assert "bad.csv:3" in result.stderr
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_score_exit_2_with_line(self, runner, tmp_path, value):
+    def test_non_finite_score_exit_2_with_line(self, tmp_path, value):
         bad = tmp_path / "bad.csv"
         bad.write_text(f"label,a\n0,0.1\n1,{value}\n", encoding="utf-8")
-        result = runner.invoke(main, ["evaluate", str(bad)])
+        result = run_cli(["evaluate", str(bad)])
         assert result.exit_code == 2
-        assert f"bad.csv:3: non-finite score '{value}' in column 'a'" in result.output
+        assert f"bad.csv:3: non-finite score '{value}' in column 'a'" in result.stderr
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tabulated_weight_exit_2_with_line(
-        self, runner, fixtures_dir, tmp_path, value
+        self, fixtures_dir, tmp_path, value
     ):
         wpath = tmp_path / "w.csv"
         wpath.write_text(f"c,density\n0.1,1.0\n0.2,{value}\n", encoding="utf-8")
-        result = runner.invoke(
-            main, ["evaluate", str(fixtures_dir / "golden4.csv"), "--weight", f"tabulated:{wpath}"]
-        )
+        result = run_cli([
+            "evaluate", str(fixtures_dir / "golden4.csv"), "--weight", f"tabulated:{wpath}",
+        ])
         assert result.exit_code == 2
-        assert f"w.csv:3: non-finite value '{value}' in column 'density'" in result.output
+        assert f"w.csv:3: non-finite value '{value}' in column 'density'" in result.stderr
 
-    def test_non_utf8_tabulated_weight_exit_2_with_line(self, runner, fixtures_dir, tmp_path):
+    def test_non_utf8_tabulated_weight_exit_2_with_line(self, fixtures_dir, tmp_path):
         wpath = tmp_path / "w.csv"
         wpath.write_bytes(b"c,density\n0.1,\xff1.0\n")
-        result = runner.invoke(
-            main, ["evaluate", str(fixtures_dir / "golden4.csv"), "--weight", f"tabulated:{wpath}"]
-        )
+        result = run_cli([
+            "evaluate", str(fixtures_dir / "golden4.csv"), "--weight", f"tabulated:{wpath}",
+        ])
         assert result.exit_code == 2
-        assert "w.csv:2: not UTF-8 text" in result.output
+        assert "w.csv:2: not UTF-8 text" in result.stderr
 
-    def test_point_mass_outside_unit_interval_exit_3(self, runner, fixtures_dir):
-        result = runner.invoke(
-            main, ["evaluate", str(fixtures_dir / "golden4.csv"), "--u-dist", "point:1.5"]
-        )
+    def test_point_mass_outside_unit_interval_exit_3(self, fixtures_dir):
+        result = run_cli(["evaluate", str(fixtures_dir / "golden4.csv"), "--u-dist", "point:1.5"])
         assert result.exit_code == 3
-        assert "point-mass threshold must lie in [0, 1]" in result.output
+        assert "point-mass threshold must lie in [0, 1]" in result.stderr
 
-    def test_missing_file_exit_2(self, runner, tmp_path):
-        result = runner.invoke(main, ["evaluate", str(tmp_path / "nope.csv")])
+    def test_missing_file_exit_2(self, tmp_path):
+        result = run_cli(["evaluate", str(tmp_path / "nope.csv")])
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("command", ["evaluate", "compare"])
-    def test_fingerprint_is_of_the_parsed_bytes(self, runner, monkeypatch, tmp_path, command):
+    def test_fingerprint_is_of_the_parsed_bytes(self, monkeypatch, tmp_path, command):
         import hashlib
 
         import hmetric.cli as cli
@@ -155,74 +138,68 @@ class TestEvaluate:
 
         monkeypatch.setattr(cli, "read_scores_csv", read_then_rewrite)
         extra = ["--columns", "a,b"] if command == "compare" else []
-        result = runner.invoke(main, [command, str(path), *extra])
-        assert result.exit_code == 0, result.output
-        fingerprint = _strict_loads(result.output)["provenance"]["data_fingerprint"]
+        result = run_cli([command, str(path), *extra])
+        assert result.exit_code == 0, result.stderr
+        fingerprint = _strict_loads(result.stdout)["provenance"]["data_fingerprint"]
         assert fingerprint == "sha256:" + hashlib.sha256(parsed).hexdigest()
 
-    def test_config_error_exit_3(self, runner, fixtures_dir):
-        result = runner.invoke(
-            main, ["evaluate", str(fixtures_dir / "golden4.csv"), "--mode", "bogus"]
-        )
+    def test_config_error_exit_3(self, fixtures_dir):
+        result = run_cli(["evaluate", str(fixtures_dir / "golden4.csv"), "--mode", "bogus"])
         assert result.exit_code == 3
 
-    def test_mc_without_seed_exit_3(self, runner, fixtures_dir):
-        result = runner.invoke(
-            main, ["evaluate", str(fixtures_dir / "golden4.csv"), "--prior", "beta"]
-        )
+    def test_mc_without_seed_exit_3(self, fixtures_dir):
+        result = run_cli(["evaluate", str(fixtures_dir / "golden4.csv"), "--prior", "beta"])
         assert result.exit_code == 3
-        assert "seed" in result.output
+        assert "seed" in result.stderr
 
     @pytest.mark.parametrize("samples", ["1", "0"])
-    def test_fewer_than_two_mc_samples_exit_3(self, runner, fixtures_dir, samples):
+    def test_fewer_than_two_mc_samples_exit_3(self, fixtures_dir, samples):
         # a standard error needs two draws; one used to be reported as NaN
-        result = runner.invoke(main, [
-            "evaluate", str(fixtures_dir / "golden4.csv"),
-            "--prior", "beta", "--seed", "7", "--mc-samples", samples,
+        result = run_cli([
+            "evaluate", str(fixtures_dir / "golden4.csv"), "--prior", "beta", "--seed", "7",
+            "--mc-samples", samples,
         ])
-        assert result.exit_code == 3, result.output
-        assert f"outer_samples must be at least 2, got {samples}" in result.output
+        assert result.exit_code == 3, result.stderr
+        assert f"outer_samples must be at least 2, got {samples}" in result.stderr
 
-    def test_prior_beta_report_is_strict_json_with_heavy_tail(self, runner, fixtures_dir):
-        result = runner.invoke(main, [
+    def test_prior_beta_report_is_strict_json_with_heavy_tail(self, fixtures_dir):
+        result = run_cli([
             "evaluate", str(fixtures_dir / "golden4.csv"), "--prior", "beta", "--seed", "11",
         ])
-        assert result.exit_code == 0, result.output
-        h = _strict_loads(result.output)["columns"]["score"]["h"]
+        assert result.exit_code == 0, result.stderr
+        h = _strict_loads(result.stdout)["columns"]["score"]["h"]
         assert h["mc_stderr"] > 0.0
         assert any(w.startswith("heavy_tail:") for w in h["warnings"])
 
-    def test_mc_samples_sets_prior_draws(self, runner, fixtures_dir):
+    def test_mc_samples_sets_prior_draws(self, fixtures_dir):
         # under --prior beta the flag is the number of prior draws
         args = ["evaluate", str(fixtures_dir / "golden4.csv"), "--prior", "beta", "--seed", "3"]
-        default, fewer = (_strict_loads(runner.invoke(main, args + extra).output)
+        default, fewer = (_strict_loads(run_cli(args + extra).stdout)
                           for extra in ([], ["--mc-samples", "2000"]))
         assert fewer["provenance"]["config"]["outer_samples"] == 2000
         assert fewer["columns"]["score"]["h"]["h"] != default["columns"]["score"]["h"]["h"]
 
     @pytest.mark.parametrize("extra", [["--prior", "beta"], []])
-    def test_negative_seed_exit_3(self, runner, fixtures_dir, extra):
+    def test_negative_seed_exit_3(self, fixtures_dir, extra):
         # without a beta prior no seed is read, whatever its sign
-        result = runner.invoke(
-            main, ["evaluate", str(fixtures_dir / "golden4.csv"), *extra, "--seed", "-1"]
-        )
-        assert result.exit_code == 3, result.output
+        result = run_cli(["evaluate", str(fixtures_dir / "golden4.csv"), *extra, "--seed", "-1"])
+        assert result.exit_code == 3, result.stderr
         assert ("seed must be a non-negative integer, got -1" if extra
-                else "seed applies to a beta prior only, not to 'empirical'") in result.output
+                else "seed applies to a beta prior only, not to 'empirical'") in result.stderr
 
-    def test_single_class_exit_4(self, runner, tmp_path):
+    def test_single_class_exit_4(self, tmp_path):
         degenerate = tmp_path / "one_class.csv"
         degenerate.write_text("label,s\n0,0.1\n0,0.5\n", encoding="utf-8")
-        result = runner.invoke(main, ["evaluate", str(degenerate)])
+        result = run_cli(["evaluate", str(degenerate)])
         assert result.exit_code == 4
 
-    def test_determinism_modulo_timestamp(self, runner, fixtures_dir, tmp_path):
+    def test_determinism_modulo_timestamp(self, fixtures_dir, tmp_path):
         args = [
             "evaluate", str(fixtures_dir / "golden4.csv"),
             "--prior", "beta", "--mc-samples", "4000", "--seed", "44",
         ]
-        r1 = runner.invoke(main, args + ["--out", str(tmp_path / "a.json")])
-        r2 = runner.invoke(main, args + ["--out", str(tmp_path / "b.json")])
+        r1 = run_cli(args + ["--out", str(tmp_path / "a.json")])
+        r2 = run_cli(args + ["--out", str(tmp_path / "b.json")])
         assert r1.exit_code == r2.exit_code == 0
         a = _read_report(tmp_path / "a.json")
         b = _read_report(tmp_path / "b.json")
@@ -230,29 +207,26 @@ class TestEvaluate:
         b["provenance"].pop("timestamp")
         assert a == b
 
-    def test_config_echo_keys_are_pinned(self, runner, fixtures_dir):
+    def test_config_echo_keys_are_pinned(self, fixtures_dir):
         # a knob added to or dropped from the config shows up in this list
-        result = runner.invoke(main, ["evaluate", str(fixtures_dir / "golden4.csv")])
-        assert result.exit_code == 0, result.output
-        assert sorted(_strict_loads(result.output)["provenance"]["config"]) == [
+        result = run_cli(["evaluate", str(fixtures_dir / "golden4.csv")])
+        assert result.exit_code == 0, result.stderr
+        assert sorted(_strict_loads(result.stdout)["provenance"]["config"]) == [
             "normalization", "outer_samples", "pi0", "prior", "prior_alpha", "prior_beta",
             "screen_proportions", "seed", "threshold_mode", "u_dists", "weight",
             "weight_alpha", "weight_beta", "weight_path",
         ]
 
-    def test_normalization_flag(self, runner, tmp_path):
+    def test_normalization_flag(self, tmp_path):
         wide = tmp_path / "wide.csv"
         wide.write_text("label,s\n0,-3.0\n0,-1.0\n1,2.0\n1,5.0\n", encoding="utf-8")
-        assert runner.invoke(main, ["evaluate", str(wide)]).exit_code == 2
-        result = runner.invoke(main, ["evaluate", str(wide), "--normalize", "minmax"])
+        assert run_cli(["evaluate", str(wide)]).exit_code == 2
+        result = run_cli(["evaluate", str(wide), "--normalize", "minmax"])
         assert result.exit_code == 0
 
-    def test_log_env_var(self, runner, fixtures_dir):
-        result = runner.invoke(
-            main,
-            ["evaluate", str(fixtures_dir / "golden4.csv")],
-            env={"HMETRIC_LOG": "debug"},
-        )
+    def test_log_env_var(self, fixtures_dir, monkeypatch):
+        monkeypatch.setenv("HMETRIC_LOG", "debug")
+        result = run_cli(["evaluate", str(fixtures_dir / "golden4.csv")])
         assert result.exit_code == 0
 
     @pytest.mark.parametrize("value", ["basic_format", "bogus", "debug"])
@@ -264,7 +238,7 @@ class TestEvaluate:
         hmetric.cli._setup_logging()
         assert seen == {"level": logging.DEBUG if value == "debug" else logging.WARNING}
 
-    def test_fixed_prior_and_tabulated_weight(self, runner, fixtures_dir, tmp_path):
+    def test_fixed_prior_and_tabulated_weight(self, fixtures_dir, tmp_path):
         grid = np.linspace(1e-4, 1 - 1e-4, 2048)
         dens = 6.0 * grid * (1 - grid)
         dens /= np.trapezoid(dens, grid)
@@ -274,16 +248,11 @@ class TestEvaluate:
             encoding="utf-8",
         )
         out = tmp_path / "report.json"
-        result = runner.invoke(
-            main,
-            [
-                "evaluate", str(fixtures_dir / "golden4.csv"),
-                "--weight", f"tabulated:{wpath}",
-                "--prior", "fixed", "--pi0", "0.4",
-                "--out", str(out),
-            ],
-        )
-        assert result.exit_code == 0, result.output
+        result = run_cli([
+            "evaluate", str(fixtures_dir / "golden4.csv"), "--weight", f"tabulated:{wpath}",
+            "--prior", "fixed", "--pi0", "0.4", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.stderr
         report = _read_report(out)
         col = report["columns"]["score"]
         assert col["h"]["weight_used"]["kind"] == "tabulated"
@@ -291,96 +260,75 @@ class TestEvaluate:
 
 
 class TestCompare:
-    def test_rank_disagreement_flag(self, runner, fixtures_dir, tmp_path):
+    def test_rank_disagreement_flag(self, fixtures_dir, tmp_path):
         out = tmp_path / "cmp.json"
-        result = runner.invoke(
-            main,
-            [
-                "compare", str(fixtures_dir / "rank_disagreement.csv"),
-                "--columns", "model_a,model_b", "--out", str(out),
-            ],
-        )
-        assert result.exit_code == 0, result.output
+        result = run_cli([
+            "compare", str(fixtures_dir / "rank_disagreement.csv"), "--columns", "model_a,model_b",
+            "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.stderr
         report = _read_report(out)
         validate(report, REPORT_SCHEMA)
         assert report["comparison"]["rank_disagreement"] is True
         assert report["comparison"]["ranking_by_auc"] == ["model_a", "model_b"]
         assert report["comparison"]["ranking_by_h"] == ["model_b", "model_a"]
 
-    def test_duplicate_column_agrees(self, runner, fixtures_dir, tmp_path):
+    def test_duplicate_column_agrees(self, fixtures_dir, tmp_path):
         out = tmp_path / "cmp.json"
-        result = runner.invoke(
-            main,
-            [
-                "compare", str(fixtures_dir / "perfect.csv"),
-                "--columns", "score_a,score_b", "--out", str(out),
-            ],
-        )
-        assert result.exit_code == 0, result.output
+        result = run_cli([
+            "compare", str(fixtures_dir / "perfect.csv"), "--columns", "score_a,score_b", "--out",
+            str(out),
+        ])
+        assert result.exit_code == 0, result.stderr
         report = _read_report(out)
         assert report["comparison"]["rank_disagreement"] is False
 
-    def test_missing_column_exit_3(self, runner, fixtures_dir):
-        result = runner.invoke(
-            main,
-            ["compare", str(fixtures_dir / "golden4.csv"), "--columns", "score,ghost"],
-        )
+    def test_missing_column_exit_3(self, fixtures_dir):
+        result = run_cli([
+            "compare", str(fixtures_dir / "golden4.csv"), "--columns", "score,ghost",
+        ])
         assert result.exit_code == 3
-        assert "ghost" in result.output
+        assert "ghost" in result.stderr
 
-    def test_repeated_column_exit_3(self, runner, fixtures_dir):
-        result = runner.invoke(
-            main,
-            ["compare", str(fixtures_dir / "rank_disagreement.csv"),
-             "--columns", "model_a,model_b,model_a"],
-        )
+    def test_repeated_column_exit_3(self, fixtures_dir):
+        result = run_cli([
+            "compare", str(fixtures_dir / "rank_disagreement.csv"), "--columns",
+            "model_a,model_b,model_a",
+        ])
         assert result.exit_code == 3
-        assert "score columns listed more than once: model_a" in result.output
+        assert "score columns listed more than once: model_a" in result.stderr
 
-    def test_single_column_exit_3(self, runner, fixtures_dir):
-        result = runner.invoke(
-            main,
-            ["compare", str(fixtures_dir / "golden4.csv"), "--columns", "score"],
-        )
+    def test_single_column_exit_3(self, fixtures_dir):
+        result = run_cli(["compare", str(fixtures_dir / "golden4.csv"), "--columns", "score"])
         assert result.exit_code == 3
 
 
 class TestCurves:
-    def test_perfect_fixture_zero_loss_curve(self, runner, fixtures_dir, tmp_path):
-        result = runner.invoke(
-            main,
-            [
-                "curves", str(fixtures_dir / "perfect.csv"),
-                "--column", "score_a", "--out-dir", str(tmp_path),
-            ],
-        )
-        assert result.exit_code == 0, result.output
+    def test_perfect_fixture_zero_loss_curve(self, fixtures_dir, tmp_path):
+        result = run_cli([
+            "curves", str(fixtures_dir / "perfect.csv"), "--column", "score_a", "--out-dir",
+            str(tmp_path),
+        ])
+        assert result.exit_code == 0, result.stderr
         rows = (tmp_path / "loss_curve.csv").read_text().strip().splitlines()
         assert rows[0] == "c,min_loss"
         values = np.array([float(r.split(",")[1]) for r in rows[1:]])
         assert np.all(values == 0.0)
 
-    def test_uniform_weight_density_one(self, runner, fixtures_dir, tmp_path):
-        result = runner.invoke(
-            main,
-            [
-                "curves", str(fixtures_dir / "golden4.csv"),
-                "--weight", "beta", "--alpha", "1", "--beta", "1",
-                "--out-dir", str(tmp_path),
-            ],
-        )
-        assert result.exit_code == 0, result.output
+    def test_uniform_weight_density_one(self, fixtures_dir, tmp_path):
+        result = run_cli([
+            "curves", str(fixtures_dir / "golden4.csv"), "--weight", "beta", "--alpha", "1",
+            "--beta", "1", "--out-dir", str(tmp_path),
+        ])
+        assert result.exit_code == 0, result.stderr
         rows = (tmp_path / "weight.csv").read_text().strip().splitlines()
         assert rows[0] == "c,density"
         dens = np.array([float(r.split(",")[1]) for r in rows[1:]])
         assert np.allclose(dens, 1.0)
 
-    def test_golden_curves_match_recomputation(self, runner, fixtures_dir, tmp_path):
-        result = runner.invoke(
-            main,
-            ["curves", str(fixtures_dir / "golden4.csv"), "--out-dir", str(tmp_path)],
-        )
-        assert result.exit_code == 0, result.output
+    def test_golden_curves_match_recomputation(self, fixtures_dir, tmp_path):
+        result = run_cli(["curves", str(fixtures_dir / "golden4.csv"), "--out-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.stderr
         from hmetric import ingest, min_loss
         from hmetric.empirical import empirical_cdfs, empirical_priors
 
@@ -399,7 +347,7 @@ class TestCurves:
         assert got == expected
 
     @pytest.mark.parametrize("tied", [False, True])
-    def test_csvs_match_csv_module_rendering(self, runner, fixtures_dir, tmp_path, tied):
+    def test_csvs_match_csv_module_rendering(self, fixtures_dir, tmp_path, tied):
         import csv
         import io
 
@@ -410,8 +358,8 @@ class TestCurves:
             path = tmp_path / "tied.csv"
             path.write_text("label,s\n" + "".join(
                 f"{k % 3 % 2},{(k % 7) / 8}\n" for k in range(40)), encoding="utf-8")
-        result = runner.invoke(main, ["curves", str(path), "--out-dir", str(tmp_path)])
-        assert result.exit_code == 0, result.output
+        result = run_cli(["curves", str(path), "--out-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.stderr
 
         table = np.loadtxt(path, delimiter=",", skiprows=1)
         data = ingest(table[:, 1], table[:, 0].astype(int))
@@ -431,14 +379,16 @@ class TestCurves:
             assert (tmp_path / name).read_bytes() == text.getvalue().encode("utf-8"), name
         assert tied == (cdfs.u.size < data.n)
 
-    def test_beta_prior_exit_3_names_the_prior(self, runner, fixtures_dir, tmp_path):
+    def test_beta_prior_exit_3_names_the_prior(self, fixtures_dir, tmp_path):
         # the message is about the prior, not about the seed that a beta
         # prior needs in a report
-        result = runner.invoke(main, ["curves", str(fixtures_dir / "golden4.csv"),
-                                      "--prior", "beta", "--out-dir", str(tmp_path)])
+        result = run_cli([
+            "curves", str(fixtures_dir / "golden4.csv"), "--prior", "beta", "--out-dir",
+            str(tmp_path),
+        ])
         assert result.exit_code == 3
-        assert "curves need a concrete prior; use empirical or fixed" in result.output
-        assert "seed" not in result.output
+        assert "curves need a concrete prior; use empirical or fixed" in result.stderr
+        assert "seed" not in result.stderr
 
     @pytest.mark.parametrize("n", [0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1,
                                    2 * CSV_CHUNK + 3])
@@ -471,7 +421,7 @@ class TestCurves:
         assert (tmp_path / "roc.csv").read_bytes() == want.encode("utf-8")
 
     @pytest.mark.parametrize("column", ["fine", "coarse"])
-    def test_roc_rows_over_chunks_with_shared_scores(self, runner, tmp_path, column):
+    def test_roc_rows_over_chunks_with_shared_scores(self, tmp_path, column):
         rng = np.random.default_rng(19)
         labels = (rng.random(5000) < 0.3).astype(int)
         fine = 1.0 / (1.0 + np.exp(-(rng.standard_normal(5000) + labels)))
@@ -479,9 +429,10 @@ class TestCurves:
         path = tmp_path / "scores.csv"
         path.write_text("label,fine,coarse\n" + "".join(
             f"{y},{f:.17g},{c:.2f}\n" for y, f, c in zip(labels, fine, coarse)), encoding="utf-8")
-        result = runner.invoke(main, ["curves", str(path), "--column", column,
-                                      "--out-dir", str(tmp_path / "curves")])
-        assert result.exit_code == 0, result.output
+        result = run_cli([
+            "curves", str(path), "--column", column, "--out-dir", str(tmp_path / "curves"),
+        ])
+        assert result.exit_code == 0, result.stderr
 
         scores = np.loadtxt(path, delimiter=",", skiprows=1, usecols=1 + (column == "coarse"))
         u, group = np.unique(scores, return_inverse=True)
@@ -494,34 +445,36 @@ class TestCurves:
         assert (tmp_path / "curves" / "roc.csv").read_bytes() == "".join(rows).encode("utf-8")
 
     @pytest.mark.parametrize("resolution,rows", [([], 4096), (["--resolution", "1024"], 1024)])
-    def test_resolution_sets_the_curve_grid(self, runner, fixtures_dir, tmp_path,
+    def test_resolution_sets_the_curve_grid(self, fixtures_dir, tmp_path,
                                             resolution, rows):
-        result = runner.invoke(main, ["curves", str(fixtures_dir / "golden4.csv"),
-                                      *resolution, "--out-dir", str(tmp_path)])
-        assert result.exit_code == 0, result.output
+        result = run_cli([
+            "curves", str(fixtures_dir / "golden4.csv"), *resolution, "--out-dir", str(tmp_path),
+        ])
+        assert result.exit_code == 0, result.stderr
         for name in ("loss_curve.csv", "weight.csv"):
             assert len((tmp_path / name).read_text().splitlines()) == rows + 1
 
-    def test_resolution_below_floor_exit_3(self, runner, fixtures_dir, tmp_path):
-        result = runner.invoke(main, ["curves", str(fixtures_dir / "golden4.csv"),
-                                      "--resolution", "1023", "--out-dir", str(tmp_path)])
+    def test_resolution_below_floor_exit_3(self, fixtures_dir, tmp_path):
+        result = run_cli([
+            "curves", str(fixtures_dir / "golden4.csv"), "--resolution", "1023", "--out-dir",
+            str(tmp_path),
+        ])
         assert result.exit_code == 3
-        assert "resolution must be at least 1024, got 1023" in result.output
+        assert "resolution must be at least 1024, got 1023" in result.stderr
 
-    def test_resolution_above_ceiling_exit_3(self, runner, fixtures_dir, tmp_path):
+    def test_resolution_above_ceiling_exit_3(self, fixtures_dir, tmp_path):
         too_fine = MAX_RESOLUTION + 1
-        result = runner.invoke(main, ["curves", str(fixtures_dir / "golden4.csv"),
-                                      "--resolution", str(too_fine), "--out-dir", str(tmp_path)])
+        result = run_cli([
+            "curves", str(fixtures_dir / "golden4.csv"), "--resolution", str(too_fine),
+            "--out-dir", str(tmp_path),
+        ])
         assert result.exit_code == 3
-        assert f"resolution must be at most {MAX_RESOLUTION}, got {too_fine}" in result.output
+        assert f"resolution must be at most {MAX_RESOLUTION}, got {too_fine}" in result.stderr
 
-    def test_multi_column_needs_choice(self, runner, fixtures_dir, tmp_path):
-        result = runner.invoke(
-            main,
-            ["curves", str(fixtures_dir / "perfect.csv"), "--out-dir", str(tmp_path)],
-        )
+    def test_multi_column_needs_choice(self, fixtures_dir, tmp_path):
+        result = run_cli(["curves", str(fixtures_dir / "perfect.csv"), "--out-dir", str(tmp_path)])
         assert result.exit_code == 3
-        assert "--column" in result.output
+        assert "--column" in result.stderr
 
 
 # Column choices the header alone settles, or the arguments alone.
@@ -534,34 +487,34 @@ HEADER_REJECTIONS = [
 ]
 
 
-def _reject(runner, tmp_path, path, args):
+def _reject(tmp_path, path, args):
     argv = [args[0], str(path), *args[1:]]
     if args[0] == "curves":
         argv += ["--out-dir", str(tmp_path / "curves")]
-    return runner.invoke(main, argv)
+    return run_cli(argv)
 
 
 @pytest.mark.parametrize("args, message", HEADER_REJECTIONS)
-def test_columns_checked_before_a_malformed_row(runner, tmp_path, args, message):
+def test_columns_checked_before_a_malformed_row(tmp_path, args, message):
     # a command that parsed the rows first would exit 2 on the third line
     path = tmp_path / "scores.csv"
     path.write_text("label,model_a,model_b\n0,0.1,0.2\n1,oops,0.8\n", encoding="utf-8")
-    result = _reject(runner, tmp_path, path, args)
-    assert result.exit_code == 3, result.output
-    assert result.output == f"error: {message}\n"
+    result = _reject(tmp_path, path, args)
+    assert result.exit_code == 3, result.stderr
+    assert (result.stdout, result.stderr) == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("args, message", HEADER_REJECTIONS)
-def test_columns_checked_with_no_row_parsed(runner, fixtures_dir, tmp_path, args, message):
+def test_columns_checked_with_no_row_parsed(fixtures_dir, tmp_path, args, message):
     parsed = AssertionError("a row was parsed")
     with mock.patch.object(empirical, "_read_plain", side_effect=parsed), \
             mock.patch.object(empirical, "_read_lines", side_effect=parsed):
-        result = _reject(runner, tmp_path, fixtures_dir / "rank_disagreement.csv", args)
-    assert result.exit_code == 3, result.output
-    assert result.output == f"error: {message}\n"
+        result = _reject(tmp_path, fixtures_dir / "rank_disagreement.csv", args)
+    assert result.exit_code == 3, result.stderr
+    assert (result.stdout, result.stderr) == ("", f"error: {message}\n")
 
 
-def test_curves_frees_the_columns_it_does_not_plot(runner, fixtures_dir, tmp_path, monkeypatch):
+def test_curves_frees_the_columns_it_does_not_plot(fixtures_dir, tmp_path, monkeypatch):
     import weakref
 
     import hmetric.cli as cli
@@ -580,9 +533,11 @@ def test_curves_frees_the_columns_it_does_not_plot(runner, fixtures_dir, tmp_pat
 
     monkeypatch.setattr(cli, "read_scores_csv", reading)
     monkeypatch.setattr(cli, "loss_curve", plotting)
-    result = runner.invoke(main, ["curves", str(fixtures_dir / "rank_disagreement.csv"),
-                                  "--column", "model_a", "--out-dir", str(tmp_path)])
-    assert result.exit_code == 0, result.output
+    result = run_cli([
+        "curves", str(fixtures_dir / "rank_disagreement.csv"), "--column", "model_a", "--out-dir",
+        str(tmp_path),
+    ])
+    assert result.exit_code == 0, result.stderr
     assert sorted(parsed) == ["model_a", "model_b"]
 
 
@@ -593,15 +548,17 @@ REPORT_FLAGS = ["--mc-samples", "--seed", "--screen", "--u-dist"]
 def test_command_flags_are_pinned():
     # each command declares only the flags it reads; a flag added to or
     # dropped from a command shows up in these lists
-    flags = {name: [p.opts[0] for p in command.params if isinstance(p, click.Option)]
-             for name, command in main.commands.items()}
+    flags = {name: [flag for flag, _ in options] for name, (_, options) in _COMMANDS.items()}
     assert flags == {
         "evaluate": [*SHARED_FLAGS, *REPORT_FLAGS, "--out"],
         "compare": ["--columns", *SHARED_FLAGS, *REPORT_FLAGS, "--out"],
         "curves": ["--column", *SHARED_FLAGS, "--resolution", "--out-dir"],
     }
-    resolution = next(p for p in main.commands["curves"].params if p.name == "resolution")
-    assert f"[default: {CURVE_GRID}]" in resolution.help
+    # the defaults the config fills in, written out in the help
+    declared = {flag: kwargs for _, options in _COMMANDS.values() for flag, kwargs in options}
+    assert f"[default: {CURVE_GRID}]" in declared["--resolution"]["help"]
+    assert (f"[default: {BETA_PRIOR_DEFAULTS['outer_samples']}]"
+            in declared["--mc-samples"]["help"])
 
 
 def test_config_flags_are_config_fields():
@@ -609,9 +566,9 @@ def test_config_flags_are_config_fields():
     # commands hand the config every flag that is not their own by name
     own = {"out", "columns", "column", "resolution", "out_dir"}
     fields = set(EvalConfig.__dataclass_fields__)
-    for name, command in main.commands.items():
-        flags = {p.name for p in command.params if isinstance(p, click.Option)} - own
-        assert flags <= fields, (name, sorted(flags - fields))
+    for name, (_, options) in _COMMANDS.items():
+        dests = {kwargs["dest"] for _, kwargs in options} - own
+        assert dests <= fields, (name, sorted(dests - fields))
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -619,13 +576,50 @@ def test_config_flags_are_config_fields():
     ("curves", ["--screen", "0.1"]),
     ("evaluate", ["--resolution", "2048"]),
 ])
-def test_flag_another_command_reads_is_a_usage_error(runner, fixtures_dir, tmp_path,
+def test_flag_another_command_reads_is_a_usage_error(fixtures_dir, tmp_path,
                                                      command, flag):
     out = ["--out-dir", str(tmp_path)] if command == "curves" else []
-    result = runner.invoke(main, [command, str(fixtures_dir / "golden4.csv"), *flag, *out])
+    result = run_cli([command, str(fixtures_dir / "golden4.csv"), *flag, *out])
     assert result.exit_code == 2
-    # click's wording of the error differs between versions
-    assert "No such option" in result.output and flag[0] in result.output
+    assert "unrecognized arguments" in result.stderr and flag[0] in result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["compare", "rank_disagreement.csv", "--col", "model_a,model_b"],
+    ["compare", "rank_disagreement.csv", "--columns", "model_a,model_b", "--col", "model_a"],
+    ["evaluate", "golden4.csv", "--mo", "optimal"],
+])
+def test_flag_prefix_is_a_usage_error(fixtures_dir, args):
+    # no flag is read by a prefix of its name
+    result = run_cli([args[0], str(fixtures_dir / args[1]), *args[2:]])
+    assert result.exit_code == 2
+    assert result.stdout == "" and args[-2] in result.stderr
+
+
+@pytest.mark.parametrize("flag,message", [
+    (["--prior", "fixed", "--pi0", "-1e-3"], "fixed prior requires pi0 strictly inside (0, 1)"),
+    (["--screen", "-0.1"], "screening proportion must lie in (0, 1), got -0.1"),
+])
+def test_flag_value_may_start_with_a_dash(fixtures_dir, flag, message):
+    # the token after a flag is its value, so these reach the config's
+    # checks rather than ending as a flag without a value
+    result = run_cli(["evaluate", str(fixtures_dir / "golden4.csv"), *flag])
+    assert result.exit_code == 3, result.stderr
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_out_forms_write_the_same_report(fixtures_dir, tmp_path):
+    # no --out, --out - and --out=PATH
+    golden4, path = str(fixtures_dir / "golden4.csv"), tmp_path / "report.json"
+    results = [run_cli(["evaluate", golden4, *out]) for out in ([], ["--out", "-"],
+                                                                 [f"--out={path}"])]
+    assert [r.exit_code for r in results] == [0, 0, 0]
+    assert results[2].stdout == ""
+    reports = [_strict_loads(text) for text in (results[0].stdout, results[1].stdout,
+                                                path.read_text(encoding="utf-8"))]
+    for report in reports:
+        report["provenance"].pop("timestamp")
+    assert reports[0] == reports[1] == reports[2]
 
 
 def _fresh_interpreter(code: str, *args: str) -> str:
@@ -654,6 +648,17 @@ def test_callable_weight_rule_leaves_out_scipy():
 
 
 NUMERIC_LOADED = "sorted({'numpy', 'scipy'} & set(sys.modules))"
+
+
+@pytest.mark.parametrize("args", [["--help"], ["evaluate", "--help"]])
+def test_help_loads_no_click_logging_config_or_numpy(args):
+    # the help is the parser's alone: no command runs, so nothing it
+    # configures or computes with loads
+    code = ("import sys\nfrom hmetric.cli import main\n"
+            "try:\n    main(sys.argv[1:])\nexcept SystemExit as exc:\n"
+            "    print(exc.code, sorted({'click', 'logging', 'dataclasses', 'hmetric.config',\n"
+            "                            'numpy'} & set(sys.modules)))")
+    assert _fresh_interpreter(code, *args) == "0 []"
 
 
 @pytest.mark.parametrize("module", ["hmetric", "hmetric.cli"])

@@ -1,4 +1,4 @@
-"""The runtime needs numpy and click only: pyproject.toml declares no other
+"""The runtime needs numpy alone: pyproject.toml declares no other
 dependency, and no module under src/ imports scipy (read from the source
 by its syntax tree, so nothing is imported to check it)."""
 
@@ -11,11 +11,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_runtime_dependencies_are_numpy_and_click():
+def test_runtime_dependency_is_numpy():
     tomllib = pytest.importorskip("tomllib")  # new in Python 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     names = sorted(re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in project["dependencies"])
-    assert names == ["click", "numpy"]
+    assert names == ["numpy"]
 
 
 def test_no_source_module_imports_scipy():

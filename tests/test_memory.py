@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from conftest import run_cli
 
 import hmetric
-from hmetric.cli import _write_csv, main
+from hmetric.cli import _write_csv
 from hmetric.distributions import BetaWeight
 from hmetric.config import EvalConfig
 from hmetric.empirical import ingest, read_scores_csv, score_names
@@ -113,7 +113,7 @@ def test_curves_release_the_file_bytes_once_parsed(tmp_path):
     args = ["curves", str(path), "--column", "model_a", "--out-dir", str(tmp_path / "curves")]
 
     def curves():
-        assert CliRunner().invoke(main, args).exit_code == 0
+        assert run_cli(args).exit_code == 0
 
     # measured 7.1 MB; holding the 2.6 MB of bytes through the curves took 9.7 MB
     assert _traced_peak(curves) < 8 * MB

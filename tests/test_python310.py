@@ -1,6 +1,8 @@
 """The declared minimum, Python 3.10 (pyproject.toml), on a real 3.10
-interpreter: every source and test file compiles, and the package, its
-config and its errors import and validate there without numpy or scipy."""
+interpreter: every source and test file compiles, the package, its config
+and its errors import and validate there without numpy or scipy, and the
+CLI, which needs nothing outside the standard library until a command
+reads its input, prints its help and reports a configuration error."""
 
 import glob
 import os
@@ -33,6 +35,15 @@ else:
 print(sorted({"numpy", "scipy"} & set(sys.modules)))
 """
 
+# python -m hmetric.cli ARGS, from the source tree given as the first argument
+CLI = """
+import runpy
+import sys
+
+sys.path.insert(0, sys.argv.pop(1))
+runpy.run_module("hmetric.cli", run_name="__main__", alter_sys=True)
+"""
+
 
 def _python310() -> str | None:
     """A runnable 3.10 interpreter: python3.10 on PATH, else pyenv's."""
@@ -54,12 +65,26 @@ def _python310() -> str | None:
     return None
 
 
-def test_numpy_free_surface_on_python_310():
+def _run_on_python_310(code: str, *args: str) -> subprocess.CompletedProcess:
     exe = _python310()
     if exe is None:
         pytest.skip("no runnable Python 3.10 interpreter (python3.10 on PATH or under pyenv)")
     # -I: no environment, user site or working directory; -B: no .pyc files
-    out = subprocess.run([exe, "-I", "-B", "-c", CHECK, str(ROOT)], capture_output=True,
-                         text=True, timeout=120)
+    return subprocess.run([exe, "-I", "-B", "-c", code, *args], capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_numpy_free_surface_on_python_310():
+    out = _run_on_python_310(CHECK, str(ROOT))
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_help_and_config_error_on_python_310():
+    help_out = _run_on_python_310(CLI, str(ROOT / "src"), "--help")
+    assert help_out.returncode == 0, help_out.stderr
+    assert "Usage:" in help_out.stdout
+    error = _run_on_python_310(CLI, str(ROOT / "src"), "evaluate",
+                               str(ROOT / "tests" / "fixtures" / "golden4.csv"), "--mode", "bogus")
+    assert error.returncode == 3, error.stderr
+    assert error.stderr.startswith("error: unknown threshold mode 'bogus'")

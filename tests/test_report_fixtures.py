@@ -20,9 +20,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from hmetric.cli import main
+from conftest import run_cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
 KEPT = FIXTURES / "reports"
@@ -50,8 +48,8 @@ CURVE_FILES = ("loss_curve.csv", "weight.csv", "roc.csv")
 
 
 def _invoke(args):
-    result = CliRunner().invoke(main, args)
-    assert result.exit_code == 0, result.output
+    result = run_cli(args)
+    assert result.exit_code == 0, result.stderr
 
 
 def _report(args, tmp: Path) -> dict:
