@@ -72,9 +72,6 @@ class LabeledScores:
     def n1(self) -> int:
         return self.table.n1
 
-    def class_scores(self, label: int) -> np.ndarray:
-        return self.scores[self.labels == label]
-
     @cached_property
     def table(self) -> EmpiricalCdfPair:
         """The tie-grouped table of these scores, built by one sort; the
@@ -148,11 +145,11 @@ class EmpiricalCdfPair:
         """Class-1 scores in ascending order."""
         return np.repeat(self.u, self.count1)
 
-    def blocks(self):
-        """(u, cum0, cum1, count0, count1) of each run of _BLOCK groups, in
+    def blocks(self, size: int = _BLOCK):
+        """(u, cum0, cum1, count0, count1) of each run of size groups, in
         order, so that a sum over the groups holds one run's temporaries."""
-        for lo in range(0, self.u.size, _BLOCK):
-            run = slice(lo, lo + _BLOCK)
+        for lo in range(0, self.u.size, size):
+            run = slice(lo, lo + size)
             cum0, cum1 = self.cum0[run], self.cum1[run]
             yield (self.u[run], cum0, cum1,
                    np.diff(cum0, prepend=self.cum0[lo - 1] if lo else 0),

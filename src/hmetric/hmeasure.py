@@ -22,16 +22,17 @@ In calibrated mode the loss needs two count-weighted sums over the
 column's scores, of I_s(3 - pi0, 1 + pi0) over class 0 and of
 1 - I_s(2 - pi0, 2 + pi0) over class 1; both are analytic in pi0 on
 [0, 1], so they are evaluated exactly at PRIOR_NODES = 24 Chebyshev points
-once per column, both from one pair per distinct score, and read from the
-interpolant at every draw.  The interpolant is within 1e-14 absolute of
-the exact sums over the whole unit square of (score, pi0), and a column
-costs 24 K + draws partial pairs for K distinct scores instead of
-O(draws K).  Optimal mode stays exact per draw: one (draws x hull) batch
-of partial pairs, since its break points are rational in pi0.  In
-calibrated mode the ratio grows like 1/pi0 and 1/pi1 at the ends of the
-unit interval, so the prior's shapes must both exceed one for H to exist,
-and both exceed two for mc_stderr to be a valid error bar (a heavy_tail
-warning says when they do not).
+once per column, both from one pair per distinct score, a block of the
+column's table at a time, and read from the interpolant at every draw.
+The interpolant is within 1e-14 absolute of the exact sums over the whole
+unit square of (score, pi0), and a column costs 24 K + draws partial
+pairs for K distinct scores instead of O(draws K).  Optimal mode stays
+exact per draw: one (draws x hull) batch of partial pairs, since its
+break points are rational in pi0.  In calibrated mode the ratio grows
+like 1/pi0 and 1/pi1 at the ends of the unit interval, so the prior's
+shapes must both exceed one for H to exist, and both exceed two for
+mc_stderr to be a valid error bar (a heavy_tail warning says when they
+do not).
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ __all__ = [
 # interpolation error falls from 1.7e-13 at 16 nodes to 4.9e-15 at 18;
 # from 19 on, rounding (1e-15 to 5e-15) dominates, and 24 keeps a margin.
 PRIOR_NODES = 24
-# Scores per block of the node sums: all nodes are evaluated in one call,
-# and the (nodes x scores) block stays small whatever the column's size.
+# Table groups per block of the node sums: all nodes are evaluated in one
+# call, and the (nodes x groups) block stays small whatever the column's size.
 NODE_RUN = 2048
 
 
@@ -180,32 +181,36 @@ def _reference_loss_batch(pi0s: np.ndarray) -> np.ndarray:
 
 
 def _contract(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """np.tensordot(weights, table, axes=1), for a 2-D weights and a table
-    of up to three axes, by one np.add.reduce along the contracted axis,
-    last and contiguous in the product: a BLAS product would add in an
-    order that follows its thread count and kernel."""
+    """np.tensordot(weights, table, axes=1), for 2-D weights and table, by
+    one np.add.reduce along the contracted axis, last and contiguous in
+    the product: a BLAS product would add in an order that follows its
+    thread count and kernel."""
     return np.add.reduce(table.T[..., None, :] * weights, axis=-1).T
 
 
-def _node_sums(u: np.ndarray, count0: np.ndarray, count1: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients, in x = 2 pi0 - 1, of count0 @ I_u(a + 1, b)
-    and count1 @ (1 - I_u(a, b + 1)) under the conditional shapes (a, b),
-    stacked along axis 1, from their exact values at PRIOR_NODES Chebyshev
-    points: one (nodes x scores) block of partial pairs per NODE_RUN scores.
+def _calibrated_coefficients(cdfs: EmpiricalCdfPair) -> np.ndarray:
+    """Chebyshev coefficients, in x = 2 pi0 - 1, of the calibrated loss's
+    two class sums, i0(pi0) = mean of I_s(3 - pi0, 1 + pi0) over the
+    class-0 scores s and j1(pi0) = mean of 1 - I_s(2 - pi0, 2 + pi0) over
+    the class-1 scores, as the columns of a (PRIOR_NODES x 2) array.
 
-    The values' mean is the constant term; only their deviations from it
-    go through the discrete cosine sums, so rounding in those sums scales
-    with how much the function varies, not with its size.
+    Both come from their exact values at PRIOR_NODES Chebyshev points: one
+    (nodes x groups) block of partial pairs per NODE_RUN groups of the
+    table, each count-weighted sum added block by block.  The pair is
+    exactly (0, 1) at a score of 0 and (1, 0) at 1, so class-0 scores at
+    0 and class-1 scores at 1 add exactly nothing.  The values' mean is
+    the constant term; only their deviations from it go through the
+    discrete cosine sums, so rounding in those sums scales with how much
+    the function varies, not with its size.
     """
     # the Chebyshev points of the first kind, as numpy.polynomial's chebpts1
     x = np.sin(0.5 * np.pi / PRIOR_NODES * np.arange(1 - PRIOR_NODES, PRIOR_NODES + 1, 2))
     a, b = _conditional_shapes((x[:, None] + 1.0) / 2.0)
-    values = np.zeros((PRIOR_NODES, 2) + count0.shape[1:])
-    for i in range(0, u.size, NODE_RUN):
-        run = slice(i, i + NODE_RUN)
-        below, above = _partial_pair(a, b, u[run])
-        values[:, 0] += _contract(below, count0[run])
-        values[:, 1] += _contract(above, count1[run])
+    values = np.zeros((PRIOR_NODES, 2))
+    for u, _, _, count0, count1 in cdfs.blocks(NODE_RUN):
+        below, above = _partial_pair(a, b, u)
+        values[:, 0] += np.add.reduce(count0 * below, axis=-1)
+        values[:, 1] += np.add.reduce(count1 * above, axis=-1)
     # row j is T_j at the points, by chebvander's recurrence
     rows = np.empty((PRIOR_NODES, PRIOR_NODES))
     rows[0], rows[1] = 1.0, x
@@ -215,26 +220,7 @@ def _node_sums(u: np.ndarray, count0: np.ndarray, count1: np.ndarray) -> np.ndar
     coef = _contract(rows, values - mean)
     coef *= 2.0 / PRIOR_NODES
     coef[0] = mean
-    return coef
-
-
-def _calibrated_coefficients(cdfs: EmpiricalCdfPair) -> np.ndarray:
-    """Chebyshev coefficients of the calibrated loss's two class sums,
-    i0(pi0) = mean of I_s(3 - pi0, 1 + pi0) over the class-0 scores s and
-    j1(pi0) = mean of 1 - I_s(2 - pi0, 2 + pi0) over the class-1 scores,
-    as the columns of a (PRIOR_NODES x 2) array.
-
-    Both come from one partial pair per distinct score strictly inside
-    (0, 1).  A class-0 score at exactly 1 adds its count to i0, and a
-    class-1 score at exactly 0 its count to j1, through the constant term;
-    the other end adds nothing, so a perfect classifier's sums are exactly
-    0.
-    """
-    u, count0, count1 = cdfs.u, cdfs.count0, cdfs.count1
-    inner = (u > 0.0) & (u < 1.0)
-    coef = _node_sums(u[inner], count0[inner], count1[inner]) / (cdfs.n0, cdfs.n1)
-    coef[0] += count0[u == 1.0].sum() / cdfs.n0, count1[u == 0.0].sum() / cdfs.n1
-    return coef
+    return coef / (cdfs.n0, cdfs.n1)
 
 
 def _calibrated_loss_batch(pi0s: np.ndarray, coef: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .auc import auc_mann_whitney
 from .distributions import TabulatedWeight, WeightFunction
 from .empirical import ClassPriors, LabeledScores, empirical_cdfs
 from .errors import ConfigError, InputError
@@ -157,16 +158,15 @@ def rank_uniform_evaluation(data: LabeledScores, rank_weights=None) -> float:
     """Average fraction of class-0 scores below each class-1 score used as
     a threshold (ties counted half).
 
-    With uniform weights this equals the Mann-Whitney AUC exactly; the
-    optional per-rank weights generalize the average when equal rank
-    probabilities are not credible.
+    Without weights this is the Mann-Whitney AUC, and auc_mann_whitney's
+    exact sum gives it; the optional per-rank weights generalize the
+    average when equal rank probabilities are not credible.
     """
+    if rank_weights is None:
+        return auc_mann_whitney(data).auc
     cdfs = empirical_cdfs(data)  # raises on single-class data
     # class-0 scores below each distinct score, plus half of those tied
     credits = cdfs.cum0 - 0.5 * cdfs.count0
-    if rank_weights is None:
-        # the same exact sum of half-integers as the AUC: bit-identical
-        return _sum(cdfs.count1 * credits) / (cdfs.n0 * cdfs.n1)
     w = _rank_weights(RankUniformClass1(weights=tuple(rank_weights)), cdfs.n1)
     return float(np.sum(w * np.repeat(credits, cdfs.count1)) / cdfs.n0)
 

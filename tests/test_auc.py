@@ -45,7 +45,7 @@ class TestAucMannWhitney:
             labels = np.r_[0, 1, (rng.random(n - 2) < 0.45).astype(int)]
             data = ingest(scores, labels)
             got = auc_mann_whitney(data).auc
-            brute = brute_force_auc(data.class_scores(0), data.class_scores(1))
+            brute = brute_force_auc(data.scores[data.labels == 0], data.scores[data.labels == 1])
             assert got == brute
 
     def test_tie_pairs_counted(self):

@@ -118,7 +118,7 @@ WEIGHTS = {
 
 
 def _split(data):
-    return data.class_scores(0), data.class_scores(1)
+    return data.scores[data.labels == 0], data.scores[data.labels == 1]
 
 
 def _reference_loss(data, priors, w, mode):

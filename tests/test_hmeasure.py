@@ -13,7 +13,7 @@ from hmetric import (
     ingest,
     read_scores_csv,
 )
-from hmetric.empirical import ClassPriors, empirical_cdfs
+from hmetric.empirical import ClassPriors, EmpiricalCdfPair, empirical_cdfs
 from hmetric.report import build_report
 import hmetric.distributions as distributions
 import hmetric.hmeasure as hmeasure
@@ -279,7 +279,9 @@ def test_prior_interpolant_accuracy():
     ])
     p = np.concatenate([np.linspace(0.0, 1.0, 2001), [np.finfo(float).tiny, 1.0 - 1e-16]])
     a, b = hmeasure._conditional_shapes(p)
-    coef = hmeasure._node_sums(u, np.eye(u.size), np.eye(u.size))
+    one = np.ones(1, dtype=np.int64)  # one score of each class at s
+    coef = np.stack([hmeasure._calibrated_coefficients(EmpiricalCdfPair(np.array([s]), one, one))
+                     for s in u], axis=-1)
     exact = betainc(a + 1.0, b, u[:, None]), 1.0 - betainc(a, b + 1.0, u[:, None])
     for side in (0, 1):
         got = chebval(2.0 * p - 1.0, coef[:, side])
@@ -315,16 +317,15 @@ def _counting_pairs(monkeypatch):
 
 @pytest.mark.parametrize("draws", [2000, 20000])
 def test_prior_betainc_work(monkeypatch, draws):
-    # the class sums take PRIOR_NODES partial pairs per inner distinct score,
+    # the class sums take PRIOR_NODES partial pairs per distinct score,
     # both classes from the same pair, whatever the number of draws; only
     # the closed-form reference is evaluated per draw, one pair each
     data = _datasets()[2]
     cdfs = empirical_cdfs(data)
     seen = _counting_pairs(monkeypatch)
     h_measure_uncertain_priors(data, config=EvalConfig(prior="beta", seed=4, outer_samples=draws))
-    inner = (cdfs.u > 0.0) & (cdfs.u < 1.0)
-    k0, k1 = np.sum(inner & (cdfs.count0 > 0)), np.sum(inner & (cdfs.count1 > 0))
-    assert sum(seen) == PRIOR_NODES * np.sum(inner) + draws
+    k0, k1 = np.sum(cdfs.count0 > 0), np.sum(cdfs.count1 > 0)
+    assert sum(seen) == PRIOR_NODES * cdfs.u.size + draws
     assert sum(seen) < PRIOR_NODES * (k0 + k1) + 2 * draws
 
 
@@ -339,7 +340,7 @@ def test_report_shares_the_prior_draws(monkeypatch, mode):
     report = build_report(columns, labels, config)
     cdfs = {name: empirical_cdfs(ingest(scores, labels)) for name, scores in columns.items()}
     if mode == "calibrated":
-        nodes = sum(PRIOR_NODES * np.sum((c.u > 0.0) & (c.u < 1.0)) for c in cdfs.values())
+        nodes = sum(PRIOR_NODES * c.u.size for c in cdfs.values())
         assert sum(seen) == nodes + config.outer_samples
     else:  # one reference batch per chunk, then one (draws x hull breaks) batch per column
         hull = sum(c.hull[0].size + 1 for c in cdfs.values())

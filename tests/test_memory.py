@@ -21,7 +21,7 @@ from hmetric.cli import _write_csv
 from hmetric.distributions import BetaWeight
 from hmetric.config import EvalConfig
 from hmetric.empirical import ingest, read_scores_csv, score_names
-from hmetric.hmeasure import h_measure_uncertain_priors
+from hmetric.hmeasure import _calibrated_coefficients, h_measure_uncertain_priors
 from hmetric.report import build_report
 
 MB = 1 << 20
@@ -68,6 +68,20 @@ def test_prior_path_flat_in_draws(mode):
         prior="beta", seed=1, outer_samples=draws, threshold_mode=mode)))
         for draws in (20_000, 80_000)]
     assert peaks[1] < peaks[0] + 64 * 1024, peaks
+
+
+def test_calibrated_node_sums_flat_in_scores():
+    # the node sums read the table a block of groups at a time, ends and
+    # all: measured 14.79 and 14.83 MB on 2e4 and 8e4 distinct scores,
+    # where copying the groups strictly inside (0, 1) took 15.54 and 17.92
+    rng = np.random.default_rng(7)
+    peaks = []
+    for n in (20_000, 80_000):
+        scores = np.concatenate([[0.0] * 5, rng.random(n - 10), [1.0] * 5])
+        cdfs = ingest(scores, (rng.random(n) < 0.4).astype(int)).table
+        assert cdfs.u.size > n - 10 and cdfs.u[0] == 0.0 and cdfs.u[-1] == 1.0
+        peaks.append(_traced_peak(lambda: _calibrated_coefficients(cdfs)))
+    assert peaks[1] < peaks[0] + 256 * 1024, peaks
 
 
 def test_report_holds_one_column_at_a_time():

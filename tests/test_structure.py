@@ -56,7 +56,7 @@ def test_random_streams_made_only_in_mc():
     assert callers == {"_mc.py"}
 
 
-def test_partial_pair_called_only_in_node_sums():
+def test_partial_pair_called_only_in_calibrated_coefficients():
     module = ast.parse((SRC / "hmeasure.py").read_bytes())
     callers = {
         top.name if isinstance(top, ast.FunctionDef) else type(top).__name__
@@ -64,7 +64,7 @@ def test_partial_pair_called_only_in_node_sums():
         for node in ast.walk(top)
         if isinstance(node, ast.Call) and _called_name(node) == "_partial_pair"
     }
-    assert callers == {"_node_sums"}
+    assert callers == {"_calibrated_coefficients"}
 
 
 MATRIX_PRODUCTS = {"dot", "vdot", "tensordot", "matmul", "einsum", "inner"}

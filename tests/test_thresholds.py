@@ -218,7 +218,7 @@ class TestHiddenAssumptionDemo:
         names, columns, labels = read_scores_csv(fixtures_dir / "rank_disagreement.csv")
         data_a = ingest(columns["model_a"], labels)
         data_b = ingest(columns["model_b"], labels)
-        assert np.min(data_a.class_scores(1)) > 0.8
+        assert np.min(data_a.scores[data_a.labels == 1]) > 0.8
         rank_a = rank_uniform_evaluation(data_a)
         rank_b = rank_uniform_evaluation(data_b)
         h_a = h_measure_fixed(data_a).h
