@@ -3,7 +3,15 @@
 Exit codes: 0 success, 2 malformed input (reported with line numbers),
 3 configuration error, 4 degenerate data (a single class).  The HMETRIC_LOG
 environment variable sets the log level; nothing else is read from the
-environment.
+environment.  Unset, nothing the package logs (at info only) can show,
+so logging is not imported.
+
+``python -m hmetric.cli`` and the ``hmetric`` script run process_main:
+once the command has exited and its output is flushed, the process ends
+by os._exit, skipping the interpreter's teardown (clearing every module,
+then a last garbage collection).  It exits normally when a flush fails,
+as on a broken pipe, and under a profiler or tracer, so that they write
+their output.  main(args), called from Python, ends in SystemExit.
 """
 
 from __future__ import annotations
@@ -54,15 +62,20 @@ def __getattr__(name: str):
 def _setup_logging():
     """The level HMETRIC_LOG names (debug, info, ...); any other value,
     such as a name in logging that is not a level, means warning.  logging
-    loads here and in _info, once a command runs, so --help loads none."""
+    loads here and in _info only when HMETRIC_LOG is set: unset, the level
+    is warning, at which the package's info records never show."""
+    if "HMETRIC_LOG" not in os.environ:
+        return
     import logging
 
-    level = getattr(logging, os.environ.get("HMETRIC_LOG", "warning").upper(), None)
+    level = getattr(logging, os.environ["HMETRIC_LOG"].upper(), None)
     logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
 
 
 def _info(message: str, *args):
     """Log message, formatted with args, at level info."""
+    if "HMETRIC_LOG" not in os.environ:
+        return
     import logging
 
     logging.getLogger("hmetric").info(message, *args)
@@ -358,5 +371,35 @@ def main(args=None, standalone_mode=True):
 main.main = main
 
 
+def _observed() -> bool:
+    """Whether a profiler or tracer watches this process (sys.setprofile,
+    sys.settrace or, from Python 3.12, a sys.monitoring tool, whose ids
+    run from 0 to 5; cProfile has used one since 3.12)."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.getprofile() is not None or sys.gettrace() is not None
+            or (monitoring is not None and any(map(monitoring.get_tool, range(6)))))
+
+
+def process_main():
+    """The process's entry point: main(), then, for an int or None exit
+    code, standard output and error flushed and os._exit, which skips the
+    interpreter's teardown; every file a command writes is closed before
+    it exits.  The SystemExit goes on as usual if a flush fails or the
+    process is observed (_observed).  An uncaught exception is left as is:
+    a traceback and exit code 1."""
+    try:
+        main()
+    except SystemExit as exc:
+        if not (exc.code is None or isinstance(exc.code, int)) or _observed():
+            raise
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except OSError:
+            raise exc from None
+        os._exit(exc.code or 0)
+
+
 if __name__ == "__main__":
-    main()
+    process_main()

@@ -310,13 +310,15 @@ def _pair_flat(a, b, term, k, x, cdf=False):
     return outs
 
 
-def _broadcast(a, b, x, cdf=False):
+def _broadcast(a, b, x, cdf=False, term=None):
     """_pair_flat's outputs at the broadcast of a, b and x, like scipy's
     ufuncs: the shape term once per shape pair, then blocks of _BLOCK
     elements (_RUN_BLOCK when the shapes come one pair per run of
     elements), each with its distinct shape pairs and the run index k of
     every element.  No step depends on the other elements of the call, so
-    a value is the same bits whatever it is broadcast with."""
+    a value is the same bits whatever it is broadcast with.  term, when
+    given, is the shape term of a single pair a, b, from _shape_term on
+    1-element arrays as here, so that a caller can compute it once."""
     a, b, x = (np.asarray(v, dtype=float) for v in (a, b, x))
     shape = np.broadcast_shapes(a.shape, b.shape, x.shape)
     ab_shape = np.broadcast_shapes(a.shape, b.shape)
@@ -326,7 +328,7 @@ def _broadcast(a, b, x, cdf=False):
     perm = sorted(range(len(shape)), key=lambda axis: ab_shape[axis] == 1)
     xs = np.broadcast_to(x, shape).transpose(perm).ravel()
     sa, sb = (np.broadcast_to(v, ab_shape).transpose(perm).ravel() for v in (a, b))
-    term = _shape_term(sa, sb)
+    term = _shape_term(sa, sb) if term is None else term
     outs = [np.empty(xs.size) for _ in range(3 if cdf else 2)]
     run = xs.size // max(sa.size, 1)
     block = _BLOCK if sa.size == 1 or run == 1 else _RUN_BLOCK
@@ -364,19 +366,20 @@ def betainc(a, b, x):
     return _broadcast(a, b, x, cdf=True)[2]
 
 
-def _partial_pair(a, b, x):
+def _partial_pair(a, b, x, term=None):
     """(I_x(a + 1, b), 1 - I_x(a, b + 1)), broadcast like betainc, from one
     front factor and one continued fraction per element (_pair_flat).
     Both are within 1e-12 relative, the second also as x -> 1, where
-    1 - betainc(a, b + 1, x) would lose its digits."""
-    return _broadcast(a, b, x)
+    1 - betainc(a, b + 1, x) would lose its digits.  term is _broadcast's."""
+    return _broadcast(a, b, x, term=term)
 
 
-def _beta_moments(a, b, u):
+def _beta_moments(a, b, u, term=None):
     """The partial moments of a Beta(a, b) cost weight at u, broadcast:
     (a/(a+b)) I_u(a + 1, b) and (b/(a+b)) (1 - I_u(a, b + 1)), by the
-    shape shift c b(c; a, b) = (a/(a+b)) b(c; a + 1, b)."""
-    below, above = _partial_pair(a, b, u)
+    shape shift c b(c; a, b) = (a/(a+b)) b(c; a + 1, b).  term is
+    _broadcast's."""
+    below, above = _partial_pair(a, b, u, term)
     return (a / (a + b)) * below, (b / (a + b)) * above
 
 
@@ -449,11 +452,13 @@ class BetaWeight(WeightFunction):
     Partial moments come in closed form from the shape-shift identity
     c b(c; a, b) = (a / (a + b)) b(c; a + 1, b), so m0 and m1 reduce to
     regularized incomplete betas with one shape raised by one, which one
-    continued fraction gives together (_beta_moments).
+    continued fraction gives together (_beta_moments).  Their shape term
+    is computed once, here, not once per call.
     """
 
     def __init__(self, alpha: float, beta: float):
         self.params = BetaParams(float(alpha), float(beta))
+        self._term = _shape_term(np.array([self.alpha]), np.array([self.beta]))
 
     @property
     def alpha(self) -> float:
@@ -484,7 +489,7 @@ class BetaWeight(WeightFunction):
         return (a - 1.0) / (a + b - 2.0)
 
     def partial_moments(self, upper):
-        m0, m1 = _beta_moments(self.alpha, self.beta, _check_upper(upper))
+        m0, m1 = _beta_moments(self.alpha, self.beta, _check_upper(upper), self._term)
         if np.isscalar(upper):
             return float(m0), float(m1)
         return m0, m1

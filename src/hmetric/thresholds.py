@@ -12,9 +12,7 @@ scores, and screening, reads the column's tie-grouped table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -171,6 +169,17 @@ def rank_uniform_evaluation(data: LabeledScores, rank_weights=None) -> float:
     return float(np.sum(w * np.repeat(credits, cdfs.count1)) / cdfs.n0)
 
 
+def _ceil_as_printed(p: float, n: int) -> int:
+    """ceil(d * n) for the decimal d that the float p prints as (its repr,
+    such as 0.07 or 1e-05), in integers: d is the digits of its mantissa
+    times a power of ten."""
+    mantissa, _, exp = repr(float(p)).partition("e")
+    whole, _, frac = mantissa.partition(".")
+    num = int(whole + frac) * n
+    shift = int(exp or 0) - len(frac)
+    return num * 10**shift if shift >= 0 else -(-num // 10**-shift)
+
+
 def screen_at_proportion(data: LabeledScores, p: float, basis: str = "all_objects") -> ScreeningResult:
     """Classify as class 0 everything scoring at or below the p-quantile
     rank of the basis set.
@@ -187,7 +196,7 @@ def screen_at_proportion(data: LabeledScores, p: float, basis: str = "all_object
         raise ConfigError(f"unknown screening basis {basis!r}; expected {SCREEN_BASES}")
     cdfs = empirical_cdfs(data)  # raises on single-class data
     ranked = cdfs.cum0 + cdfs.cum1 if basis == "all_objects" else cdfs.cum0
-    k = math.ceil(Fraction(repr(float(p))) * int(ranked[-1]))
+    k = _ceil_as_printed(p, int(ranked[-1]))
     cut = int(np.searchsorted(ranked, k))  # the tie group holding rank k
     tn, fn = int(cdfs.cum0[cut]), int(cdfs.cum1[cut])
     fp, tp = cdfs.n0 - tn, cdfs.n1 - fn

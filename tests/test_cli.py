@@ -803,3 +803,103 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, command):
                               *command[1:]], env=env, capture_output=True, text=True, check=True)
         reports.append(re.sub(r'"timestamp": "[^"]*"', "", out.stdout))
     assert reports[0] == reports[1]
+
+
+def _module_process(args, cwd, **env):
+    """The interpreter run on args (such as -m hmetric.cli ...) in a new
+    process with this package first on its path, stdout and stderr piped
+    and PYTHONUNBUFFERED unset, so that its output is only what the process
+    flushes before it ends; env adds to the environment, a value of None
+    removes the variable."""
+    src = str(Path(hmetric.__file__).resolve().parents[1])
+    full = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    full.pop("PYTHONUNBUFFERED", None)
+    for name, value in env.items():
+        if value is None:
+            full.pop(name, None)
+        else:
+            full[name] = value
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=full, capture_output=True)
+
+
+def _without_timestamp(report: bytes) -> bytes:
+    return re.sub(rb'"timestamp": "[^"]*"', b"", report)
+
+
+def test_piped_report_is_the_written_report(fixtures_dir, tmp_path):
+    # the process ends by os._exit: whatever it printed is flushed first
+    golden4 = str(fixtures_dir / "golden4.csv")
+    piped = _module_process(["-m", "hmetric.cli", "evaluate", golden4], tmp_path,
+                            HMETRIC_LOG=None)
+    written = _module_process(["-m", "hmetric.cli", "evaluate", golden4, "--out", "r.json"],
+                              tmp_path, HMETRIC_LOG=None)
+    assert (piped.returncode, written.returncode) == (0, 0), (piped.stderr, written.stderr)
+    assert written.stdout == piped.stderr == written.stderr == b""
+    assert _without_timestamp(piped.stdout) == _without_timestamp(
+        (tmp_path / "r.json").read_bytes())
+
+
+def test_piped_help_is_the_help(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the help's width
+    piped = _module_process(["-m", "hmetric.cli", "--help"], tmp_path, COLUMNS="80")
+    assert piped.returncode == 0 and piped.stderr == b""
+    assert piped.stdout.decode() == run_cli(["--help"]).stdout
+
+
+def test_help_with_stdout_closed(tmp_path):
+    # with file descriptor 1 closed, sys.stdout is None and argparse writes
+    # the help to stderr; the exit has no stdout to flush
+    code = ("import os, sys\nos.close(1)\n"
+            "os.execv(sys.executable, [sys.executable, '-m', 'hmetric.cli', '--help'])")
+    ended = _module_process(["-c", code], tmp_path)
+    assert ended.returncode == 0, ended.stderr
+    assert ended.stderr.startswith(b"Usage: hmetric")
+
+
+@pytest.mark.parametrize("rows,args,exit_code", [
+    ("label,s\n0,0.1\n1,\n", [], 2),
+    ("label,s\n0,0.1\n1,0.5\n", ["--mode", "bogus"], 3),
+    ("label,s\n0,0.1\n0,0.5\n", [], 4),
+])
+def test_module_process_exits_with_one_error_line(tmp_path, rows, args, exit_code):
+    path = tmp_path / "scores.csv"
+    path.write_text(rows, encoding="utf-8")
+    ended = _module_process(["-m", "hmetric.cli", "evaluate", str(path), *args], tmp_path)
+    in_process = run_cli(["evaluate", str(path), *args])
+    assert ended.returncode == in_process.exit_code == exit_code
+    assert ended.stdout == b""
+    assert ended.stderr.decode() == in_process.stderr
+    assert ended.stderr.startswith(b"error: ") and ended.stderr.count(b"\n") == 1
+
+
+def test_module_process_logs_when_asked(fixtures_dir, tmp_path):
+    ended = _module_process(["-m", "hmetric.cli", "evaluate", str(fixtures_dir / "golden4.csv"),
+                             "--out", "r.json"], tmp_path, HMETRIC_LOG="info")
+    assert ended.returncode == 0
+    assert b"wrote report to r.json" in ended.stderr
+
+
+def test_profiler_still_writes_its_output(tmp_path):
+    # under a profiler the process exits normally, so cProfile gets to write
+    ended = _module_process(["-m", "cProfile", "-o", "prof.out", "-m", "hmetric.cli", "--help"],
+                            tmp_path)
+    assert ended.returncode == 0, ended.stderr
+    assert b"Usage: hmetric" in ended.stdout
+    assert (tmp_path / "prof.out").stat().st_size > 0
+
+
+@pytest.mark.parametrize("args", [
+    ["evaluate", "golden4.csv", "--out", "{tmp}/report.json"],
+    ["compare", "rank_disagreement.csv", "--columns", "model_a,model_b", "--screen", "0.1,0.25",
+     "--out", "{tmp}/report.json"],
+])
+def test_commands_leave_out_logging_and_fractions(fixtures_dir, tmp_path, monkeypatch, args):
+    # without HMETRIC_LOG no record can show, so logging never loads; the
+    # screening rank is read in integers, without fractions
+    monkeypatch.delenv("HMETRIC_LOG", raising=False)
+    args = [str(fixtures_dir / a) if a.endswith(".csv") and "{" not in a
+            else a.format(tmp=tmp_path) for a in args]
+    code = ("import sys\nfrom hmetric.cli import main\n"
+            "try:\n    main(sys.argv[1:])\nexcept SystemExit as exc:\n"
+            "    print(exc.code, sorted({'logging', 'fractions'} & set(sys.modules)))")
+    assert _fresh_interpreter(code, *args) == "0 []"

@@ -305,9 +305,9 @@ def _counting_pairs(monkeypatch):
     seen = []
     own = hmeasure._partial_pair  # the package's routine, so the counted calls run it
 
-    def counted(a, b, x):
+    def counted(a, b, x, term=None):
         seen.append(np.broadcast(a, b, x).size)
-        return own(a, b, x)
+        return own(a, b, x, term)
 
     # the class sums call it from hmeasure, the per-draw moments through _beta_moments
     monkeypatch.setattr(hmeasure, "_partial_pair", counted)

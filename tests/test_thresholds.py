@@ -1,5 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hmetric import (
     BetaWeight,
@@ -19,6 +24,7 @@ from hmetric import (
     screen_at_proportion,
     threshold_loss,
 )
+from hmetric import thresholds
 from hmetric.empirical import empirical_cdfs, empirical_priors
 from conftest import random_dataset
 
@@ -159,6 +165,17 @@ class TestScreening:
         assert res.confusion == (tn, fp, fn, tp)
         assert sum(res.confusion) == data.n
         assert res.misclassification_rate == pytest.approx((fp + fn) / 10)
+
+    @given(p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+           n=st.integers(min_value=1, max_value=(1 << 40) + 3))
+    @example(p=0.07, n=100)
+    @example(p=1e-05, n=3)
+    @example(p=5e-324, n=(1 << 40) + 3)
+    @example(p=0.30000000000000004, n=10)
+    @example(p=0.1, n=10)
+    @settings(max_examples=500, deadline=None)
+    def test_rank_reads_p_as_the_decimal_it_prints_as(self, p, n):
+        assert thresholds._ceil_as_printed(p, n) == math.ceil(Fraction(repr(p)) * n)
 
     @pytest.mark.parametrize("p, n, rank", [(0.07, 100, 7), (0.28, 25, 7), (0.55, 100, 55)])
     def test_rank_is_ceil_of_p_as_printed(self, p, n, rank):
