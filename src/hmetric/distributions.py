@@ -310,15 +310,19 @@ def _pair_flat(a, b, term, k, x, cdf=False):
     return outs
 
 
-def _broadcast(a, b, x, cdf=False, term=None):
-    """_pair_flat's outputs at the broadcast of a, b and x, like scipy's
-    ufuncs: the shape term once per shape pair, then blocks of _BLOCK
-    elements (_RUN_BLOCK when the shapes come one pair per run of
-    elements), each with its distinct shape pairs and the run index k of
-    every element.  No step depends on the other elements of the call, so
-    a value is the same bits whatever it is broadcast with.  term, when
-    given, is the shape term of a single pair a, b, from _shape_term on
-    1-element arrays as here, so that a caller can compute it once."""
+def _partial_pair(a, b, x, term=None, cdf=False):
+    """(I_x(a + 1, b), 1 - I_x(a, b + 1)), and with cdf also I_x(a, b), at
+    the broadcast of a, b and x like scipy's ufuncs, from one front factor
+    and one continued fraction per element (_pair_flat); the second is
+    within 1e-12 relative also as x -> 1, where 1 - betainc(a, b + 1, x)
+    would lose its digits.  The shape term is taken once per shape pair,
+    then blocks of _BLOCK elements (_RUN_BLOCK when the shapes come one
+    pair per run of elements) go through, each with its distinct shape
+    pairs and the run index k of every element.  No step depends on the
+    other elements of the call, so a value is the same bits whatever it is
+    broadcast with.  term, when given, is the shape term of a single pair
+    a, b, from _shape_term on 1-element arrays as here, so that a caller
+    can compute it once."""
     a, b, x = (np.asarray(v, dtype=float) for v in (a, b, x))
     shape = np.broadcast_shapes(a.shape, b.shape, x.shape)
     ab_shape = np.broadcast_shapes(a.shape, b.shape)
@@ -363,22 +367,14 @@ def betainc(a, b, x):
     forward products.  Relative error stays within 1e-12, and a value is
     the same bits whatever it is broadcast with.
     """
-    return _broadcast(a, b, x, cdf=True)[2]
-
-
-def _partial_pair(a, b, x, term=None):
-    """(I_x(a + 1, b), 1 - I_x(a, b + 1)), broadcast like betainc, from one
-    front factor and one continued fraction per element (_pair_flat).
-    Both are within 1e-12 relative, the second also as x -> 1, where
-    1 - betainc(a, b + 1, x) would lose its digits.  term is _broadcast's."""
-    return _broadcast(a, b, x, term=term)
+    return _partial_pair(a, b, x, cdf=True)[2]
 
 
 def _beta_moments(a, b, u, term=None):
     """The partial moments of a Beta(a, b) cost weight at u, broadcast:
     (a/(a+b)) I_u(a + 1, b) and (b/(a+b)) (1 - I_u(a, b + 1)), by the
     shape shift c b(c; a, b) = (a/(a+b)) b(c; a + 1, b).  term is
-    _broadcast's."""
+    _partial_pair's."""
     below, above = _partial_pair(a, b, u, term)
     return (a / (a + b)) * below, (b / (a + b)) * above
 
@@ -439,11 +435,11 @@ class WeightFunction:
         raise NotImplementedError
 
 
-def _check_upper(upper):
-    u = np.asarray(upper, dtype=float)
-    if np.any(~np.isfinite(u)) or np.any(u < 0.0) or np.any(u > 1.0):
-        raise InputError(f"upper integration limit must lie in [0, 1], got {upper}")
-    return u
+def _check_unit(name, value):
+    v = np.asarray(value, dtype=float)
+    if np.any(~np.isfinite(v)) or np.any(v < 0.0) or np.any(v > 1.0):
+        raise InputError(f"{name} must lie in [0, 1], got {value}")
+    return v
 
 
 class BetaWeight(WeightFunction):
@@ -476,7 +472,7 @@ class BetaWeight(WeightFunction):
         return float(out) if np.isscalar(c) else out
 
     def cdf(self, c):
-        out = betainc(self.alpha, self.beta, _check_upper(c))
+        out = betainc(self.alpha, self.beta, _check_unit("upper integration limit", c))
         return float(out) if np.isscalar(c) else out
 
     def mean(self) -> float:
@@ -489,7 +485,8 @@ class BetaWeight(WeightFunction):
         return (a - 1.0) / (a + b - 2.0)
 
     def partial_moments(self, upper):
-        m0, m1 = _beta_moments(self.alpha, self.beta, _check_upper(upper), self._term)
+        u = _check_unit("upper integration limit", upper)
+        m0, m1 = _beta_moments(self.alpha, self.beta, u, self._term)
         if np.isscalar(upper):
             return float(m0), float(m1)
         return m0, m1
@@ -568,7 +565,7 @@ class TabulatedWeight(WeightFunction):
         return mass, cm
 
     def cdf(self, c):
-        c_arr = _check_upper(c)
+        c_arr = _check_unit("upper integration limit", c)
         mass, _ = self._mass_below(c_arr)
         out = mass / self.total_mass
         return float(out) if np.isscalar(c) else out
@@ -577,7 +574,7 @@ class TabulatedWeight(WeightFunction):
         return float(self._cum_cm[-1]) / self.total_mass
 
     def partial_moments(self, upper):
-        u = _check_upper(upper)
+        u = _check_unit("upper integration limit", upper)
         mass, cm = self._mass_below(u)
         m0 = cm
         # m1(u) = total (1-c)-moment minus the (1-c)-moment below u

@@ -47,7 +47,7 @@ from .distributions import BetaWeight, WeightFunction, _beta_moments, _partial_p
 from .empirical import (ClassPriors, EmpiricalCdfPair, LabeledScores, empirical_cdfs,
                         empirical_priors, load_tabulated_weight)
 from .errors import ConfigError
-from .loss import _hull_envelope, expected_min_loss, reference_loss
+from .loss import _class_sums, _hull_envelope, expected_min_loss, reference_loss
 
 __all__ = [
     "HResult",
@@ -194,9 +194,9 @@ def _calibrated_coefficients(cdfs: EmpiricalCdfPair) -> np.ndarray:
     class-0 scores s and j1(pi0) = mean of 1 - I_s(2 - pi0, 2 + pi0) over
     the class-1 scores, as the columns of a (PRIOR_NODES x 2) array.
 
-    Both come from their exact values at PRIOR_NODES Chebyshev points: one
-    (nodes x groups) block of partial pairs per NODE_RUN groups of the
-    table, each count-weighted sum added block by block.  The pair is
+    Both come from their exact values at PRIOR_NODES Chebyshev points, added
+    by the fixed prior's table loop (loss._class_sums) over one
+    (nodes x groups) block of partial pairs per NODE_RUN groups.  The pair is
     exactly (0, 1) at a score of 0 and (1, 0) at 1, so class-0 scores at
     0 and class-1 scores at 1 add exactly nothing.  The values' mean is
     the constant term; only their deviations from it go through the
@@ -206,11 +206,7 @@ def _calibrated_coefficients(cdfs: EmpiricalCdfPair) -> np.ndarray:
     # the Chebyshev points of the first kind, as numpy.polynomial's chebpts1
     x = np.sin(0.5 * np.pi / PRIOR_NODES * np.arange(1 - PRIOR_NODES, PRIOR_NODES + 1, 2))
     a, b = _conditional_shapes((x[:, None] + 1.0) / 2.0)
-    values = np.zeros((PRIOR_NODES, 2))
-    for u, _, _, count0, count1 in cdfs.blocks(NODE_RUN):
-        below, above = _partial_pair(a, b, u)
-        values[:, 0] += np.add.reduce(count0 * below, axis=-1)
-        values[:, 1] += np.add.reduce(count1 * above, axis=-1)
+    values = np.stack(_class_sums(cdfs, lambda u: _partial_pair(a, b, u), NODE_RUN), axis=-1)
     # row j is T_j at the points, by chebvander's recurrence
     rows = np.empty((PRIOR_NODES, PRIOR_NODES))
     rows[0], rows[1] = 1.0, x

@@ -21,14 +21,15 @@ suite checks it against adaptive quadrature of the defining integral.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import THRESHOLD_MODES
-from .distributions import WeightFunction
+from .distributions import _BLOCK, WeightFunction, _check_unit
 from .empirical import ClassPriors, EmpiricalCdfPair
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 
 __all__ = [
     "LossCurve",
@@ -51,13 +52,6 @@ class LossCurve:
     grid: np.ndarray
     loss: np.ndarray
     mode: str
-
-
-def _check_unit(name, value):
-    v = np.asarray(value, dtype=float)
-    if np.any(~np.isfinite(v)) or np.any(v < 0.0) or np.any(v > 1.0):
-        raise InputError(f"{name} must lie in [0, 1], got {value}")
-    return v
 
 
 def threshold_loss(c, t, priors: ClassPriors, cdfs: EmpiricalCdfPair):
@@ -137,24 +131,17 @@ def min_loss(c, priors: ClassPriors, cdfs: EmpiricalCdfPair, mode: str = "calibr
     return optimal_envelope(priors, cdfs).value(c)
 
 
-def _calibrated_expected_loss(priors, cdfs, w: WeightFunction) -> float:
-    """Exact weight-expectation of the calibrated minimum loss.
-
-    Splitting the integral at the pooled scores and telescoping the
-    resulting piece sums gives the equivalent per-score form
-
-        L = pi0 mean_i m0(s0_i) + pi1 mean_j m1(s1_j)
-
-    evaluated here once per distinct score, weighted by its class counts
-    (exact up to the accuracy of the weight's partial moments), one block
-    of the table at a time.
-    """
+def _class_sums(cdfs: EmpiricalCdfPair, pair, size: int = _BLOCK):
+    """The sums of count0 f and count1 g over the column's distinct scores u,
+    for (f, g) = pair(u), the calibrated loss's per-score form: each run of
+    size groups of the table (cdfs.blocks) adds its reduce along the last
+    axis, in order, so a sum holds one run's temporaries at a time."""
     sum0 = sum1 = 0.0
-    for u, _, _, count0, count1 in cdfs.blocks():
-        m0_vals, m1_vals = w.partial_moments(u)
-        sum0 += np.add.reduce(count0 * m0_vals)
-        sum1 += np.add.reduce(count1 * m1_vals)
-    return float(priors.pi0 * sum0 / cdfs.n0 + priors.pi1 * sum1 / cdfs.n1)
+    for u, _, _, count0, count1 in cdfs.blocks(size):
+        f, g = pair(u)
+        sum0 += np.add.reduce(count0 * f, axis=-1)
+        sum1 += np.add.reduce(count1 * g, axis=-1)
+    return sum0, sum1
 
 
 def expected_min_loss(
@@ -168,7 +155,9 @@ def expected_min_loss(
     if mode not in THRESHOLD_MODES:
         raise ConfigError(f"unknown threshold mode {mode!r}; expected one of {THRESHOLD_MODES}")
     if mode == "calibrated":
-        return _calibrated_expected_loss(priors, cdfs, w)
+        # telescoped piece sums: L = pi0 mean_i m0(s0_i) + pi1 mean_j m1(s1_j)
+        sum0, sum1 = _class_sums(cdfs, w.partial_moments)
+        return float(priors.pi0 * sum0 / cdfs.n0 + priors.pi1 * sum1 / cdfs.n1)
     env = optimal_envelope(priors, cdfs)
     return float(env.integrate(*w.partial_moments(env.breaks)))
 
@@ -198,7 +187,8 @@ def loss_curve(
     grid_size: int = CURVE_GRID,
 ) -> LossCurve:
     """Minimum loss on a uniform open cost grid, for curve emission."""
-    if grid_size < 2 or grid_size != int(grid_size):
+    if not (isinstance(grid_size, numbers.Real) and 2 <= grid_size < np.inf
+            and grid_size == int(grid_size)):
         raise ConfigError(f"grid_size must be a whole number of at least 2, got {grid_size}")
     grid = (np.arange(grid_size) + 0.5) / grid_size
     return LossCurve(grid=grid, loss=np.asarray(min_loss(grid, priors, cdfs, mode)), mode=mode)

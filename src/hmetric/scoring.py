@@ -21,7 +21,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .distributions import TabulatedWeight, WeightFunction
+from .distributions import TabulatedWeight, WeightFunction, _check_unit
 from .errors import ConfigError, InputError
 
 __all__ = [
@@ -145,9 +145,7 @@ def expected_loss(q, eta, w: WeightLike):
     """Expectation of the per-object loss when the true conditional
     class-1 probability is eta."""
     q_arr = _check_q(q)
-    eta_arr = np.asarray(eta, dtype=float)
-    if np.any(~np.isfinite(eta_arr)) or np.any(eta_arr < 0.0) or np.any(eta_arr > 1.0):
-        raise InputError(f"eta must lie in [0, 1], got {eta}")
+    eta_arr = _check_unit("eta", eta)
     m0, m1 = _as_moment_source(w).partial_moments(q_arr)
     out = (1.0 - eta_arr) * m0 + eta_arr * m1
     return float(out) if (np.isscalar(q) and np.isscalar(eta)) else out

@@ -19,9 +19,10 @@ from hmetric import (
     load_tabulated_weight,
     regularized_incomplete_beta,
 )
-from hmetric import distributions
+from hmetric import distributions, expected_loss, ingest, min_loss, threshold_loss
 from hmetric.config import MAX_WEIGHT_SHAPE, MIN_WEIGHT_SHAPE
 from hmetric.distributions import betainc
+from hmetric.empirical import empirical_cdfs, empirical_priors
 from oracles import (
     beta_density,
     binomial_tail_betainc,
@@ -506,3 +507,34 @@ class TestTabulatedWeight:
         path = tmp_path / "absent.csv"
         with pytest.raises(InputError, match=re.escape(f"cannot read {path}: ")):
             load_tabulated_weight(path)
+
+
+def _unit_checked_calls():
+    """(the argument's name in the message, a call with one argument in
+    [0, 1] set to v) for every entry point of the shared [0, 1] check."""
+    beta = BetaWeight(2.0, 3.0)
+    grid = np.linspace(1e-3, 1.0 - 1e-3, 1024)
+    table = TabulatedWeight(grid, np.full(grid.size, 1.0 / (grid[-1] - grid[0])))
+    data = ingest([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1])
+    priors, cdfs = empirical_priors(data), empirical_cdfs(data)
+    upper = "upper integration limit"
+    return {
+        "BetaWeight.cdf": (upper, beta.cdf),
+        "BetaWeight.partial_moments": (upper, beta.partial_moments),
+        "TabulatedWeight.cdf": (upper, table.cdf),
+        "TabulatedWeight.partial_moments": (upper, table.partial_moments),
+        "threshold_loss.cost": ("cost", lambda v: threshold_loss(v, 0.5, priors, cdfs)),
+        "threshold_loss.threshold": ("threshold", lambda v: threshold_loss(0.5, v, priors, cdfs)),
+        "min_loss.calibrated": ("cost", lambda v: min_loss(v, priors, cdfs)),
+        "min_loss.optimal": ("cost", lambda v: min_loss(v, priors, cdfs, mode="optimal")),
+        "expected_loss.eta": ("eta", lambda v: expected_loss(0.5, v, beta)),
+    }
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+@pytest.mark.parametrize("entry", list(_unit_checked_calls()))
+def test_unit_interval_messages(entry, bad):
+    name, call = _unit_checked_calls()[entry]
+    with pytest.raises(InputError) as info:
+        call(bad)
+    assert str(info.value) == f"{name} must lie in [0, 1], got {bad}"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.chebyshev import chebpts1, chebval
 from scipy.special import betainc
 
 from hmetric import (
@@ -17,7 +17,8 @@ from hmetric.empirical import ClassPriors, EmpiricalCdfPair, empirical_cdfs
 from hmetric.report import build_report
 import hmetric.distributions as distributions
 import hmetric.hmeasure as hmeasure
-from hmetric.hmeasure import PRIOR_NODES, _loss_at, _reference_loss_batch
+from hmetric.hmeasure import NODE_RUN, PRIOR_NODES, _loss_at, _reference_loss_batch
+from hmetric.loss import _class_sums
 from conftest import random_dataset
 from oracles import exact_calibrated_loss_batch, nested_uncertain_h
 
@@ -298,6 +299,20 @@ def test_calibrated_batch_matches_exact_per_draw(table):
     got = hmeasure._calibrated_loss_batch(pi0s, hmeasure._calibrated_coefficients(cdfs))
     want = exact_calibrated_loss_batch(pi0s, cdfs.u, cdfs.count0, cdfs.count1)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("data", [random_dataset(8, n=1000), _datasets()[1]],
+                         ids=["continuous", "rounded"])
+def test_class_sums_independent_of_shape_layout(data):
+    # the node sums take all PRIOR_NODES shape pairs in one call per block;
+    # one call per node, each with its own block layout, gives the same bits
+    cdfs = empirical_cdfs(data)
+    assert cdfs.u.size <= NODE_RUN
+    a, b = hmeasure._conditional_shapes((chebpts1(PRIOR_NODES)[:, None] + 1.0) / 2.0)
+    together = _class_sums(cdfs, lambda u: distributions._partial_pair(a, b, u), NODE_RUN)
+    apart = [_class_sums(cdfs, lambda u: distributions._partial_pair(a[j], b[j], u))
+             for j in range(PRIOR_NODES)]
+    np.testing.assert_array_equal(np.stack(together, axis=-1), np.array(apart))
 
 
 def _counting_pairs(monkeypatch):

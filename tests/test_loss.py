@@ -260,7 +260,9 @@ class TestLossCurve:
             loss_curve(priors, cdfs, grid_size=1)
 
     def test_fractional_grid_size_rejected(self, golden4):
-        # a fractional count would end the open grid at c = 1
+        # a fractional count would end the open grid at c = 1; a count that
+        # is not a finite number has no whole value at all
         priors, cdfs = _setup(golden4)
-        with pytest.raises(ConfigError, match="whole number"):
-            loss_curve(priors, cdfs, grid_size=4.5)
+        for grid_size in (4.5, float("nan"), float("inf"), "4096"):
+            with pytest.raises(ConfigError, match="whole number"):
+                loss_curve(priors, cdfs, grid_size=grid_size)

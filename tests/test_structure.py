@@ -4,8 +4,9 @@ csv reader, and distributions.py, which computes the cost weights, reads
 no file; _mc.py alone makes random streams, so the seed's chunk layout is
 in one module; and in hmeasure.py only the calibrated class sums call the
 bare partial pair, every other partial moment going through
-distributions._beta_moments; and no code sums by a matrix product, whose
-order of addition BLAS picks by its thread count and CPU kernel."""
+distributions._beta_moments; no code sums by a matrix product, whose
+order of addition BLAS picks by its thread count and CPU kernel; and no
+module imports a name at its top that it never uses."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,27 @@ def test_no_matrix_products_in_src():
         or isinstance(node, ast.ImportFrom) and any(a.name in MATRIX_PRODUCTS for a in node.names)
     ]
     assert found == []
+
+
+def _top_imports(module):
+    """(bound name, line) of each import in a module's own body, past any
+    from __future__ import."""
+    for node in module.body:
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name.partition(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((a.asname or a.name, node.lineno) for a in node.names)
+
+
+def test_no_unused_imports_in_src():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        module = ast.parse(path.read_bytes(), str(path))
+        used = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+        for node in module.body:  # a name __all__ exports counts as used
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+        unused += [f"{path.name}:{line} {name}" for name, line in _top_imports(module)
+                   if name not in used]
+    assert unused == []
