@@ -12,28 +12,23 @@ same table, one atom per distinct score weighted by its count."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .empirical import LabeledScores, empirical_cdfs, empirical_priors
 from .loss import min_loss
 
 __all__ = ["AucResult", "auc_mann_whitney", "mixture_weight_loss"]
 
 
-@dataclass(frozen=True)
-class AucResult:
+class AucResult(Record):
     """AUC under the half-credit tie convention plus its loss reading.
 
     equivalent_loss is 2 pi0 pi1 (1 - auc) at the empirical priors: the
     expected-loss quantity the AUC is a linear transform of.
     """
 
-    auc: float
-    n_pairs: int
-    tie_pairs: int
-    equivalent_loss: float
+    __slots__ = ("auc", "n_pairs", "tie_pairs", "equivalent_loss")
 
 
 def auc_mann_whitney(data: LabeledScores) -> AucResult:

@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Iterable
-from dataclasses import dataclass, asdict
 
+from ._record import Record
 from .errors import ConfigError
 
 __all__ = ["EvalConfig", "threshold_law"]
@@ -100,22 +100,13 @@ def _as_number(what, value, cast):
     return cast(value)
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    weight: str = "default"
-    weight_alpha: float | None = None
-    weight_beta: float | None = None
-    weight_path: str | None = None
-    prior: str = "empirical"
-    pi0: float | None = None
-    prior_alpha: float | None = None
-    prior_beta: float | None = None
-    threshold_mode: str = "calibrated"
-    outer_samples: int | None = None
-    seed: int | None = None
-    normalization: str = "reject"
-    screen_proportions: tuple[float, ...] = ()
-    u_dists: tuple[str, ...] = ()
+class EvalConfig(Record):
+    __slots__ = ("weight", "weight_alpha", "weight_beta", "weight_path", "prior", "pi0",
+                 "prior_alpha", "prior_beta", "threshold_mode", "outer_samples", "seed",
+                 "normalization", "screen_proportions", "u_dists")
+    _defaults = {**dict.fromkeys(__slots__), "weight": "default", "prior": "empirical",
+                 "threshold_mode": "calibrated", "normalization": "reject",
+                 "screen_proportions": (), "u_dists": ()}
 
     def __post_init__(self):
         def put(name, value):
@@ -192,4 +183,4 @@ class EvalConfig:
             _point_mass_at(spec)
 
     def describe(self) -> dict:
-        return asdict(self)
+        return self.as_dict()

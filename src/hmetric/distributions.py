@@ -18,10 +18,10 @@ depends on the rest of a call: a value is the same bits however broadcast.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .config import MAX_WEIGHT_SHAPE, MIN_WEIGHT_SHAPE
 from .errors import InputError
 
@@ -40,13 +40,11 @@ __all__ = [
 MIN_TABULATED_POINTS = 1024
 
 
-@dataclass(frozen=True)
-class BetaParams:
+class BetaParams(Record):
     """Shape parameters of a beta distribution; both must lie between
     MIN_WEIGHT_SHAPE and MAX_WEIGHT_SHAPE, where the incomplete beta is verified."""
 
-    alpha: float
-    beta: float
+    __slots__ = ("alpha", "beta")
 
     def __post_init__(self):
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):

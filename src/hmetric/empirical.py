@@ -30,12 +30,12 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from ._record import Record
 from .config import NORMALIZATIONS
 from .distributions import _BLOCK, TabulatedWeight
 from .errors import DegenerateDataError, InputError
@@ -52,13 +52,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LabeledScores:
+class LabeledScores(Record):
     """Immutable test-set scores with parallel binary labels."""
 
-    scores: np.ndarray
-    labels: np.ndarray
-    normalization: str = "reject"
+    __slots__ = ("scores", "labels", "normalization", "__dict__")  # __dict__: for table
+    _defaults = {"normalization": "reject"}
 
     @property
     def n(self) -> int:
@@ -90,12 +88,11 @@ class LabeledScores:
         return EmpiricalCdfPair(u=u, cum0=cum0, cum1=cum1)
 
 
-@dataclass(frozen=True)
-class ClassPriors:
+class ClassPriors(Record):
     """Strictly interior class proportions; pi1 is derived, so the pair
     sums to one exactly."""
 
-    pi0: float
+    __slots__ = ("pi0",)
 
     def __post_init__(self):
         if not (np.isfinite(self.pi0) and 0.0 < self.pi0 < 1.0):
@@ -106,16 +103,16 @@ class ClassPriors:
         return 1.0 - self.pi0
 
 
-@dataclass(frozen=True)
-class EmpiricalCdfPair:
+class EmpiricalCdfPair(Record):
     """Tie-grouped table of one score column: the distinct pooled scores u
     in ascending order with the counts cum0 and cum1 of class-0 and
     class-1 scores at or below each.  The right-continuous class CDFs are
     F0(c) = cum0[k] / n0 at the last u[k] <= c, and zero below u[0]."""
 
-    u: np.ndarray = field(repr=False)
-    cum0: np.ndarray = field(repr=False)
-    cum1: np.ndarray = field(repr=False)
+    __slots__ = ("u", "cum0", "cum1", "__dict__")  # __dict__: for hull
+
+    def __repr__(self):  # without the arrays, which may be long
+        return f"{type(self).__qualname__}()"
 
     @property
     def n0(self) -> int:

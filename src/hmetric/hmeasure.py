@@ -37,11 +37,10 @@ do not).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._mc import chunk_streams
+from ._record import Record
 from .config import EvalConfig
 from .distributions import BetaWeight, WeightFunction, _beta_moments, _partial_pair
 from .empirical import (ClassPriors, EmpiricalCdfPair, LabeledScores, empirical_cdfs,
@@ -68,8 +67,7 @@ PRIOR_NODES = 24
 NODE_RUN = 2048
 
 
-@dataclass(frozen=True)
-class HResult:
+class HResult(Record):
     """H with the components it was built from.
 
     h always equals 1 - loss / reference_loss.  Under a distributed prior
@@ -77,13 +75,8 @@ class HResult:
     so the identity still reconstructs h from the stored fields.
     """
 
-    h: float
-    loss: float
-    reference_loss: float
-    weight_used: dict
-    prior_used: dict
-    mc_stderr: float | None
-    warnings: tuple[str, ...]
+    __slots__ = ("h", "loss", "reference_loss", "weight_used", "prior_used", "mc_stderr",
+                 "warnings")
 
 
 def default_weight(priors: ClassPriors) -> BetaWeight:

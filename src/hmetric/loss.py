@@ -22,10 +22,10 @@ suite checks it against adaptive quadrature of the defining integral.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .config import THRESHOLD_MODES
 from .distributions import _BLOCK, WeightFunction, _check_unit
 from .empirical import ClassPriors, EmpiricalCdfPair
@@ -45,13 +45,10 @@ __all__ = [
 CURVE_GRID = 4096
 
 
-@dataclass(frozen=True)
-class LossCurve:
+class LossCurve(Record):
     """Minimum loss sampled on a cost grid, for plotting."""
 
-    grid: np.ndarray
-    loss: np.ndarray
-    mode: str
+    __slots__ = ("grid", "loss", "mode")
 
 
 def threshold_loss(c, t, priors: ClassPriors, cdfs: EmpiricalCdfPair):
@@ -65,17 +62,16 @@ def threshold_loss(c, t, priors: ClassPriors, cdfs: EmpiricalCdfPair):
     return float(out) if (np.isscalar(c) and np.isscalar(t)) else out
 
 
-@dataclass(frozen=True)
-class _Envelope:
+class _Envelope(Record):
     """Minimum loss under the optimal rule, a piecewise-affine concave
     function of the cost: on segment j, from breaks[j] to breaks[j+1],
     the best threshold is hull vertex j and the loss is
     loss1[j] + c * (loss0[j] - loss1[j]).  Built for a column of priors,
     it holds one envelope per row, for integrate only."""
 
-    breaks: np.ndarray  # K+1 nondecreasing costs spanning [0, 1]
-    loss0: np.ndarray   # pi0 (1 - F0_j): class-0 error mass per unit cost
-    loss1: np.ndarray   # pi1 F1_j: class-1 error mass per unit (1 - cost)
+    __slots__ = ("breaks",  # K+1 nondecreasing costs spanning [0, 1]
+                 "loss0",   # pi0 (1 - F0_j): class-0 error mass per unit cost
+                 "loss1")   # pi1 F1_j: class-1 error mass per unit (1 - cost)
 
     def value(self, c):
         c_arr = np.asarray(c, dtype=float)

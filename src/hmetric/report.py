@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -53,8 +52,8 @@ def _column_metrics(data: LabeledScores, config: EvalConfig, priors: ClassPriors
         # only these metrics need it, and a report without them skips the import
         from .thresholds import independent_threshold_loss, screen_at_proportion
     column = {
-        "h": asdict(hres),
-        "auc": asdict(auc_res),
+        "h": hres.as_dict(),
+        "auc": auc_res.as_dict(),
         # the AUC diagnostic is defined with calibrated thresholds
         "mixture_weight_loss": mixture_weight_loss(data),
         "independent_threshold_losses": [
@@ -67,7 +66,7 @@ def _column_metrics(data: LabeledScores, config: EvalConfig, priors: ClassPriors
             for spec in config.u_dists
         ],
         "screening": [
-            asdict(screen_at_proportion(data, p)) for p in config.screen_proportions
+            screen_at_proportion(data, p).as_dict() for p in config.screen_proportions
         ],
         "diagnostics": {
             "suggest_label_inversion": bool(auc_res.auc < 0.5),

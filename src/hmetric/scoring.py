@@ -16,11 +16,11 @@ weights such as the log-loss generator 1 / (c (1 - c)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
+from ._record import Record
 from .distributions import TabulatedWeight, WeightFunction, _check_unit
 from .errors import ConfigError, InputError
 
@@ -151,8 +151,7 @@ def expected_loss(q, eta, w: WeightLike):
     return float(out) if (np.isscalar(q) and np.isscalar(eta)) else out
 
 
-@dataclass(frozen=True)
-class ScoringRule:
+class ScoringRule(Record):
     """Component losses of a proper scoring rule.
 
     loss0 is the loss as a function of q when the true class is 0;
@@ -160,9 +159,7 @@ class ScoringRule:
     vanish as their argument approaches 0.
     """
 
-    loss0: Callable[[float], float]
-    loss1: Callable[[float], float]
-    origin: dict
+    __slots__ = ("loss0", "loss1", "origin")
 
     def loss(self, q: float, y: int) -> float:
         q_arr = _check_q(q)
@@ -211,20 +208,15 @@ def log_loss_rule() -> ScoringRule:
     )
 
 
-@dataclass(frozen=True)
-class PropernessEntry:
-    eta: float
-    argmin: float
-    gap: float
-    strict: bool
-    status: str  # "ok" | "proper_not_strict_off_support" | "failed"
-    detail: str = ""
+class PropernessEntry(Record):
+    __slots__ = ("eta", "argmin", "gap", "strict",
+                 "status",  # "ok" | "proper_not_strict_off_support" | "failed"
+                 "detail")
+    _defaults = {"detail": ""}
 
 
-@dataclass(frozen=True)
-class PropernessReport:
-    grid_step: float
-    entries: tuple[PropernessEntry, ...]
+class PropernessReport(Record):
+    __slots__ = ("grid_step", "entries")
 
     @property
     def failures(self) -> tuple[PropernessEntry, ...]:

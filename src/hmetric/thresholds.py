@@ -12,12 +12,11 @@ scores, and screening, reads the column's tie-grouped table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .auc import auc_mann_whitney
-from .distributions import TabulatedWeight, WeightFunction
+from .distributions import WeightFunction
 from .empirical import ClassPriors, LabeledScores, empirical_cdfs
 from .errors import ConfigError, InputError
 
@@ -35,24 +34,23 @@ __all__ = [
 SCREEN_BASES = ("all_objects", "class0_objects")
 
 
-@dataclass(frozen=True)
-class PointMass:
-    """All threshold mass at one point."""
+class PointMass(Record):
+    """All threshold mass at one point, t."""
 
-    t: float
+    __slots__ = ("t",)
 
     def __post_init__(self):
         if not (np.isfinite(self.t) and 0.0 <= self.t <= 1.0):
             raise InputError(f"threshold must lie in [0, 1], got {self.t}")
 
 
-@dataclass(frozen=True)
-class PooledScoreThresholds:
+class PooledScoreThresholds(Record):
     """One atom of mass 1/n at every pooled score."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class RankUniformClass1:
+
+class RankUniformClass1(Record):
     """Atoms at the class-1 scores, by default equally weighted.
 
     weights, when given, are per ascending class-1 rank; they must be
@@ -61,28 +59,25 @@ class RankUniformClass1:
     some flagged proportions are likelier than others.
     """
 
-    weights: tuple[float, ...] | None = None
+    __slots__ = ("weights",)
+    _defaults = {"weights": None}
 
 
-@dataclass(frozen=True)
-class TabulatedThresholds:
-    """Continuous threshold density on (0, 1), reusing the tabulated
-    piecewise-linear weight machinery (unit mass enforced there)."""
+class TabulatedThresholds(Record):
+    """Continuous threshold density on (0, 1), a TabulatedWeight, reusing
+    the tabulated piecewise-linear weight machinery (unit mass enforced
+    there)."""
 
-    weight: TabulatedWeight
+    __slots__ = ("weight",)
 
 
-@dataclass(frozen=True)
-class ScreeningResult:
+class ScreeningResult(Record):
     """Confusion counts after classifying a fixed lowest-ranked proportion
     as class 0."""
 
-    proportion: float
-    threshold_rank: int
-    threshold: float
-    confusion: tuple[int, int, int, int]  # (tn, fp, fn, tp), class 1 positive
-    class0_recall: float
-    misclassification_rate: float
+    __slots__ = ("proportion", "threshold_rank", "threshold",
+                 "confusion",  # (tn, fp, fn, tp), class 1 positive
+                 "class0_recall", "misclassification_rate")
 
 
 def _rank_weights(u: RankUniformClass1, n1: int) -> np.ndarray:

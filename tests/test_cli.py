@@ -565,7 +565,7 @@ def test_config_flags_are_config_fields():
     # each config flag is stored under the EvalConfig field it sets, so the
     # commands hand the config every flag that is not their own by name
     own = {"out", "columns", "column", "resolution", "out_dir"}
-    fields = set(EvalConfig.__dataclass_fields__)
+    fields = set(EvalConfig._fields)
     for name, (_, options) in _COMMANDS.items():
         dests = {kwargs["dest"] for _, kwargs in options} - own
         assert dests <= fields, (name, sorted(dests - fields))
@@ -659,6 +659,26 @@ def test_help_loads_no_click_logging_config_or_numpy(args):
             "    print(exc.code, sorted({'click', 'logging', 'dataclasses', 'hmetric.config',\n"
             "                            'numpy'} & set(sys.modules)))")
     assert _fresh_interpreter(code, *args) == "0 []"
+
+
+@pytest.mark.parametrize("args", [
+    ["evaluate", "golden4.csv"],
+    ["evaluate", "golden4.csv", "--prior", "beta", "--seed", "1"],
+    ["compare", "rank_disagreement.csv", "--columns", "model_a,model_b", "--mode", "optimal",
+     "--screen", "0.1", "--u-dist", "pooled", "--u-dist", "class1-ranks"],
+    ["curves", "golden4.csv", "--out-dir", "{tmp}/curves"],
+])
+def test_commands_load_no_dataclasses(fixtures_dir, tmp_path, args):
+    # the value types are plain slotted classes, so no command pays for
+    # dataclasses' import or for compiling the methods it generates
+    args = [str(fixtures_dir / a) if a.endswith(".csv") and "{" not in a
+            else a.format(tmp=tmp_path) for a in args]
+    if args[0] != "curves":
+        args += ["--out", str(tmp_path / "report.json")]
+    code = ("import sys\nfrom hmetric.cli import main\n"
+            "try:\n    main(sys.argv[1:])\nexcept SystemExit as exc:\n"
+            "    print(exc.code, 'dataclasses' in sys.modules)")
+    assert _fresh_interpreter(code, *args) == "0 False"
 
 
 @pytest.mark.parametrize("module", ["hmetric", "hmetric.cli"])

@@ -1,6 +1,7 @@
 """The declared minimum, Python 3.10 (pyproject.toml), on a real 3.10
 interpreter: every source and test file compiles, the package, its config
-and its errors import and validate there without numpy or scipy, and the
+and its errors import and validate there without numpy or scipy, a config
+can be neither assigned nor deleted and equals its rebuilt copy, and the
 CLI, which needs nothing outside the standard library until a command
 reads its input, prints its help and reports a configuration error."""
 
@@ -24,8 +25,19 @@ for path in sorted([*root.glob("src/**/*.py"), *root.glob("tests/**/*.py")]):
 sys.path.insert(0, str(root / "src"))
 import hmetric, hmetric.config, hmetric.errors
 
-hmetric.config.EvalConfig(prior="beta", seed=1, screen_proportions=(0.1,),
-                          u_dists=("pooled", "point:0.5"))
+config = hmetric.config.EvalConfig(prior="beta", seed=1, screen_proportions=(0.1,),
+                                   u_dists=("pooled", "point:0.5"))
+for change in (lambda: setattr(config, "seed", 2), lambda: delattr(config, "seed")):
+    try:
+        change()
+    except AttributeError:
+        pass
+    else:
+        raise SystemExit("a config field was changed")
+if config.seed != 1 or config != hmetric.config.EvalConfig(**config.describe()):
+    raise SystemExit("a config is not equal to its rebuilt copy")
+if hash(hmetric.config.EvalConfig()) != hash(hmetric.config.EvalConfig()):
+    raise SystemExit("equal configs hash differently")
 try:
     hmetric.config.EvalConfig(threshold_mode="bogus")
 except hmetric.errors.ConfigError:

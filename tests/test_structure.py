@@ -5,8 +5,10 @@ no file; _mc.py alone makes random streams, so the seed's chunk layout is
 in one module; and in hmeasure.py only the calibrated class sums call the
 bare partial pair, every other partial moment going through
 distributions._beta_moments; no code sums by a matrix product, whose
-order of addition BLAS picks by its thread count and CPU kernel; and no
-module imports a name at its top that it never uses."""
+order of addition BLAS picks by its thread count and CPU kernel; no
+module imports a name at its top that it never uses; and no module
+imports dataclasses, whose generated methods every start would compile
+(the value types build on _record.py instead)."""
 
 import ast
 from pathlib import Path
@@ -107,3 +109,14 @@ def test_no_unused_imports_in_src():
         unused += [f"{path.name}:{line} {name}" for name, line in _top_imports(module)
                    if name not in used]
     assert unused == []
+
+
+def test_no_module_imports_dataclasses():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SRC.glob("*.py")
+        for node in _nodes(path)
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert found == []
