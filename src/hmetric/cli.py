@@ -34,7 +34,7 @@ _NUMERIC = {
     "score_names": "empirical",
     "ingest": "empirical",
     "empirical_cdfs": "empirical",
-    "loss_curve": "loss",
+    "min_loss": "loss",
     "CURVE_GRID": "loss",
     "build_report": "report",
     "render_report": "report",
@@ -143,8 +143,9 @@ _REPORT_OPTIONS = (
 )
 _OUT = _option("--out", default="-", help="Report path ('-' for stdout).  [default: %(default)s]")
 # The bounds of curves --resolution; its default is loss.CURVE_GRID, 4096.
-# The ceiling, 256 times that, keeps each grid-long array at 8 MB; unchecked,
-# a large value asked numpy for arrays of any size.
+# The curves take the grid a slice at a time, so the ceiling, 256 times
+# that, bounds the rows written (two files of 2^20 rows, about 27 MB each)
+# and the time they take.
 MIN_RESOLUTION = 1024
 MAX_RESOLUTION = 1 << 20
 
@@ -235,12 +236,19 @@ CSV_CHUNK = 1024
 
 
 def _write_csv(path: Path, header: str, xs, ys):
-    """Two parallel float arrays as CSV columns at 10 significant digits,
-    in the csv module's default dialect (CRLF line ends; no number needs
-    quoting).  The rows are formatted CSV_CHUNK at a time, so the memory
-    they take stays flat in the number of rows, and each run of equal
-    values in a chunk's column is formatted once: an ROC row moves only
-    one of its two coordinates."""
+    """Two parallel float arrays as CSV columns, by _write_rows, CSV_CHUNK
+    rows at a time."""
+    _write_rows(path, header, ((xs[lo:lo + CSV_CHUNK], ys[lo:lo + CSV_CHUNK])
+                               for lo in range(0, xs.size, CSV_CHUNK)))
+
+
+def _write_rows(path: Path, header: str, chunks):
+    """Two parallel float columns, given as (xs, ys) chunks of at most
+    CSV_CHUNK rows, as CSV at 10 significant digits, in the csv module's
+    default dialect (CRLF line ends; no number needs quoting).  The rows
+    are formatted a chunk at a time, so the memory they take stays flat in
+    the number of rows, and each run of equal values in a chunk's column
+    is formatted once: an ROC row moves only one of its two coordinates."""
     import numpy as np
 
     def texts(values):
@@ -251,9 +259,8 @@ def _write_csv(path: Path, header: str, xs, ys):
 
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(header + "\r\n")
-        for lo in range(0, xs.size, CSV_CHUNK):
-            rows = zip(texts(xs[lo:lo + CSV_CHUNK]), texts(ys[lo:lo + CSV_CHUNK]))
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+        for xs, ys in chunks:
+            fh.write("\r\n".join(map(",".join, zip(texts(xs), texts(ys)))) + "\r\n")
 
 
 def curves(input_csv, column, resolution, out_dir, **cfg):
@@ -288,10 +295,21 @@ def curves(input_csv, column, resolution, out_dir, **cfg):
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
 
-        curve = loss_curve(priors, cdfs, mode=config.threshold_mode,
-                           grid_size=CURVE_GRID if resolution is None else resolution)
-        _write_csv(out_path / "loss_curve.csv", "c,min_loss", curve.grid, curve.loss)
-        _write_csv(out_path / "weight.csv", "c,density", curve.grid, weight.density(curve.grid))
+        import numpy as np
+
+        size = CURVE_GRID if resolution is None else resolution
+
+        def on_grid(fn):
+            """(c, fn(c)) on each CSV_CHUNK slice of loss.loss_curve's cost
+            grid, (np.arange(size) + 0.5) / size, whose bits each slice
+            has: the curves take one slice's memory at any resolution."""
+            for lo in range(0, size, CSV_CHUNK):
+                c = (np.arange(lo, min(lo + CSV_CHUNK, size)) + 0.5) / size
+                yield c, fn(c)
+
+        _write_rows(out_path / "loss_curve.csv", "c,min_loss",
+                    on_grid(lambda c: min_loss(c, priors, cdfs, config.threshold_mode)))
+        _write_rows(out_path / "weight.csv", "c,density", on_grid(weight.density))
 
         # one row per distinct score t: 1 - F0(t), 1 - F1(t)
         _write_csv(out_path / "roc.csv", "fpr,tpr",

@@ -27,8 +27,15 @@ column's table at a time, and read from the interpolant at every draw.
 The interpolant is within 1e-14 absolute of the exact sums over the whole
 unit square of (score, pi0), and a column costs 24 K + draws partial
 pairs for K distinct scores instead of O(draws K).  Optimal mode stays
-exact per draw: one (draws x hull) batch of partial pairs, since its
-break points are rational in pi0.  In calibrated mode the ratio grows
+exact per draw, with partial pairs at every draw's hull breaks, since
+those are rational in pi0.  A column's draws need only its coefficients
+or its hull, so a report keeps those and drops the column's table before
+it builds the next.  A chunk's reference losses and each column's ratios
+fill one chunk-long array a sub-block of draws at a time (DRAW_RUN
+draws, or in optimal mode as many as keep draws x hull breaks within
+distributions._RUN_BLOCK), so the working set does not grow with the
+chunk times the hull; every value is computed draw by draw, so the
+sub-blocks change no bit of a sum.  In calibrated mode the ratio grows
 like 1/pi0 and 1/pi1 at the ends of the unit interval, so the prior's
 shapes must both exceed one for H to exist, and both exceed two for
 mc_stderr to be a valid error bar (a heavy_tail warning says when they
@@ -42,7 +49,8 @@ import numpy as np
 from ._mc import chunk_streams
 from ._record import Record
 from .config import EvalConfig
-from .distributions import BetaWeight, WeightFunction, _beta_moments, _partial_pair
+from .distributions import (_RUN_BLOCK, BetaWeight, WeightFunction, _beta_moments,
+                            _partial_pair)
 from .empirical import (ClassPriors, EmpiricalCdfPair, LabeledScores, empirical_cdfs,
                         empirical_priors, load_tabulated_weight)
 from .errors import ConfigError
@@ -65,6 +73,12 @@ PRIOR_NODES = 24
 # Table groups per block of the node sums: all nodes are evaluated in one
 # call, and the (nodes x groups) block stays small whatever the column's size.
 NODE_RUN = 2048
+# Prior draws per sub-block of a chunk for the reference loss and the
+# calibrated loss; optimal mode takes as many as keep (draws x hull breaks)
+# within _RUN_BLOCK elements.  A chunk's reference losses took 9.3 ms whole,
+# 11.5 ms in sub-blocks of 4096 and 14.5 ms in sub-blocks of 2048, and a
+# 100-row evaluate --prior beta peaked at 38.1, 36.8 and 36.5 MB.
+DRAW_RUN = 4096
 
 
 class HResult(Record):
@@ -232,7 +246,8 @@ def _loss_at(cdfs: EmpiricalCdfPair, mode: str):
     """The loss as a function of an array of priors, with the inner cost
     expectation integrated exactly at each.  Calibrated mode fits its
     class sums here, once per column; in optimal mode every prior walks
-    the same ROC hull, one (priors x hull) batch of partial moments."""
+    the same ROC hull, one (priors x hull breaks) batch of partial moments
+    per call."""
     if mode == "calibrated":
         coef = _calibrated_coefficients(cdfs)
         return lambda pi0s: _calibrated_loss_batch(pi0s, coef)
@@ -245,24 +260,40 @@ def _loss_at(cdfs: EmpiricalCdfPair, mode: str):
     return loss
 
 
-def _uncertain_priors(columns: list[LabeledScores], config: EvalConfig) -> list[HResult]:
-    """h_measure_uncertain_priors of each column, over one set of draws:
-    each chunk draws its priors and evaluates their reference loss once,
-    then every column's loss ratio at them, whose sums are added in chunk
-    order."""
+def _prior_loss(data: LabeledScores, mode: str):
+    """What the prior draws read of a column: its loss at an array of
+    priors (_loss_at), which holds only the column's coefficients or its
+    hull, and the draws per sub-block that loss takes."""
+    cdfs = empirical_cdfs(data)
+    run = DRAW_RUN if mode == "calibrated" else max(1, _RUN_BLOCK // (cdfs.hull[0].size + 1))
+    return _loss_at(cdfs, mode), run
+
+
+def _in_runs(fn, pi0s: np.ndarray, run: int, out: np.ndarray) -> np.ndarray:
+    """out = fn(pi0s) for a function evaluated draw by draw, run draws at a time."""
+    for lo in range(0, pi0s.size, run):
+        out[lo:lo + run] = fn(pi0s[lo:lo + run])
+    return out
+
+
+def _uncertain_priors(losses: list, config: EvalConfig) -> list[HResult]:
+    """h_measure_uncertain_priors of each column, given as its _prior_loss,
+    over one set of draws: each chunk draws its priors and evaluates their
+    reference loss once, then every column's loss ratio at them, whose sums
+    are added in chunk order."""
     alpha, beta = config.prior_alpha, config.prior_beta
-    losses = [_loss_at(empirical_cdfs(data), config.threshold_mode) for data in columns]
     sums = [0.0] * len(losses)
     squares = [0.0] * len(losses)
     tiny = np.finfo(float).tiny
     for rng, count in chunk_streams(config.seed, config.outer_samples):
         pi0s = np.clip(rng.beta(alpha, beta, size=count), tiny, 1.0 - 1e-16)
-        reference = _reference_loss_batch(pi0s)
-        for k, loss in enumerate(losses):
-            ratios = loss(pi0s) / reference
+        reference = _in_runs(_reference_loss_batch, pi0s, DRAW_RUN, np.empty(count))
+        ratios = np.empty(count)
+        for k, (loss, run) in enumerate(losses):
+            _in_runs(loss, pi0s, run, ratios)
+            ratios /= reference
             sums[k] += float(np.sum(ratios))
             squares[k] += float(np.sum(ratios * ratios))
-            del ratios  # not held through the next column's batch
     n = config.outer_samples
     results = []
     for s, ss in zip(sums, squares):
@@ -293,4 +324,4 @@ def h_measure_uncertain_priors(data: LabeledScores, config: EvalConfig) -> HResu
     """
     if config.prior != "beta":
         raise ConfigError(f"the prior-uncertain H-measure needs a beta prior, not {config.prior!r}")
-    return _uncertain_priors([data], config)[0]
+    return _uncertain_priors([_prior_loss(data, config.threshold_mode)], config)[0]

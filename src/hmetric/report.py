@@ -25,6 +25,7 @@ from .empirical import ClassPriors, LabeledScores, ingest
 from .errors import ConfigError
 from .hmeasure import (
     HResult,
+    _prior_loss,
     _uncertain_priors,
     h_measure_fixed,
     resolve_priors,
@@ -41,18 +42,22 @@ __all__ = [
 ]
 
 
+def _h_entry(hres: HResult) -> dict:
+    entry = hres.as_dict()
+    entry["warnings"] = list(entry["warnings"])
+    return entry
+
+
 def _column_metrics(data: LabeledScores, config: EvalConfig, priors: ClassPriors,
-                    weight: WeightFunction, hres: HResult) -> dict:
-    """All metrics for one score column, as a JSON-ready mapping, around
-    hres, the column's H under config.  Under a beta prior, priors and
-    weight are the empirical priors and the default weight, which serve
-    the metrics other than H."""
+                    weight: WeightFunction) -> dict:
+    """All metrics for one score column but its H, as a JSON-ready
+    mapping.  Under a beta prior, priors and weight are the empirical
+    priors and the default weight, which serve these metrics."""
     auc_res = auc_mann_whitney(data)
     if config.u_dists or config.screen_proportions:
         # only these metrics need it, and a report without them skips the import
         from .thresholds import independent_threshold_loss, screen_at_proportion
     column = {
-        "h": hres.as_dict(),
         "auc": auc_res.as_dict(),
         # the AUC diagnostic is defined with calibrated thresholds
         "mixture_weight_loss": mixture_weight_loss(data),
@@ -72,7 +77,6 @@ def _column_metrics(data: LabeledScores, config: EvalConfig, priors: ClassPriors
             "suggest_label_inversion": bool(auc_res.auc < 0.5),
         },
     }
-    column["h"]["warnings"] = list(column["h"]["warnings"])
     for entry in column["screening"]:
         entry["confusion"] = {
             key: entry["confusion"][i] for i, key in enumerate(("tn", "fp", "fn", "tp"))
@@ -109,22 +113,25 @@ def build_report(
 
     ingested = (ingest(scores, labels, normalization=config.normalization)
                 for scores in columns.values())
-    if config.prior == "beta":
-        # all columns share the draws and their references, so all are held
-        ingested = list(ingested)
-        h_results = iter(_uncertain_priors(ingested, config))
-
     column_reports = {}
-    # under a fixed or empirical prior, ingested yields one column at a time:
-    # its H is computed with its other metrics, and its table is dropped
-    # before the next column's is built
+    losses = []  # under a beta prior, what the draws read of each column
+    # ingested yields one column at a time: its metrics are computed, and
+    # its table is dropped before the next column's is built; under a beta
+    # prior only its coefficients or hull are kept, for the draws
     for name, data in zip(columns, ingested):
         if not column_reports:
             priors = resolve_priors(config, data)
             weight = resolve_weight(config, priors)
-        hres = (next(h_results) if config.prior == "beta"
-                else h_measure_fixed(data, priors=priors, w=weight, config=config))
-        column_reports[name] = _column_metrics(data, config, priors, weight, hres)
+        if config.prior == "beta":
+            # all columns share the draws, so their H waits for the last column
+            losses.append(_prior_loss(data, config.threshold_mode))
+            h = None
+        else:
+            h = _h_entry(h_measure_fixed(data, priors=priors, w=weight, config=config))
+        column_reports[name] = {"h": h, **_column_metrics(data, config, priors, weight)}
+    if losses:
+        for column, hres in zip(column_reports.values(), _uncertain_priors(losses, config)):
+            column["h"] = _h_entry(hres)
 
     report = {
         "schema_version": "1",

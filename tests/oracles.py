@@ -108,6 +108,28 @@ def exact_calibrated_loss_batch(pi0s, u, count0, count1):
     return pi0s * (a / (a + b)) * i0 + (1.0 - pi0s) * (b / (a + b)) * (1.0 - i1)
 
 
+def whole_chunk_uncertain_h(losses, reference_batch, chunks, alpha, beta):
+    """(h, loss, mc_stderr) of each column's H under a Beta(alpha, beta)
+    prior, by the loop that evaluated each chunk of prior draws whole: one
+    reference_batch(pi0s) and one loss(pi0s) per column for every chunk,
+    the ratios' sums added in chunk order.  losses (each column's loss at
+    an array of priors), reference_batch and chunks (the (rng, count) of
+    each chunk of draws) are the package's, passed in."""
+    sums, squares, n = [0.0] * len(losses), [0.0] * len(losses), 0
+    tiny = np.finfo(float).tiny
+    for rng, count in chunks:
+        pi0s = np.clip(rng.beta(alpha, beta, size=count), tiny, 1.0 - 1e-16)
+        reference = reference_batch(pi0s)
+        for k, loss in enumerate(losses):
+            ratios = loss(pi0s) / reference
+            sums[k] += float(np.sum(ratios))
+            squares[k] += float(np.sum(ratios * ratios))
+        n += count
+    means = [s / n for s in sums]
+    return [(1.0 - mean, mean, float(np.sqrt(max(ss - n * mean * mean, 0.0) / (n - 1) / n)))
+            for mean, ss in zip(means, squares)]
+
+
 def mp_beta_density(c, a, b, dps=40):
     """Beta(a, b) density at the float c, at dps digits."""
     with mpmath.workdps(dps):

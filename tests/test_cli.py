@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -379,6 +380,26 @@ class TestCurves:
             assert (tmp_path / name).read_bytes() == text.getvalue().encode("utf-8"), name
         assert tied == (cdfs.u.size < data.n)
 
+    @pytest.mark.parametrize("mode", ["calibrated", "optimal"])
+    def test_grid_curves_in_chunks_match_loss_curve(self, fixtures_dir, tmp_path, mode):
+        # curves computes the loss and the density a CSV_CHUNK slice of the
+        # grid at a time: the rows are loss_curve's, at a resolution that
+        # ends in a partial chunk
+        from hmetric import default_weight, empirical_cdfs, empirical_priors, ingest, loss_curve
+
+        size = 3 * CSV_CHUNK + 5
+        result = run_cli(["curves", str(fixtures_dir / "golden4.csv"), "--mode", mode,
+                          "--resolution", str(size), "--out-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.stderr
+        data = ingest([0.1, 0.4, 0.3, 0.9], [0, 0, 1, 1])
+        priors = empirical_priors(data)
+        curve = loss_curve(priors, empirical_cdfs(data), mode=mode, grid_size=size)
+        density = default_weight(priors).density(curve.grid)
+        for name, ys in (("loss_curve.csv", curve.loss), ("weight.csv", density)):
+            rows = (tmp_path / name).read_bytes().split(b"\r\n")[1:-1]
+            assert rows == ["{:.10g},{:.10g}".format(x, y).encode()
+                            for x, y in zip(curve.grid.tolist(), ys.tolist())], name
+
     def test_beta_prior_exit_3_names_the_prior(self, fixtures_dir, tmp_path):
         # the message is about the prior, not about the seed that a beta
         # prior needs in a report
@@ -520,7 +541,7 @@ def test_curves_frees_the_columns_it_does_not_plot(fixtures_dir, tmp_path, monke
     import hmetric.cli as cli
 
     parsed = {}
-    read, curve = cli.read_scores_csv, cli.loss_curve
+    read, curve = cli.read_scores_csv, cli.min_loss
 
     def reading(*args, **kwargs):
         names, columns, labels = read(*args, **kwargs)
@@ -532,7 +553,7 @@ def test_curves_frees_the_columns_it_does_not_plot(fixtures_dir, tmp_path, monke
         return curve(*args, **kwargs)
 
     monkeypatch.setattr(cli, "read_scores_csv", reading)
-    monkeypatch.setattr(cli, "loss_curve", plotting)
+    monkeypatch.setattr(cli, "min_loss", plotting)
     result = run_cli([
         "curves", str(fixtures_dir / "rank_disagreement.csv"), "--column", "model_a", "--out-dir",
         str(tmp_path),
@@ -800,13 +821,8 @@ def test_unconverged_kernel_exits_2_without_traceback(fixtures_dir):
         "error: incomplete beta with shapes 30000 and 30000 did not converge in 8 steps"]
 
 
-@pytest.mark.parametrize("command", [
-    ["evaluate"],
-    ["compare", "--columns", "model_a,model_b", "--prior", "beta", "--seed", "3"],
-])
-def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, command):
-    # a BLAS product's order of addition follows its thread count, so on
-    # these inputs one would move the reports' last digits between 1 and 2
+def _two_model_scores(tmp_path) -> Path:
+    """A 20k-row scores file with two continuous columns."""
     rng = np.random.default_rng(21)
     n = 20_000
     labels = (rng.random(n) < 0.3).astype(int)
@@ -814,6 +830,17 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, command):
     path = tmp_path / "scores.csv"
     path.write_text("label,model_a,model_b\n" + "".join(
         map("{},{!r},{!r}\n".format, labels.tolist(), *(1.0 / (1.0 + np.exp(-margins))).tolist())))
+    return path
+
+
+PRIOR_COMPARE = ["compare", "--columns", "model_a,model_b", "--prior", "beta", "--seed", "3"]
+
+
+@pytest.mark.parametrize("command", [["evaluate"], PRIOR_COMPARE])
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, command):
+    # a BLAS product's order of addition follows its thread count, so on
+    # these inputs one would move the reports' last digits between 1 and 2
+    path = _two_model_scores(tmp_path)
     src = str(Path(hmetric.__file__).resolve().parents[1])
     reports = []
     for threads in ("1", "2"):
@@ -823,6 +850,39 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, command):
                               *command[1:]], env=env, capture_output=True, text=True, check=True)
         reports.append(re.sub(r'"timestamp": "[^"]*"', "", out.stdout))
     assert reports[0] == reports[1]
+
+
+def _openblas() -> bool:
+    try:
+        return "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError):  # numpy without the build record
+        return False
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64") or not _openblas(),
+                    reason="the kernels switched here are OpenBLAS's and numpy's on x86-64")
+def test_prior_report_within_ulps_across_cpu_kernels(tmp_path):
+    # OpenBLAS's oldest x86-64 kernel, and numpy's vector paths up to SSE4
+    # only (as on a CPU without AVX2), may round last digits differently:
+    # every float stays within the README's bound of the default run's
+    from test_report_fixtures import _assert_matches, _cpu_features
+
+    path = _two_model_scores(tmp_path)
+    wider = [name for name in ("AVX512_SPR", "AVX512_ICL", "X86_V4", "X86_V3")
+             if _cpu_features().get(name)]
+    src = str(Path(hmetric.__file__).resolve().parents[1])
+    reports = []
+    for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"},
+                   {"NPY_DISABLE_CPU_FEATURES": " ".join(wider)}):
+        env = dict(os.environ, PYTHONPATH=src, **kernel)
+        out = subprocess.run([sys.executable, "-m", "hmetric.cli", PRIOR_COMPARE[0], str(path),
+                              *PRIOR_COMPARE[1:]], env=env, capture_output=True, text=True,
+                             check=True)
+        report = json.loads(out.stdout)
+        del report["provenance"]["timestamp"]
+        reports.append(report)
+    for report in reports[1:]:
+        _assert_matches(report, reports[0])
 
 
 def _module_process(args, cwd, **env):

@@ -17,10 +17,12 @@ from hmetric.empirical import ClassPriors, EmpiricalCdfPair, empirical_cdfs
 from hmetric.report import build_report
 import hmetric.distributions as distributions
 import hmetric.hmeasure as hmeasure
-from hmetric.hmeasure import NODE_RUN, PRIOR_NODES, _loss_at, _reference_loss_batch
+from hmetric._mc import MC_CHUNK, chunk_streams
+from hmetric.hmeasure import (DRAW_RUN, NODE_RUN, PRIOR_NODES, _loss_at, _prior_loss,
+                              _reference_loss_batch, _uncertain_priors)
 from hmetric.loss import _class_sums
 from conftest import random_dataset
-from oracles import exact_calibrated_loss_batch, nested_uncertain_h
+from oracles import exact_calibrated_loss_batch, nested_uncertain_h, whole_chunk_uncertain_h
 
 # frozen 40-digit oracle values for the golden 4-point dataset
 GOLDEN_H_CAL = 0.33054877872925612091
@@ -364,3 +366,26 @@ def test_report_shares_the_prior_draws(monkeypatch, mode):
         alone = h_measure_uncertain_priors(ingest(scores, labels), config)
         got = report["columns"][name]["h"]
         assert (got["h"], got["loss"], got["mc_stderr"]) == (alone.h, alone.loss, alone.mc_stderr)
+
+
+@pytest.mark.parametrize("mode", ["calibrated", "optimal"])
+@pytest.mark.parametrize("draws", [3, 2 * MC_CHUNK + DRAW_RUN + 1])
+def test_draw_sub_blocks_keep_every_bit(mode, draws):
+    # _uncertain_priors fills each chunk's reference and ratio arrays a sub-block
+    # of draws at a time; the loop that took each chunk whole gives the same
+    # h, loss and mc_stderr to the last bit, for three columns at once (on
+    # these, adding each sub-block's sums on its own moves last bits)
+    data = _datasets()[:3]
+    config = EvalConfig(prior="beta", threshold_mode=mode, seed=12, outer_samples=draws)
+    losses = [_prior_loss(d, mode) for d in data]
+    if mode == "optimal":  # sub-blocks end inside a chunk, at no fixed stride
+        breaks = [empirical_cdfs(d).hull[0].size + 1 for d in data]
+        assert [run for _, run in losses] == [distributions._RUN_BLOCK // k for k in breaks]
+        assert all(distributions._RUN_BLOCK % k and MC_CHUNK % run for k, (_, run)
+                   in zip(breaks, losses)), breaks
+    got = [(r.h, r.loss, r.mc_stderr) for r in _uncertain_priors(losses, config)]
+    want = whole_chunk_uncertain_h([_loss_at(empirical_cdfs(d), mode) for d in data],
+                                   _reference_loss_batch, chunk_streams(12, draws), 2.0, 2.0)
+    assert got == want
+    alone = h_measure_uncertain_priors(data[0], config)
+    assert (alone.h, alone.loss, alone.mc_stderr) == got[0]

@@ -20,7 +20,7 @@ import hmetric
 from hmetric.cli import _write_csv
 from hmetric.distributions import BetaWeight
 from hmetric.config import EvalConfig
-from hmetric.empirical import ingest, read_scores_csv, score_names
+from hmetric.empirical import LabeledScores, ingest, read_scores_csv, score_names
 from hmetric.hmeasure import _calibrated_coefficients, h_measure_uncertain_priors
 from hmetric.report import build_report
 
@@ -59,15 +59,43 @@ def test_partial_moments_working_set():
 @pytest.mark.parametrize("mode", ["calibrated", "optimal"])
 def test_prior_path_flat_in_draws(mode):
     # the draws run one chunk at a time, so the working set is one chunk's
-    # whatever the draw count: measured 14.0 MB calibrated and 54.7 MB
-    # optimal at both counts on 2e4 rows; a chunk's ratio array held into
-    # the next chunk's batch added 0.13 MB
+    # whatever the draw count: measured 13.2 MB calibrated (the node sums')
+    # and 13.5 MB optimal at both counts on 2e4 rows, where the optimal
+    # loss at a whole chunk at once took 54.7 MB; a chunk's ratio array
+    # held into the next chunk's batch added 0.13 MB
     _, columns, labels = read_scores_csv("plain.csv", content=_scores_csv(20_000, 5))
     data = ingest(columns["model_a"], labels)
     peaks = [_traced_peak(lambda: h_measure_uncertain_priors(data, EvalConfig(
         prior="beta", seed=1, outer_samples=draws, threshold_mode=mode)))
         for draws in (20_000, 80_000)]
     assert peaks[1] < peaks[0] + 64 * 1024, peaks
+
+
+def _convex_roc(steps: int) -> LabeledScores:
+    """Scores whose ROC path turns at every group, so that each group is a
+    hull vertex: every primitive step (dx, dy) with 1 <= dx, dy <= steps,
+    taken by increasing slope."""
+    from math import gcd
+
+    turns = sorted((dy / dx, dx, dy) for dx in range(1, steps + 1)
+                   for dy in range(1, steps + 1) if gcd(dx, dy) == 1)
+    counts = np.array([(dx, dy) for _, dx, dy in turns])
+    scores = np.repeat((np.arange(len(turns)) + 0.5) / len(turns), counts.sum(axis=1))
+    labels = np.concatenate([[0] * dx + [1] * dy for dx, dy in counts])
+    return ingest(scores, labels)
+
+
+def test_optimal_prior_flat_in_hull_size():
+    # the optimal loss takes its draws in sub-blocks of at most _RUN_BLOCK
+    # (draws x hull breaks) elements, so its working set does not grow with
+    # the hull: measured 13.4 and 13.5 MB at 257 and 981 breaks over 1,000
+    # draws, where the whole chunk at once took 21.2 and 52.5 MB
+    datasets = [_convex_roc(20), _convex_roc(40)]
+    assert [d.table.hull[0].size + 1 for d in datasets] == [257, 981]
+    config = EvalConfig(prior="beta", seed=1, outer_samples=1000, threshold_mode="optimal")
+    peaks = [_traced_peak(lambda: h_measure_uncertain_priors(data, config))
+             for data in datasets]
+    assert peaks[1] < peaks[0] + 512 * 1024, peaks
 
 
 def test_calibrated_node_sums_flat_in_scores():
@@ -96,6 +124,26 @@ def test_report_holds_one_column_at_a_time():
     for scores in columns.values():
         scores.setflags(write=False)
     config = EvalConfig(prior="fixed", pi0=0.4)
+    peaks = [_traced_peak(lambda: build_report(dict(list(columns.items())[:count]), labels,
+                                               config, data_fingerprint="sha256:0"))
+             for count in (2, 4)]
+    assert peaks[1] < peaks[0] + 64 * 1024, peaks
+
+
+@pytest.mark.parametrize("mode", ["calibrated", "optimal"])
+def test_beta_prior_report_holds_one_table_at_a_time(mode):
+    # under a beta prior each column is reduced to what the draws read (its
+    # coefficients or its hull) once its other metrics are computed, and its
+    # table is dropped before the next column's is built: measured 15.3 MB
+    # calibrated and 4.7 MB optimal at both counts on 2e4 rows, where holding
+    # every column's table added 0.48 MB per column
+    rng = np.random.default_rng(6)
+    n = 20_000
+    labels = (rng.random(n) < 0.3).astype(np.int8)
+    columns = {f"model_{k}": rng.random(n) for k in range(4)}
+    for scores in columns.values():
+        scores.setflags(write=False)
+    config = EvalConfig(prior="beta", seed=1, outer_samples=2000, threshold_mode=mode)
     peaks = [_traced_peak(lambda: build_report(dict(list(columns.items())[:count]), labels,
                                                config, data_fingerprint="sha256:0"))
              for count in (2, 4)]
@@ -133,6 +181,20 @@ def test_curves_release_the_file_bytes_once_parsed(tmp_path):
     assert _traced_peak(curves) < 8 * MB
 
 
+def test_curves_flat_in_resolution(fixtures_dir, tmp_path):
+    # the loss and weight curves are computed and written a slice of the
+    # grid at a time: measured 0.29 MB at 4096 and 65,536 points, where
+    # the whole grid at once took 0.39 and 5.1 MB
+    golden4 = str(fixtures_dir / "golden4.csv")
+
+    def curves(resolution):
+        args = ["curves", golden4, "--resolution", str(resolution), "--out-dir", str(tmp_path)]
+        assert run_cli(args).exit_code == 0
+
+    peaks = [_traced_peak(partial(curves, resolution)) for resolution in (4096, 65536)]
+    assert peaks[1] < peaks[0] + 64 * 1024, peaks
+
+
 def test_curve_writer_flat_in_rows(tmp_path):
     rng = np.random.default_rng(2)
     peaks = []
@@ -159,8 +221,12 @@ def test_curve_writer_flat_in_rows_with_runs(tmp_path):
 # Peak resident set over the import floor, in MB, on 1e5 rows: measured
 # 10.0 for evaluate, 10.0 for compare and 10.0 for curves (20.2, 13.1 and
 # 16.5 before the working set was bounded; evaluate and compare 13.0 and
-# 12.6 while a report held every column's copy and table at once).
-RSS_BUDGET_MB = {"evaluate": 13.0, "compare": 12.4, "curves": 13.0}
+# 12.6 while a report held every column's copy and table at once).  On
+# another host, where evaluate measured 8.7, evaluate --prior beta measured
+# 20.8 calibrated and 19.8 optimal (73.6 optimal with each chunk's draws
+# taken whole; medians of 3).
+RSS_BUDGET_MB = {"evaluate": 13.0, "compare": 12.4, "curves": 13.0,
+                 "evaluate-prior-beta": 25.0, "evaluate-prior-beta-optimal": 25.0}
 
 # A child's peak resident set starts from that of the process that forked
 # it, so each command starts from this small process rather than from the
@@ -196,6 +262,11 @@ def test_commands_peak_rss_within_budget(tmp_path):
                     "--mode", "optimal", "--screen", "0.1,0.25", "--u-dist", "pooled",
                     "--out", "compare.json"],
         "curves": [*cli, "curves", str(path), "--column", "model_a", "--out-dir", "curves"],
+        "evaluate-prior-beta": [*cli, "evaluate", str(path), "--prior", "beta", "--seed", "1",
+                                "--out", "prior.json"],
+        "evaluate-prior-beta-optimal": [*cli, "evaluate", str(path), "--prior", "beta",
+                                        "--seed", "1", "--mode", "optimal",
+                                        "--out", "prior-optimal.json"],
     }
     excess = {name: peak_rss_mb(*argv) - floor for name, argv in commands.items()}
     assert all(excess[name] < RSS_BUDGET_MB[name] for name in commands), excess
