@@ -31,7 +31,6 @@ from .errors import ConfigError, DegenerateDataError, HmetricError
 _NUMERIC = {
     "read_bytes": "empirical",
     "read_scores_csv": "empirical",
-    "score_names": "empirical",
     "ingest": "empirical",
     "empirical_cdfs": "empirical",
     "min_loss": "loss",
@@ -175,14 +174,9 @@ def _build_config(weight, screen_proportions="", **fields):
 
 def _read_columns(input_csv: str, pick=None):
     """(The bytes of INPUT_CSV, its score columns, its labels), from one
-    read.  pick, when given, chooses the columns to keep from the score
-    column names, taken from the header before any row is parsed.  The
-    columns are read-only."""
+    read; pick is read_scores_csv's.  The columns are read-only."""
     raw = read_bytes(input_csv)
-    kept = None if pick is None else pick(score_names(input_csv, raw))
-    _, columns, labels = read_scores_csv(input_csv, content=raw)
-    if kept is not None:
-        columns = {name: columns[name] for name in kept}
+    _, columns, labels = read_scores_csv(input_csv, content=raw, pick=pick)
     for scores in columns.values():
         scores.setflags(write=False)  # fresh and ours: ingest shares it, copying nothing
     return raw, columns, labels
@@ -201,13 +195,8 @@ def _report(input_csv: str, out: str, cfg: dict, wanted=None):
     _load_numeric()
     import hashlib  # here, not at the top: curves hashes nothing
 
-    def pick(names):
-        missing = [name for name in wanted if name not in names]
-        if missing:
-            raise ConfigError(f"score columns not in the input: {', '.join(missing)}")
-        return wanted
-
-    raw, columns, labels = _read_columns(input_csv, None if wanted is None else pick)
+    raw, columns, labels = _read_columns(input_csv,
+                                         None if wanted is None else lambda names: wanted)
     fingerprint = "sha256:" + hashlib.sha256(raw).hexdigest()
     del raw  # hashed: the report needs none of the bytes
     text = render_report(build_report(columns, labels, config, data_fingerprint=fingerprint,

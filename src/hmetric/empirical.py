@@ -20,7 +20,7 @@ read_scores_csv parses a plain file (every data field bare digits, '.',
 blank row, every value finite: what numpy.savetxt and pandas write) in
 one numpy pass.  Any other file, and any file with a malformed row, goes
 through the line reader, which reports the row by its line number, as it
-does for a tabulated weight file.  score_names reads the header alone.
+does for a tabulated weight file.  Both store only the picked columns.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from ._record import Record
 from .config import NORMALIZATIONS
 from .distributions import _BLOCK, TabulatedWeight
-from .errors import DegenerateDataError, InputError
+from .errors import ConfigError, DegenerateDataError, InputError
 
 __all__ = [
     "LabeledScores",
@@ -318,7 +318,7 @@ def csv_records(path: str | Path, content: bytes):
     return csv.reader(io.TextIOWrapper(io.BytesIO(content), encoding="utf-8-sig", newline=""))
 
 
-def read_scores_csv(path: str | Path, *, content: bytes | None = None):
+def read_scores_csv(path: str | Path, *, content: bytes | None = None, pick=None):
     """Read a scored test set from CSV.
 
     Expected layout: header row with a 'label' column (values 0/1) and one
@@ -328,17 +328,38 @@ def read_scores_csv(path: str | Path, *, content: bytes | None = None):
     is the file's bytes, already read (path then only names the input in
     messages); the CLI parses and fingerprints the same bytes this way.
 
-    Returns (column_names, columns, labels) where columns maps each score
-    column name to a float array.
+    pick, when given, gets the score column names from the header (read
+    first, from the 8 KiB that hold it) and returns the names to keep, in
+    order (one the header lacks is a ConfigError); every field of every
+    row is still checked.
+
+    Returns (column_names, columns, labels) where columns maps each kept
+    score column name to a float array.
     """
     path = Path(path)
     if content is None:
         content = read_bytes(path)
-    parsed = _read_plain(path, content)
-    return parsed if parsed is not None else _read_lines(path, content)
+    header = _header(path, _first_record(path, content))
+    names = [h for h in header if h != "label"]
+    kept = names if pick is None else pick(names)
+    missing = [name for name in kept if name not in names]
+    if missing:
+        raise ConfigError(f"score columns not in the input: {', '.join(missing)}")
+    parsed = _read_plain(content, header, kept)
+    return parsed if parsed is not None else _read_lines(path, content, header, kept)
 
 
-def _read_plain(path: Path, content: bytes):
+def _first_record(path: Path, content: bytes) -> list[str] | None:
+    """The first csv record of a file's bytes, or None; only the 8 KiB
+    chunks holding it are decoded (a non-UTF-8 byte there names its line)."""
+    stream = io.TextIOWrapper(io.BytesIO(content), encoding="utf-8-sig", newline="")
+    try:
+        return next(csv.reader(stream), None)
+    except UnicodeDecodeError:
+        return next(csv_records(path, content), None)  # names the line
+
+
+def _read_plain(content: bytes, header: list[str], kept: list[str]):
     """Parse a plain file in one numpy pass; None sends it to the line reader.
 
     Plain means: a valid header on the first line, with no quote or lone
@@ -349,17 +370,13 @@ def _read_plain(path: Path, content: bytes):
     go to the line reader.  numpy and Python's float both round correctly,
     so the two readers give the same bits.  numpy reads the whole text
     past its first line from a BytesIO, which shares the bytes, so the
-    body is never copied.
+    body is never copied; only the kept columns are copied from its table.
     """
     text = content.removeprefix(codecs.BOM_UTF8)
     end = text.find(b"\n")  # the header's newline
     head = text[:end]
     if end <= 0 or end + 1 == len(text) or b'"' in head or b"\r" in head[:-1]:
         return None
-    try:
-        header = _header(path, next(csv.reader([head.decode("utf-8")])))
-    except (UnicodeDecodeError, InputError):
-        return None  # the line reader reports it, after any non-UTF-8 byte
     label_idx = header.index("label")
     fields = [rb"[0-9.eE+\-]+"] * len(header)
     fields[label_idx] = rb"[01]"
@@ -376,20 +393,8 @@ def _read_plain(path: Path, content: bytes):
     rows = text.count(b"\n", end + 1) + (not text.endswith(b"\n"))
     if table.shape != (rows, len(header)) or not np.isfinite(table).all():
         return None
-    columns = {name: table[:, k].copy() for k, name in enumerate(header) if k != label_idx}
+    columns = {name: table[:, header.index(name)].copy() for name in kept}
     return list(columns), columns, table[:, label_idx].astype(np.int8)
-
-
-def score_names(path: str | Path, content: bytes) -> list[str]:
-    """The score column names read_scores_csv(path, content=content) returns,
-    from the header: no row is parsed, and only the 8 KiB chunks holding it decoded."""
-    path = Path(path)
-    stream = io.TextIOWrapper(io.BytesIO(content), encoding="utf-8-sig", newline="")
-    try:
-        record = next(csv.reader(stream), None)
-    except UnicodeDecodeError:
-        record = next(csv_records(path, content), None)  # names the line
-    return [h for h in _header(path, record) if h != "label"]
 
 
 def _header(path: Path, record: list[str] | None) -> list[str]:
@@ -411,17 +416,18 @@ def _weight_header(path: Path, record: list[str] | None) -> list[str]:
     return ["c", "density"]
 
 
-def _read_lines(path: Path, content: bytes, header_rule=_header, noun: str = "score"):
+def _read_lines(path: Path, content: bytes, header: list[str], kept: list[str], noun="score"):
     """The line reader: record by record, with the csv module.  It is the
     only code that reports a malformed file, and a malformed row by its
-    line number.  header_rule checks the header record and returns its
-    names; a 'label' column holds 0 or 1, each other one a finite noun."""
+    line number.  Of the checked header's columns, a 'label' one holds 0
+    or 1 and each other one a finite noun; only those in kept are stored."""
     reader = csv_records(path, content)
-    header = header_rule(path, next(reader, None))
+    next(reader)  # the header, checked already
     label_idx = header.index("label") if "label" in header else None
     value_idx = [k for k in range(len(header)) if k != label_idx]
-    cols: list[list[float]] = [[] for _ in header]
+    cols: dict[int, list[float]] = {header.index(name): [] for name in kept}
     labels: list[int] = []
+    lineno = 1
     for lineno, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise InputError(
@@ -449,14 +455,18 @@ def _read_lines(path: Path, content: bytes, header_rule=_header, noun: str = "sc
                 raise InputError(
                     f"{path}:{lineno}: non-finite {noun} {value!r} in column {header[k]!r}"
                 )
-            cols[k].append(number)
-    if not cols[value_idx[0]]:
+            if k in cols:
+                cols[k].append(number)
+    if lineno == 1:
         raise InputError(f"{path}: no data rows")
-    columns = {header[k]: np.asarray(cols[k], dtype=float) for k in value_idx}
+    columns = {header[k]: np.asarray(values, dtype=float) for k, values in cols.items()}
     return list(columns), columns, np.asarray(labels, dtype=np.int8)
 
 
 def load_tabulated_weight(path: str | Path) -> TabulatedWeight:
     """A tabulated weight from a CSV with header ``c,density``, read as score rows are."""
-    _, columns, _ = _read_lines(Path(path), read_bytes(path), _weight_header, "value")
+    path = Path(path)
+    content = read_bytes(path)
+    header = _weight_header(path, _first_record(path, content))
+    _, columns, _ = _read_lines(path, content, header, header, "value")
     return TabulatedWeight(columns["c"], columns["density"])

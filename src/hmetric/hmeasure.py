@@ -242,31 +242,24 @@ def _calibrated_loss_batch(pi0s: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return pi0s * (a / (a + b)) * i0 + (1.0 - pi0s) * (b / (a + b)) * j1
 
 
-def _loss_at(cdfs: EmpiricalCdfPair, mode: str):
-    """The loss as a function of an array of priors, with the inner cost
-    expectation integrated exactly at each.  Calibrated mode fits its
-    class sums here, once per column; in optimal mode every prior walks
-    the same ROC hull, one (priors x hull breaks) batch of partial moments
-    per call."""
+def _prior_loss(data: LabeledScores, mode: str):
+    """What the prior draws read of a column: its loss as a function of an
+    array of priors, with the inner cost expectation integrated exactly at
+    each, and the draws per sub-block that loss takes.  The loss holds only
+    the column's coefficients or its hull: calibrated mode fits its class
+    sums here, once per column; in optimal mode every prior walks the same
+    ROC hull, one (priors x hull breaks) batch of partial moments per call."""
+    cdfs = empirical_cdfs(data)
     if mode == "calibrated":
         coef = _calibrated_coefficients(cdfs)
-        return lambda pi0s: _calibrated_loss_batch(pi0s, coef)
+        return (lambda pi0s: _calibrated_loss_batch(pi0s, coef)), DRAW_RUN
     hull = cdfs.hull
 
     def loss(pi0s):
         env = _hull_envelope(pi0s[:, None], hull)
         return env.integrate(*_beta_moments(*_conditional_shapes(pi0s[:, None]), env.breaks))
 
-    return loss
-
-
-def _prior_loss(data: LabeledScores, mode: str):
-    """What the prior draws read of a column: its loss at an array of
-    priors (_loss_at), which holds only the column's coefficients or its
-    hull, and the draws per sub-block that loss takes."""
-    cdfs = empirical_cdfs(data)
-    run = DRAW_RUN if mode == "calibrated" else max(1, _RUN_BLOCK // (cdfs.hull[0].size + 1))
-    return _loss_at(cdfs, mode), run
+    return loss, max(1, _RUN_BLOCK // (hull[0].size + 1))
 
 
 def _in_runs(fn, pi0s: np.ndarray, run: int, out: np.ndarray) -> np.ndarray:

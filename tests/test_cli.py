@@ -536,30 +536,47 @@ def test_columns_checked_with_no_row_parsed(fixtures_dir, tmp_path, args, messag
 
 
 def test_curves_frees_the_columns_it_does_not_plot(fixtures_dir, tmp_path, monkeypatch):
-    import weakref
-
     import hmetric.cli as cli
 
-    parsed = {}
-    read, curve = cli.read_scores_csv, cli.min_loss
+    returned = []
+    read = cli.read_scores_csv
 
     def reading(*args, **kwargs):
         names, columns, labels = read(*args, **kwargs)
-        parsed.update((name, weakref.ref(scores)) for name, scores in columns.items())
+        returned.extend(columns)
         return names, columns, labels
 
-    def plotting(*args, **kwargs):
-        assert parsed["model_b"]() is None, "the unplotted column is still alive"
-        return curve(*args, **kwargs)
-
     monkeypatch.setattr(cli, "read_scores_csv", reading)
-    monkeypatch.setattr(cli, "min_loss", plotting)
     result = run_cli([
         "curves", str(fixtures_dir / "rank_disagreement.csv"), "--column", "model_a", "--out-dir",
         str(tmp_path),
     ])
     assert result.exit_code == 0, result.stderr
-    assert sorted(parsed) == ["model_a", "model_b"]
+    assert returned == ["model_a"]
+
+
+@pytest.mark.parametrize("first", ["0,0.1,0.2", '0,"0.1",0.2'], ids=["plain", "quoted"])
+def test_unpicked_column_still_checked(tmp_path, first):
+    path = tmp_path / "scores.csv"
+    path.write_text(f"label,model_a,model_b\n{first}\n1,0.9,oops\n", encoding="utf-8")
+    result = run_cli(["curves", str(path), "--column", "model_a", "--out-dir", str(tmp_path)])
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr == f"error: {path}:3: non-numeric score 'oops' in column 'model_b'\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["evaluate"],
+    ["compare", "--columns", "s,t"],
+    ["curves", "--column", "s"],
+], ids=["evaluate", "compare", "curves"])
+def test_header_reported_before_a_later_non_utf8_byte(tmp_path, args):
+    # the byte lies past the 8 KiB that hold the header, which every
+    # command reads and checks first
+    path = tmp_path / "scores.csv"
+    path.write_bytes(b"s,t\n" + b"0.1,0.2\n" * 2048 + b"0.1,0.2\xff\n")
+    result = _reject(tmp_path, path, args)
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {path}: header must contain a 'label' column\n"
 
 
 SHARED_FLAGS = ["--weight", "--alpha", "--beta", "--prior", "--pi0", "--mode", "--normalize"]

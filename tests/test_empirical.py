@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hmetric import empirical
 from hmetric import (
+    ConfigError,
     DegenerateDataError,
     InputError,
     empirical_cdfs,
@@ -410,8 +411,29 @@ class TestBulkReader:
             read_scores_csv(path)
 
 
+class _Picked(Exception):
+    """What a pick raises to stop the read once it has the names."""
+
+
+def _names_picked(content):
+    """The score names read_scores_csv hands its pick, with no row parsed."""
+    seen = []
+
+    def pick(names):
+        seen.append(names)
+        raise _Picked
+
+    parsed = AssertionError("a row was parsed")
+    with mock.patch.object(empirical, "_read_plain", side_effect=parsed), \
+            mock.patch.object(empirical, "_read_lines", side_effect=parsed), \
+            pytest.raises(_Picked):
+        read_scores_csv("in.csv", content=content, pick=pick)
+    return seen[0]
+
+
 class TestScoreNames:
-    """The header read alone gives read_scores_csv's names, or its error."""
+    """The names read_scores_csv hands its pick, from the header alone, are
+    the names the whole read returns; a bad header is its error."""
 
     @given(_csv_texts())
     @example(b'label,"a\nb"\n0,0.5\n')  # a quoted name across two lines
@@ -423,7 +445,7 @@ class TestScoreNames:
             names = read_scores_csv("in.csv", content=content)[0]
         except InputError:
             return
-        assert empirical.score_names("in.csv", content) == names
+        assert _names_picked(content) == names
 
     @pytest.mark.parametrize("content, message", [
         (b"label,s\xff\n0,0.1\n1,0.9\n", "in.csv:1: not UTF-8 text"),
@@ -432,9 +454,40 @@ class TestScoreNames:
         (b"", "in.csv: empty file, expected a header row"),
     ])
     def test_rejections_match_the_reader(self, content, message):
-        for read in (empirical.score_names, lambda p, c: read_scores_csv(p, content=c)):
+        for read in (_names_picked, lambda c: read_scores_csv("in.csv", content=c)):
             with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-                read("in.csv", content)
+                read(content)
+
+    def test_unknown_picked_name_is_a_config_error(self):
+        # "label" is in the header, but it is no score column
+        parsed = AssertionError("a row was parsed")
+        with mock.patch.object(empirical, "_read_plain", side_effect=parsed), \
+                mock.patch.object(empirical, "_read_lines", side_effect=parsed), \
+                pytest.raises(ConfigError,
+                              match="^score columns not in the input: nope, label$"):
+            read_scores_csv("in.csv", content=b"label,s\n0,0.1\n1,0.9\n",
+                            pick=lambda names: ["s", "nope", "label"])
+
+    @pytest.mark.parametrize("content", [
+        b"label,a,b\n0,0.1,0.2\n1,0.9,0.8\n",
+        b'label,a,b\n0,"0.1",0.2\n1,0.9,0.8\n',
+    ], ids=["plain", "quoted"])
+    def test_picked_columns_in_their_order(self, content):
+        names, columns, labels = read_scores_csv("in.csv", content=content,
+                                                 pick=lambda names: ["b", "a"])
+        assert names == list(columns) == ["b", "a"]
+        assert columns["a"].tolist() == [0.1, 0.9] and columns["b"].tolist() == [0.2, 0.8]
+        assert labels.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("content", [
+        b"label,a,b\n0,0.1,0.2\n1,0.9,0.8\n",
+        b'label,a,b\n0,"0.1",0.2\n1,0.9,0.8\n',
+        b"\xef\xbb\xbf" + b"label,a,b\r\n0,0.1,0.2\r\n1,0.9,0.8\r\n",
+    ], ids=["plain", "quoted", "bom-crlf"])
+    def test_header_checked_once(self, content):
+        with mock.patch.object(empirical, "_header", wraps=empirical._header) as header:
+            read_scores_csv("in.csv", content=content, pick=lambda names: names[:1])
+        assert header.call_count == 1
 
 
 def test_regexes_need_no_newer_python():

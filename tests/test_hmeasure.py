@@ -18,7 +18,7 @@ from hmetric.report import build_report
 import hmetric.distributions as distributions
 import hmetric.hmeasure as hmeasure
 from hmetric._mc import MC_CHUNK, chunk_streams
-from hmetric.hmeasure import (DRAW_RUN, NODE_RUN, PRIOR_NODES, _loss_at, _prior_loss,
+from hmetric.hmeasure import (DRAW_RUN, NODE_RUN, PRIOR_NODES, _prior_loss,
                               _reference_loss_batch, _uncertain_priors)
 from hmetric.loss import _class_sums
 from conftest import random_dataset
@@ -173,11 +173,10 @@ class TestHMeasureUncertainPriors:
         # one draw of the outer integrand reproduces the fixed-prior H
         # at that prior with the matching conditional weight, in both
         # threshold modes and with several priors in one batch
-        cdfs = empirical_cdfs(golden4)
         pi0s = [0.2, 0.5, 0.8]
         for mode in ("calibrated", "optimal"):
             p = np.asarray(pi0s)
-            ratios = _loss_at(cdfs, mode)(p) / _reference_loss_batch(p)
+            ratios = _prior_loss(golden4, mode)[0](p) / _reference_loss_batch(p)
             for pi0, ratio in zip(pi0s, ratios):
                 fixed = h_measure_fixed(
                     golden4,
@@ -384,7 +383,7 @@ def test_draw_sub_blocks_keep_every_bit(mode, draws):
         assert all(distributions._RUN_BLOCK % k and MC_CHUNK % run for k, (_, run)
                    in zip(breaks, losses)), breaks
     got = [(r.h, r.loss, r.mc_stderr) for r in _uncertain_priors(losses, config)]
-    want = whole_chunk_uncertain_h([_loss_at(empirical_cdfs(d), mode) for d in data],
+    want = whole_chunk_uncertain_h([loss for loss, _ in losses],
                                    _reference_loss_batch, chunk_streams(12, draws), 2.0, 2.0)
     assert got == want
     alone = h_measure_uncertain_priors(data[0], config)

@@ -1,9 +1,10 @@
 """Working-set bounds.  The incomplete-beta kernel, the plain CSV reader,
-the header read, a report over several columns, the curves command and
-the curve writer are traced with tracemalloc in this process; each
-compute command's peak resident set is read from os.wait4 in a child and
-taken over the peak of a child that only imports numpy and the report
-module.  Every bound was set from a measurement, with a margin."""
+the header read, a picked read, a report over several columns, the
+curves command and the curve writer are traced with tracemalloc in this
+process; each compute command's peak resident set is read from os.wait4
+in a child and taken over the peak of a child that only imports numpy
+and the report module.  Every bound was set from a measurement, with a
+margin."""
 
 import os
 import subprocess
@@ -20,7 +21,7 @@ import hmetric
 from hmetric.cli import _write_csv
 from hmetric.distributions import BetaWeight
 from hmetric.config import EvalConfig
-from hmetric.empirical import LabeledScores, ingest, read_scores_csv, score_names
+from hmetric.empirical import LabeledScores, ingest, read_scores_csv
 from hmetric.hmeasure import _calibrated_coefficients, h_measure_uncertain_priors
 from hmetric.report import build_report
 
@@ -162,11 +163,36 @@ def test_plain_csv_read_does_not_copy_the_body():
 
 def test_header_read_leaves_the_rows_alone():
     content = _scores_csv(100_000, 4)
-    peak = _traced_peak(lambda: score_names("plain.csv", content))
+    seen = []
+
+    class Picked(Exception):
+        pass
+
+    def pick(names):
+        seen.append(names)
+        raise Picked
+
+    def read():
+        try:
+            read_scores_csv("plain.csv", content=content, pick=pick)
+        except Picked:
+            pass
+
+    peak = _traced_peak(read)
     # the header line and the rest of the one 8 KiB chunk read with it;
     # the 2.8 MB body, decoded, would take 2.8 MB more
     assert peak < 64 * 1024
-    assert score_names("plain.csv", content) == ["model_a", "model_b"]
+    assert seen == [["model_a", "model_b"]] * 2
+
+
+def test_picked_read_copies_only_the_kept_columns():
+    n = 100_000
+    content = _scores_csv(n, 1)
+    both = _traced_peak(lambda: read_scores_csv("plain.csv", content=content))
+    one = _traced_peak(lambda: read_scores_csv("plain.csv", content=content,
+                                               pick=lambda names: ["model_a"]))
+    # the 0.8 MB copy of model_b, and nothing else, is left out
+    assert abs(both - one - n * 8) < n * 8 // 10, (both, one)
 
 
 def test_curves_release_the_file_bytes_once_parsed(tmp_path):
