@@ -6,6 +6,11 @@ environment variable sets the log level; nothing else is read from the
 environment.  Unset, nothing the package logs (at info only) can show,
 so logging is not imported.
 
+Each command imports the modules it calls where it calls them: numpy
+and the numeric ones only once its config is valid; evaluate and
+compare load the report code only once the input is read, so that a
+missing or malformed input loads none of it, and curves never does.
+
 ``python -m hmetric.cli`` and the ``hmetric`` script run process_main:
 once the command has exited and its output is flushed, the process ends
 by os._exit, skipping the interpreter's teardown (clearing every module,
@@ -19,43 +24,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from importlib import import_module
 from pathlib import Path
 
 from .errors import ConfigError, DegenerateDataError, HmetricError
-
-# The numeric names the commands use, by the module that defines them.
-# A command loads the modules it calls once its config is built, so --help
-# and a config error start without numpy; reading a name as a module
-# attribute loads them all.
-_NUMERIC = {
-    "read_bytes": "empirical",
-    "read_scores_csv": "empirical",
-    "ingest": "empirical",
-    "empirical_cdfs": "empirical",
-    "min_loss": "loss",
-    "CURVE_GRID": "loss",
-    "build_report": "report",
-    "render_report": "report",
-    "resolve_priors": "hmeasure",
-    "resolve_weight": "hmeasure",
-}
-
-
-def _load_numeric(*modules):
-    """Bind the numeric names of the given modules (all by default) not yet
-    bound here; a name already set, such as a wrapped or patched one, is kept."""
-    names = globals()
-    for name, module in _NUMERIC.items():
-        if name not in names and (not modules or module in modules):
-            names[name] = getattr(import_module(f".{module}", __package__), name)
-
-
-def __getattr__(name: str):
-    if name not in _NUMERIC:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_numeric()
-    return globals()[name]
 
 
 def _setup_logging():
@@ -175,6 +146,8 @@ def _build_config(weight, screen_proportions="", **fields):
 def _read_columns(input_csv: str, pick=None):
     """(The bytes of INPUT_CSV, its score columns, its labels), from one
     read; pick is read_scores_csv's.  The columns are read-only."""
+    from .empirical import read_bytes, read_scores_csv
+
     raw = read_bytes(input_csv)
     _, columns, labels = read_scores_csv(input_csv, content=raw, pick=pick)
     for scores in columns.values():
@@ -192,13 +165,14 @@ def _report(input_csv: str, out: str, cfg: dict, wanted=None):
             raise ConfigError(f"score columns listed more than once: {', '.join(repeated)}")
         if len(wanted) < 2:
             raise ConfigError("comparison requires at least two score columns")
-    _load_numeric()
-    import hashlib  # here, not at the top: curves hashes nothing
-
     raw, columns, labels = _read_columns(input_csv,
                                          None if wanted is None else lambda names: wanted)
+    import hashlib  # after the read: curves and a bad input hash nothing
+
     fingerprint = "sha256:" + hashlib.sha256(raw).hexdigest()
     del raw  # hashed: the report needs none of the bytes
+    from .report import build_report, render_report
+
     text = render_report(build_report(columns, labels, config, data_fingerprint=fingerprint,
                                       compare=wanted is not None))
     if out == "-":
@@ -222,13 +196,6 @@ def compare(input_csv, columns, out, **cfg):
 # Rows per chunk of a curve CSV: only one chunk's Python floats and
 # strings exist at a time, whatever the number of rows.
 CSV_CHUNK = 1024
-
-
-def _write_csv(path: Path, header: str, xs, ys):
-    """Two parallel float arrays as CSV columns, by _write_rows, CSV_CHUNK
-    rows at a time."""
-    _write_rows(path, header, ((xs[lo:lo + CSV_CHUNK], ys[lo:lo + CSV_CHUNK])
-                               for lo in range(0, xs.size, CSV_CHUNK)))
 
 
 def _write_rows(path: Path, header: str, chunks):
@@ -273,7 +240,10 @@ def curves(input_csv, column, resolution, out_dir, **cfg):
         if resolution is not None and resolution > MAX_RESOLUTION:
             raise ConfigError(f"resolution must be at most {MAX_RESOLUTION}, got {resolution}")
         config = _build_config(**cfg)
-        _load_numeric("empirical", "loss", "hmeasure")  # no report code
+        from .empirical import empirical_cdfs, ingest
+        from .hmeasure import resolve_priors, resolve_weight
+        from .loss import CURVE_GRID, min_loss
+
         # the curves need none of the bytes, nor the columns they do not plot
         columns, labels = _read_columns(input_csv, pick)[1:]
         data = ingest(columns.popitem()[1], labels, normalization=config.normalization)
@@ -301,8 +271,10 @@ def curves(input_csv, column, resolution, out_dir, **cfg):
         _write_rows(out_path / "weight.csv", "c,density", on_grid(weight.density))
 
         # one row per distinct score t: 1 - F0(t), 1 - F1(t)
-        _write_csv(out_path / "roc.csv", "fpr,tpr",
-                   1.0 - cdfs.cum0 / cdfs.n0, 1.0 - cdfs.cum1 / cdfs.n1)
+        _write_rows(out_path / "roc.csv", "fpr,tpr",
+                    ((1.0 - cdfs.cum0[lo:lo + CSV_CHUNK] / cdfs.n0,
+                      1.0 - cdfs.cum1[lo:lo + CSV_CHUNK] / cdfs.n1)
+                     for lo in range(0, cdfs.cum0.size, CSV_CHUNK)))
         _info("wrote curves to %s", out_path)
 
     _run(body)

@@ -309,9 +309,11 @@ def read_bytes(path: str | Path) -> bytes:
 
 def csv_records(path: str | Path, content: bytes):
     """The csv records of a file's bytes, read as UTF-8 with or without a
-    byte-order mark; a non-UTF-8 byte is an InputError naming its line."""
+    byte-order mark; a non-UTF-8 byte is an InputError naming its line.
+    ASCII bytes hold no such byte, so only other bytes are decoded first."""
     try:
-        content.decode("utf-8-sig")  # whole, so that the error can name its line
+        if not content.isascii():
+            content.decode("utf-8-sig")  # whole, so that the error can name its line
     except UnicodeDecodeError as exc:
         lineno = exc.object.count(b"\n", 0, exc.start) + 1
         raise InputError(f"{path}:{lineno}: not UTF-8 text") from None

@@ -51,6 +51,14 @@ def random_dataset(seed, n=80, calibrated=False):
     return ingest(scores, labels)
 
 
+def row_chunks(xs, ys):
+    """Two parallel arrays as the (xs, ys) chunks of CSV_CHUNK rows that
+    hmetric.cli._write_rows takes, as the curves command gives them."""
+    from hmetric.cli import CSV_CHUNK
+
+    return ((xs[lo:lo + CSV_CHUNK], ys[lo:lo + CSV_CHUNK]) for lo in range(0, xs.size, CSV_CHUNK))
+
+
 class CliResult(NamedTuple):
     exit_code: int
     stdout: str

@@ -10,12 +10,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import run_cli
+from conftest import row_chunks, run_cli
 from jsonschema import validate
 
 import hmetric
 from hmetric import REPORT_SCHEMA, empirical
-from hmetric.cli import _COMMANDS, CSV_CHUNK, MAX_RESOLUTION, _write_csv
+from hmetric.cli import _COMMANDS, CSV_CHUNK, MAX_RESOLUTION, _write_rows
 from hmetric.config import BETA_PRIOR_DEFAULTS, EvalConfig
 from hmetric.loss import CURVE_GRID
 
@@ -125,19 +125,17 @@ class TestEvaluate:
     def test_fingerprint_is_of_the_parsed_bytes(self, monkeypatch, tmp_path, command):
         import hashlib
 
-        import hmetric.cli as cli
-
         path = tmp_path / "scores.csv"
         parsed = b"label,a,b\n0,0.1,0.2\n1,0.9,0.8\n"
         path.write_bytes(parsed)
-        read = cli.read_scores_csv
+        read = empirical.read_scores_csv
 
         def read_then_rewrite(*args, **kwargs):
             result = read(*args, **kwargs)
             path.write_bytes(b"label,a,b\n0,0.3,0.2\n1,0.7,0.8\n")
             return result
 
-        monkeypatch.setattr(cli, "read_scores_csv", read_then_rewrite)
+        monkeypatch.setattr(empirical, "read_scores_csv", read_then_rewrite)
         extra = ["--columns", "a,b"] if command == "compare" else []
         result = run_cli([command, str(path), *extra])
         assert result.exit_code == 0, result.stderr
@@ -418,7 +416,7 @@ class TestCurves:
         xs, ys = rng.random(n), rng.random(n) ** 9
         special = [0.0, 1.0, 5e-324, 1e-300, 1.0 - 2.0**-53, 0.1, 1e10 / 3]
         xs[:len(special)] = special[:n]
-        _write_csv(tmp_path / "curve.csv", "x,y", xs, ys)
+        _write_rows(tmp_path / "curve.csv", "x,y", row_chunks(xs, ys))
         want = "x,y\r\n" + "".join(
             "{:.10g},{:.10g}\r\n".format(x, y) for x, y in zip(xs.tolist(), ys.tolist()))
         assert (tmp_path / "curve.csv").read_bytes() == want.encode("utf-8")
@@ -436,7 +434,7 @@ class TestCurves:
         run = np.repeat(np.arange(len(runs)), runs)
         steps = np.cumsum(np.r_[False, run[1:] == run[:-1]])
         xs, ys = levels[run % levels.size], levels[steps % levels.size]
-        _write_csv(tmp_path / "roc.csv", "fpr,tpr", xs, ys)
+        _write_rows(tmp_path / "roc.csv", "fpr,tpr", row_chunks(xs, ys))
         want = "fpr,tpr\r\n" + "".join(
             "{:.10g},{:.10g}\r\n".format(x, y) for x, y in zip(xs.tolist(), ys.tolist()))
         assert (tmp_path / "roc.csv").read_bytes() == want.encode("utf-8")
@@ -536,17 +534,15 @@ def test_columns_checked_with_no_row_parsed(fixtures_dir, tmp_path, args, messag
 
 
 def test_curves_frees_the_columns_it_does_not_plot(fixtures_dir, tmp_path, monkeypatch):
-    import hmetric.cli as cli
-
     returned = []
-    read = cli.read_scores_csv
+    read = empirical.read_scores_csv
 
     def reading(*args, **kwargs):
         names, columns, labels = read(*args, **kwargs)
         returned.extend(columns)
         return names, columns, labels
 
-    monkeypatch.setattr(cli, "read_scores_csv", reading)
+    monkeypatch.setattr(empirical, "read_scores_csv", reading)
     result = run_cli([
         "curves", str(fixtures_dir / "rank_disagreement.csv"), "--column", "model_a", "--out-dir",
         str(tmp_path),
@@ -810,12 +806,30 @@ def test_only_report_commands_load_report_code(fixtures_dir, tmp_path, args, loa
         validate(_read_report(tmp_path / "report.json"), REPORT_SCHEMA)
 
 
+@pytest.mark.parametrize("content", [None, b"label,s,t\n0,0.1,0.2\n1,oops,0.8\n"],
+                         ids=["missing", "malformed"])
+@pytest.mark.parametrize("command", [["evaluate"], ["compare", "--columns", "s,t"]],
+                         ids=["evaluate", "compare"])
+def test_input_error_loads_no_report_code(tmp_path, command, content):
+    # the report code loads once the input is read, so a file that cannot
+    # be read or parsed exits 2 without it
+    path = tmp_path / "scores.csv"
+    if content is not None:
+        path.write_bytes(content)
+    code = ("import sys\nfrom hmetric.cli import main\n"
+            "try:\n    main(sys.argv[1:])\nexcept SystemExit as exc:\n"
+            f"    print(exc.code, sorted({{*{REPORT_CODE!r}}} & set(sys.modules)))")
+    assert _fresh_interpreter(code, command[0], str(path), *command[1:]) == "2 []"
+
+
 def test_load_keeps_names_set_before_it(fixtures_dir, tmp_path):
-    # a wrapper set on the module before the numeric names load (as a
-    # tracer or a test patch does) is the one the command calls
-    code = ("import sys\nimport hmetric.cli as cli\nfrom hmetric.empirical import ingest\n"
-            "calls = []\ncli.ingest = lambda *a, **k: calls.append(a) or ingest(*a, **k)\n"
-            "try:\n    cli.main(sys.argv[1:])\nexcept SystemExit as exc:\n"
+    # a command imports the names it calls when it runs, so a wrapper set
+    # on the defining module before then (as a tracer or a test patch
+    # does) is the one the command calls
+    code = ("import sys\nimport hmetric.empirical as empirical\nfrom hmetric.cli import main\n"
+            "calls, ingest = [], empirical.ingest\n"
+            "empirical.ingest = lambda *a, **k: calls.append(a) or ingest(*a, **k)\n"
+            "try:\n    main(sys.argv[1:])\nexcept SystemExit as exc:\n"
             "    print(exc.code, len(calls))")
     args = ["curves", str(fixtures_dir / "golden4.csv"), "--out-dir", str(tmp_path)]
     assert _fresh_interpreter(code, *args) == "0 1"

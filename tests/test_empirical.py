@@ -267,6 +267,15 @@ class TestReadScoresCsv:
         with pytest.raises(InputError, match=r"scores\.csv:3: not UTF-8 text"):
             read_scores_csv(path)
 
+    def test_not_utf8_reported_before_an_earlier_bad_row(self):
+        # a body that is not ASCII is decoded whole before any row is
+        # parsed, so a byte past the first 8 KiB chunk is what is reported
+        rows = [b"0,0.1"] * 2000
+        rows[1], rows[-1] = b"0,oops", b"1,0.9\xff"  # lines 3 and 2001
+        content = b"label,s\n" + b"\n".join(rows) + b"\n"
+        with pytest.raises(InputError, match=r"^in\.csv:2001: not UTF-8 text$"):
+            read_scores_csv("in.csv", content=content)
+
     def test_content_is_parsed_instead_of_the_file(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("label,s\n0,0.1\n1,0.9\n", encoding="utf-8")

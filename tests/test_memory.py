@@ -1,10 +1,10 @@
 """Working-set bounds.  The incomplete-beta kernel, the plain CSV reader,
-the header read, a picked read, a report over several columns, the
-curves command and the curve writer are traced with tracemalloc in this
-process; each compute command's peak resident set is read from os.wait4
-in a child and taken over the peak of a child that only imports numpy
-and the report module.  Every bound was set from a measurement, with a
-margin."""
+the header read, the line reader on an early bad row, a picked read, a
+report over several columns, the curves command and the curve writer are
+traced with tracemalloc in this process; each compute command's peak
+resident set is read from os.wait4 in a child and taken over the peak of
+a child that only imports numpy and the report module.  Every bound was
+set from a measurement, with a margin."""
 
 import os
 import subprocess
@@ -15,13 +15,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import run_cli
+from conftest import row_chunks, run_cli
 
 import hmetric
-from hmetric.cli import _write_csv
+from hmetric.cli import _write_rows
 from hmetric.distributions import BetaWeight
 from hmetric.config import EvalConfig
 from hmetric.empirical import LabeledScores, ingest, read_scores_csv
+from hmetric.errors import InputError
 from hmetric.hmeasure import _calibrated_coefficients, h_measure_uncertain_priors
 from hmetric.report import build_report
 
@@ -185,6 +186,21 @@ def test_header_read_leaves_the_rows_alone():
     assert seen == [["model_a", "model_b"]] * 2
 
 
+def test_line_reader_reports_an_early_bad_row_without_decoding_the_body():
+    # a quoted header sends the file to the line reader, which meets the
+    # bad row in the first 8 KiB chunk: measured 28 KB, where decoding the
+    # ASCII body whole first took 2.7 MB
+    lines = _scores_csv(100_000, 5).split(b"\n")
+    lines[0], lines[2] = b'"label","model_a","model_b"', b"1,oops,0.5"
+    content = b"\n".join(lines)
+
+    def read():
+        with pytest.raises(InputError, match=r"^quoted\.csv:3: non-numeric score 'oops'"):
+            read_scores_csv("quoted.csv", content=content)
+
+    assert _traced_peak(read) < MB
+
+
 def test_picked_read_copies_only_the_kept_columns():
     n = 100_000
     content = _scores_csv(n, 1)
@@ -226,7 +242,8 @@ def test_curve_writer_flat_in_rows(tmp_path):
     peaks = []
     for n in (20_000, 200_000):
         xs, ys = rng.random(n), rng.random(n)
-        peaks.append(_traced_peak(partial(_write_csv, tmp_path / "roc.csv", "fpr,tpr", xs, ys)))
+        peaks.append(_traced_peak(
+            lambda: _write_rows(tmp_path / "roc.csv", "fpr,tpr", row_chunks(xs, ys))))
     # 0.1 MB at both sizes; two lists of 2e5 Python floats took 12.8 MB
     assert peaks[1] < peaks[0] + 64 * 1024
     assert peaks[1] < MB
@@ -239,7 +256,8 @@ def test_curve_writer_flat_in_rows_with_runs(tmp_path):
     for n in (20_000, 200_000):
         step1 = (np.arange(n) // 3000) % 2 == 1
         xs, ys = 1.0 - np.cumsum(~step1) / n, 1.0 - np.cumsum(step1) / n
-        peaks.append(_traced_peak(partial(_write_csv, tmp_path / "roc.csv", "fpr,tpr", xs, ys)))
+        peaks.append(_traced_peak(
+            lambda: _write_rows(tmp_path / "roc.csv", "fpr,tpr", row_chunks(xs, ys))))
     assert peaks[1] < peaks[0] + 64 * 1024
     assert peaks[1] < MB
 
