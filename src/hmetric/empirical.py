@@ -15,12 +15,12 @@ a hull vertex, so the chain over the corners is the exact hull.  A second
 mask, by comparisons alone, drops the corners that lie on or above the
 segment joining their neighbours.
 
-read_scores_csv parses a plain file (every data field bare digits, '.',
-'e', 'E', '+' or '-', labels exactly 0 or 1, rows ending in LF or CRLF, no
-blank row, every value finite: what numpy.savetxt and pandas write) in
-one numpy pass.  Any other file, and any file with a malformed row, goes
-through the line reader, which reports the row by its line number, as it
-does for a tabulated weight file.  Both store only the picked columns.
+read_scores_csv parses a plain file (an ASCII body, labels exactly 0 or
+1, rows ending in LF or CRLF, no blank or ragged row, every value a
+finite number: what numpy.savetxt and pandas write) in one numpy pass.
+Any other file, and any file with a malformed row, goes through the line
+reader, which reports the row by its line number, as it does for a
+tabulated weight file.  Both store only the picked columns.
 """
 
 from __future__ import annotations
@@ -365,35 +365,42 @@ def _read_plain(content: bytes, header: list[str], kept: list[str]):
     """Parse a plain file in one numpy pass; None sends it to the line reader.
 
     Plain means: a valid header on the first line, with no quote or lone
-    CR; then rows of bare digits, '.', 'e', 'E', '+' and '-', one field per
-    column, the label exactly 0 or 1, each row ending in LF or CRLF (the
-    last may end the file instead); and every value a finite float.  So
-    whitespace, quotes, empty fields, nan, blank lines and ragged rows all
-    go to the line reader.  numpy and Python's float both round correctly,
-    so the two readers give the same bits.  numpy reads the whole text
-    past its first line from a BytesIO, which shares the bytes, so the
-    body is never copied; only the kept columns are copied from its table.
+    CR; an ASCII body whose CRs each end a CRLF; a label field of exactly
+    0 or 1 in every row (so no blank row); and a table that numpy parses
+    with one value per column, each a finite float.  numpy reads a score
+    field as Python's float reads it stripped: both skip the same
+    whitespace and round correctly, so the two readers give the same
+    bits.  Non-ASCII bytes, other label spellings, lone CRs, and empty,
+    blank or ragged rows all go to the line reader.  The checks scan the
+    bytes without copying them, and numpy reads the whole text past its
+    first line from a BytesIO, which shares the bytes, so the body is
+    never copied; only the kept columns are copied from its table.
     """
     text = content.removeprefix(codecs.BOM_UTF8)
     end = text.find(b"\n")  # the header's newline
     head = text[:end]
     if end <= 0 or end + 1 == len(text) or b'"' in head or b"\r" in head[:-1]:
         return None
+    # the body is ASCII: checked whole past an ASCII header, and searched
+    # from the header's newline past a UTF-8 one
+    if not (text.isascii() if head.isascii()
+            else re.compile(rb"[\x80-\xff]").search(text, end) is None):
+        return None
+    if text.find(b"\r", end) >= 0 and text.count(b"\r", end) != text.count(b"\r\n", end):
+        return None  # a lone CR
     label_idx = header.index("label")
-    fields = [rb"[0-9.eE+\-]+"] * len(header)
-    fields[label_idx] = rb"[01]"
-    # one search, from the header's newline, for a newline whose row breaks
-    # the rule: the literal prefix keeps the scan fast, and unlike a repeated
-    # group it keeps no state per row (a possessive one needs Python 3.11)
-    row = b",".join(fields) + rb"(?:\r?\n|\Z)"
-    if re.compile(rb"\n(?!\Z)(?!" + row + rb")").search(text, end):
+    # one search, from the header's newline, for a newline (not the file's
+    # last byte) that starts no row with a 0 or 1 label: the literal prefix
+    # keeps the scan fast, and the lookahead keeps no state per row
+    label_end = rb"," if label_idx + 1 < len(header) else rb"(?:\r?\n|\Z)"
+    row = rb"[^,\r\n]*," * label_idx + rb"[01]" + label_end
+    if re.compile(rb"\n(?!" + row + rb")(?!\Z)").search(text, end):
         return None
     try:
         table = np.loadtxt(io.BytesIO(text), delimiter=",", comments=None, skiprows=1, ndmin=2)
     except ValueError:
         return None
-    rows = text.count(b"\n", end + 1) + (not text.endswith(b"\n"))
-    if table.shape != (rows, len(header)) or not np.isfinite(table).all():
+    if table.shape[1] != len(header) or not np.isfinite(table).all():
         return None
     columns = {name: table[:, header.index(name)].copy() for name in kept}
     return list(columns), columns, table[:, label_idx].astype(np.int8)

@@ -1,5 +1,6 @@
 import array
 import ast
+import csv
 import re
 from pathlib import Path
 from unittest import mock
@@ -295,6 +296,8 @@ def _outcome(read, path, content):
         names, columns, labels = read(path, content)
     except InputError as exc:
         return str(exc)
+    except csv.Error as exc:  # a NUL byte, in the csv module before Python 3.11
+        return f"csv.Error: {exc}"
     return (
         names,
         [(name, col.dtype.str, col.tobytes()) for name, col in columns.items()],
@@ -310,9 +313,12 @@ _PLAIN_SCORES = st.one_of(
 )
 _ODD_SCORES = st.sampled_from(
     ["", " 0.5", "0.5 ", '"0.5"', "1_0", "nan", "inf", "-inf", "1e999", "abc",
-     "1e", ".", "-", "1-2", "0x1", "0.5\t"]
+     "1e", ".", "-", "1-2", "0x1", "0.5\t", "\x0b0.5", "0.5\x0c", "\x1f0.5", "0.5\x00",
+     " 0.5 ", "0.5\u00a0", "\u0661"]
 )
-_ODD_LABELS = st.sampled_from(["01", "+1", "1.0", "-0", "2", " 1", "", '"1"', "1e0"])
+_ODD_LABELS = st.sampled_from(
+    ["01", "+1", "1.0", "-0", "2", " 1", "", '"1"', "1e0", "00", "1.", ".0", "0e5"]
+)
 
 
 @st.composite
@@ -362,6 +368,9 @@ class TestBulkReader:
     @example(b"label,s\n0,0.5\n\n1,0.6\n")
     @example(b"label,s\n0,0.5\n1,0.6\n\n")
     @example(b"s,t\n0.1,0.2\xff\n")  # not UTF-8 is reported before a bad header
+    @example(b"label,s\r\n0,0.5\r\n\r\n1,0.6\r\n")  # a CRLF blank line
+    @example(b"label,s\n0,0.5\n1,0.6\r")  # a lone CR at the end of the file
+    @example(b"label,s\n0,0.5\n \t\n1,0.6\n")  # a whitespace-only row
     @settings(max_examples=400, deadline=None)
     def test_matches_line_reader(self, content):
         path = "in.csv"
@@ -369,28 +378,46 @@ class TestBulkReader:
         assert bulk == _outcome(_line_reader, path, content)
 
     @staticmethod
-    def _benchmark_like(n, newline):
+    def _benchmark_like(n, newline, label_at=0, names=("model_a", "model_b")):
+        """A plain file of n rows: the label in column label_at, then a
+        17-digit score column and one rounded to 3 decimals, in that order."""
         rng = np.random.default_rng(17)
         labels = (rng.random(n) < 0.3).astype(np.int8)
         cont = 1.0 / (1.0 + np.exp(-rng.standard_normal(n) - labels))
         rounded = np.rint(rng.random(n) * 1e3) / 1e3
-        rows = [f"{y},{a:.17g},{b:.3f}" for y, a, b in zip(labels.tolist(), cont, rounded)]
-        text = newline.join(["label,model_a,model_b"] + rows) + newline
-        return text.encode("ascii"), labels, cont, rounded
+        fields = [names[0], names[1]]
+        fields.insert(label_at, "label")
+        lines = [",".join(fields)]
+        for y, a, b in zip(labels.tolist(), cont, rounded):
+            fields = [f"{a:.17g}", f"{b:.3f}"]
+            fields.insert(label_at, str(y))
+            lines.append(",".join(fields))
+        text = newline.join(lines) + newline
+        return text.encode("utf-8"), labels, cont, rounded
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
-    def test_plain_file_skips_line_reader(self, tmp_path, newline):
-        content, labels, cont, rounded = self._benchmark_like(10_000, newline)
+    @pytest.mark.parametrize("newline, label_at, names", [
+        pytest.param("\n", 0, ("model_a", "model_b"), id="lf"),
+        pytest.param("\r\n", 0, ("model_a", "model_b"), id="crlf"),
+        pytest.param("\n", 1, ("model_a", "model_b"), id="lf-label-middle"),
+        pytest.param("\r\n", 1, ("model_a", "model_b"), id="crlf-label-middle"),
+        pytest.param("\n", 2, ("model_a", "model_b"), id="lf-label-last"),
+        pytest.param("\r\n", 2, ("model_a", "model_b"), id="crlf-label-last"),
+        # a UTF-8 header over an ASCII body
+        pytest.param("\n", 0, ("mod\u00e8le_a", "model_b"), id="lf-utf8-name"),
+        pytest.param("\r\n", 2, ("mod\u00e8le_a", "model_b"), id="crlf-utf8-name-label-last"),
+    ])
+    def test_plain_file_skips_line_reader(self, tmp_path, newline, label_at, names):
+        content, labels, cont, rounded = self._benchmark_like(10_000, newline, label_at, names)
         path = tmp_path / "scores.csv"
         path.write_bytes(content)
         with mock.patch.object(
             empirical, "_read_lines", side_effect=AssertionError("line reader called")
         ):
-            names, columns, read_labels = read_scores_csv(path)
-        assert names == ["model_a", "model_b"]
+            read_names, columns, read_labels = read_scores_csv(path)
+        assert read_names == list(names)
         assert read_labels.dtype == np.int8
         assert read_labels.tobytes() == labels.tobytes()
-        for name, expected in (("model_a", cont), ("model_b", rounded)):
+        for name, expected in zip(names, (cont, rounded)):
             col = columns[name]
             assert col.dtype == np.float64 and col.flags.c_contiguous
             assert col.tobytes() == expected.tobytes()

@@ -1,10 +1,11 @@
-"""Working-set bounds.  The incomplete-beta kernel, the plain CSV reader,
-the header read, the line reader on an early bad row, a picked read, a
-report over several columns, the curves command and the curve writer are
-traced with tracemalloc in this process; each compute command's peak
-resident set is read from os.wait4 in a child and taken over the peak of
-a child that only imports numpy and the report module.  Every bound was
-set from a measurement, with a margin."""
+"""Working-set bounds.  The incomplete-beta kernel, the plain CSV reader
+and its checks before numpy's parse, the header read, the line reader on
+an early bad row, a picked read, a report over several columns, the
+curves command and the curve writer are traced with tracemalloc in this
+process; each compute command's peak resident set is read from os.wait4
+in a child and taken over the peak of a child that only imports numpy
+and the report module.  Every bound was set from a measurement, with a
+margin."""
 
 import os
 import subprocess
@@ -12,6 +13,7 @@ import sys
 import tracemalloc
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -156,10 +158,28 @@ def test_plain_csv_read_does_not_copy_the_body():
     n = 100_000
     content = _scores_csv(n, 1)
     peak = _traced_peak(lambda: read_scores_csv("plain.csv", content=content))
-    # the parsed table, the two score columns and the labels: measured as
-    # the whole peak, where a copy of the body added its 2.8 MB
+    # the parsed table, the two score columns and the labels, and about
+    # 1.3 KB more as measured: a copy of the body held with the table
+    # would add its 2.8 MB
     arrays = n * 3 * 8 + n * 2 * 8 + n
-    assert peak < arrays + len(content) // 4
+    assert peak < arrays + 64 * 1024, peak - arrays
+
+
+def test_plain_csv_checks_copy_nothing_before_the_parse():
+    # the routing checks run before numpy's parse, so a temporary of theirs
+    # the size of the body (2.8 MB) would be gone before the table, which
+    # sets the read's peak; the peak up to the parse shows it (measured at
+    # 26 KB, most of it the header read's 8 KiB chunk and its decoding)
+    content = _scores_csv(100_000, 1)
+    loadtxt, at_parse = np.loadtxt, []
+
+    def traced_loadtxt(*args, **kwargs):
+        at_parse.append(tracemalloc.get_traced_memory()[1])
+        return loadtxt(*args, **kwargs)
+
+    with mock.patch("numpy.loadtxt", traced_loadtxt):
+        _traced_peak(lambda: read_scores_csv("plain.csv", content=content))
+    assert len(at_parse) == 2 and at_parse[1] < 64 * 1024, at_parse
 
 
 def test_header_read_leaves_the_rows_alone():
