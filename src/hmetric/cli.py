@@ -1,10 +1,12 @@
 """Command-line surface: CSV in, JSON report or plot-ready CSV curves out.
 
-Exit codes: 0 success, 2 malformed input (reported with line numbers),
-3 configuration error, 4 degenerate data (a single class).  The HMETRIC_LOG
-environment variable sets the log level; nothing else is read from the
-environment.  Unset, nothing the package logs (at info only) can show,
-so logging is not imported.
+Exit codes: 0 success, 2 malformed input (reported with line numbers)
+or an OS error such as an unwritable output, 3 configuration error,
+4 degenerate data (a single class).  Commands raise; main alone prints
+the one 'error: <message>' line and exits with the error's exit_code
+(errors.py).  The HMETRIC_LOG environment variable sets the log level;
+nothing else is read from the environment.  Unset, nothing the package
+logs (at info only) can show, so logging is not imported.
 
 Each command imports the modules it calls where it calls them: numpy
 and the numeric ones only once its config is valid; evaluate and
@@ -26,7 +28,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, DegenerateDataError, HmetricError
+from .errors import ConfigError, HmetricError
 
 
 def _setup_logging():
@@ -49,26 +51,6 @@ def _info(message: str, *args):
     import logging
 
     logging.getLogger("hmetric").info(message, *args)
-
-
-def _exit_code(exc: HmetricError) -> int:
-    if isinstance(exc, ConfigError):
-        return 3
-    if isinstance(exc, DegenerateDataError):
-        return 4
-    return 2
-
-
-def _run(body, *args):
-    _setup_logging()
-    try:
-        body(*args)
-    except HmetricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(_exit_code(exc))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
 
 
 def _option(flag: str, dest: str | None = None, **kwargs):
@@ -184,13 +166,13 @@ def _report(input_csv: str, out: str, cfg: dict, wanted=None):
 
 def evaluate(input_csv, out, **cfg):
     """Evaluate every score column of INPUT_CSV and write a JSON report."""
-    _run(_report, input_csv, out, cfg)
+    _report(input_csv, out, cfg)
 
 
 def compare(input_csv, columns, out, **cfg):
     """Compare score columns under one shared weight and prior, ranking
     them by H and by AUC and flagging rank disagreements."""
-    _run(_report, input_csv, out, cfg, [t.strip() for t in columns.split(",") if t.strip()])
+    _report(input_csv, out, cfg, [t.strip() for t in columns.split(",") if t.strip()])
 
 
 # Rows per chunk of a curve CSV: only one chunk's Python floats and
@@ -230,54 +212,48 @@ def curves(input_csv, column, resolution, out_dir, **cfg):
             raise ConfigError(f"score column {column!r} not in the input")
         return [names[0] if column is None else column]
 
-    def body():
-        # ahead of the config's own checks, whose messages about a beta
-        # prior (such as its seed) cannot help here
-        if cfg["prior"] == "beta":
-            raise ConfigError("curves need a concrete prior; use empirical or fixed")
-        if resolution is not None and resolution < MIN_RESOLUTION:
-            raise ConfigError(f"resolution must be at least {MIN_RESOLUTION}, got {resolution}")
-        if resolution is not None and resolution > MAX_RESOLUTION:
-            raise ConfigError(f"resolution must be at most {MAX_RESOLUTION}, got {resolution}")
-        config = _build_config(**cfg)
-        from .empirical import empirical_cdfs, ingest
-        from .hmeasure import resolve_priors, resolve_weight
-        from .loss import CURVE_GRID, min_loss
+    # ahead of the config's own checks, whose messages about a beta
+    # prior (such as its seed) cannot help here
+    if cfg["prior"] == "beta":
+        raise ConfigError("curves need a concrete prior; use empirical or fixed")
+    if resolution is not None and resolution < MIN_RESOLUTION:
+        raise ConfigError(f"resolution must be at least {MIN_RESOLUTION}, got {resolution}")
+    if resolution is not None and resolution > MAX_RESOLUTION:
+        raise ConfigError(f"resolution must be at most {MAX_RESOLUTION}, got {resolution}")
+    config = _build_config(**cfg)
+    from .empirical import empirical_cdfs, ingest
+    from .hmeasure import resolve_priors, resolve_weight
+    from .loss import CURVE_GRID, _cost_grid, min_loss
 
-        # the curves need none of the bytes, nor the columns they do not plot
-        columns, labels = _read_columns(input_csv, pick)[1:]
-        data = ingest(columns.popitem()[1], labels, normalization=config.normalization)
-        priors = resolve_priors(config, data)
-        weight = resolve_weight(config, priors)
-        cdfs = empirical_cdfs(data)
+    # the curves need none of the bytes, nor the columns they do not plot
+    columns, labels = _read_columns(input_csv, pick)[1:]
+    data = ingest(columns.popitem()[1], labels, normalization=config.normalization)
+    priors = resolve_priors(config, data)
+    weight = resolve_weight(config, priors)
+    cdfs = empirical_cdfs(data)
 
-        out_path = Path(out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
+    out_path = Path(out_dir)
+    out_path.mkdir(parents=True, exist_ok=True)
 
-        import numpy as np
+    size = CURVE_GRID if resolution is None else resolution
 
-        size = CURVE_GRID if resolution is None else resolution
+    def on_grid(fn):
+        """(c, fn(c)) on each CSV_CHUNK slice of loss_curve's cost grid:
+        the curves take one slice's memory at any resolution."""
+        for lo in range(0, size, CSV_CHUNK):
+            c = _cost_grid(lo, min(lo + CSV_CHUNK, size), size)
+            yield c, fn(c)
 
-        def on_grid(fn):
-            """(c, fn(c)) on each CSV_CHUNK slice of loss.loss_curve's cost
-            grid, (np.arange(size) + 0.5) / size, whose bits each slice
-            has: the curves take one slice's memory at any resolution."""
-            for lo in range(0, size, CSV_CHUNK):
-                c = (np.arange(lo, min(lo + CSV_CHUNK, size)) + 0.5) / size
-                yield c, fn(c)
+    _write_rows(out_path / "loss_curve.csv", "c,min_loss",
+                on_grid(lambda c: min_loss(c, priors, cdfs, config.threshold_mode)))
+    _write_rows(out_path / "weight.csv", "c,density", on_grid(weight.density))
 
-        _write_rows(out_path / "loss_curve.csv", "c,min_loss",
-                    on_grid(lambda c: min_loss(c, priors, cdfs, config.threshold_mode)))
-        _write_rows(out_path / "weight.csv", "c,density", on_grid(weight.density))
-
-        # one row per distinct score t: 1 - F0(t), 1 - F1(t)
-        _write_rows(out_path / "roc.csv", "fpr,tpr",
-                    ((1.0 - cdfs.cum0[lo:lo + CSV_CHUNK] / cdfs.n0,
-                      1.0 - cdfs.cum1[lo:lo + CSV_CHUNK] / cdfs.n1)
-                     for lo in range(0, cdfs.cum0.size, CSV_CHUNK)))
-        _info("wrote curves to %s", out_path)
-
-    _run(body)
+    # one row per distinct score t: 1 - F0(t), 1 - F1(t)
+    _write_rows(out_path / "roc.csv", "fpr,tpr",
+                ((1.0 - cdfs.cum0[lo:lo + CSV_CHUNK] / cdfs.n0,
+                  1.0 - cdfs.cum1[lo:lo + CSV_CHUNK] / cdfs.n1)
+                 for lo in range(0, cdfs.cum0.size, CSV_CHUNK)))
+    _info("wrote curves to %s", out_path)
 
 
 # command name -> (the function that runs it, the flags it reads after INPUT_CSV)
@@ -338,9 +314,16 @@ def _values_joined(args):
 
 def main(args=None, standalone_mode=True):
     """Run the command args names (the process's arguments by default) and
-    exit with its code; with standalone_mode false, return on success."""
+    exit with its code; with standalone_mode false, return on success.
+    A command's HmetricError or OSError ends in one 'error:' line and the
+    error's exit_code (2 for an OSError)."""
     options = vars(_parser().parse_args(_values_joined(sys.argv[1:] if args is None else args)))
-    _COMMANDS[options.pop("command")][0](**options)
+    _setup_logging()
+    try:
+        _COMMANDS[options.pop("command")][0](**options)
+    except (HmetricError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(exc.exit_code if isinstance(exc, HmetricError) else 2)
     if standalone_mode:
         sys.exit(0)
 

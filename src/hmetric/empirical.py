@@ -376,17 +376,19 @@ def _read_plain(content: bytes, header: list[str], kept: list[str]):
     first line from a BytesIO, which shares the bytes, so the body is
     never copied; only the kept columns are copied from its table.
     """
-    text = content.removeprefix(codecs.BOM_UTF8)
-    end = text.find(b"\n")  # the header's newline
-    head = text[:end]
-    if end <= 0 or end + 1 == len(text) or b'"' in head or b"\r" in head[:-1]:
+    # the checks start past a byte-order mark; numpy skips it with the header
+    start = 3 if content.startswith(codecs.BOM_UTF8) else 0
+    end = content.find(b"\n", start)  # the header's newline
+    head = content[start:end]
+    if end <= start or end + 1 == len(content) or b'"' in head or b"\r" in head[:-1]:
         return None
-    # the body is ASCII: checked whole past an ASCII header, and searched
-    # from the header's newline past a UTF-8 one
-    if not (text.isascii() if head.isascii()
-            else re.compile(rb"[\x80-\xff]").search(text, end) is None):
+    # the body is ASCII: checked whole in a file that is ASCII from its
+    # first byte, and by numpy's max over the bytes in place from the
+    # header's newline past a byte-order mark or a UTF-8 header
+    if not (content.isascii() if start == 0 and head.isascii()
+            else np.frombuffer(content, np.uint8, offset=end).max() < 0x80):
         return None
-    if text.find(b"\r", end) >= 0 and text.count(b"\r", end) != text.count(b"\r\n", end):
+    if content.find(b"\r", end) >= 0 and content.count(b"\r", end) != content.count(b"\r\n", end):
         return None  # a lone CR
     label_idx = header.index("label")
     # one search, from the header's newline, for a newline (not the file's
@@ -394,10 +396,10 @@ def _read_plain(content: bytes, header: list[str], kept: list[str]):
     # keeps the scan fast, and the lookahead keeps no state per row
     label_end = rb"," if label_idx + 1 < len(header) else rb"(?:\r?\n|\Z)"
     row = rb"[^,\r\n]*," * label_idx + rb"[01]" + label_end
-    if re.compile(rb"\n(?!" + row + rb")(?!\Z)").search(text, end):
+    if re.compile(rb"\n(?!" + row + rb")(?!\Z)").search(content, end):
         return None
     try:
-        table = np.loadtxt(io.BytesIO(text), delimiter=",", comments=None, skiprows=1, ndmin=2)
+        table = np.loadtxt(io.BytesIO(content), delimiter=",", comments=None, skiprows=1, ndmin=2)
     except ValueError:
         return None
     if table.shape[1] != len(header) or not np.isfinite(table).all():

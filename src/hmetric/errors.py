@@ -1,12 +1,14 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit-code contract: InputError -> 2,
-ConfigError -> 3, DegenerateDataError -> 4.
+Each type carries the exit code the CLI ends with when a command stops
+on it, as exit_code: InputError 2, ConfigError 3, DegenerateDataError 4.
 """
 
 
 class HmetricError(ValueError):
     """Base class for all package errors."""
+
+    exit_code = 2
 
 
 class InputError(HmetricError):
@@ -16,6 +18,10 @@ class InputError(HmetricError):
 class ConfigError(HmetricError):
     """Invalid evaluation configuration."""
 
+    exit_code = 3
+
 
 class DegenerateDataError(HmetricError):
     """Data unusable for the requested metric (e.g. a single class)."""
+
+    exit_code = 4

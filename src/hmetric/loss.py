@@ -176,6 +176,12 @@ def reference_loss(priors: ClassPriors, w: WeightFunction) -> float:
     return float(priors.pi0 * m0 + pi1 * m1)
 
 
+def _cost_grid(lo: int, hi: int, size: int) -> np.ndarray:
+    """Points lo to hi (exclusive) of the uniform open cost grid of size
+    points, (k + 0.5) / size: a slice has the bits of the whole grid's."""
+    return (np.arange(lo, hi) + 0.5) / size
+
+
 def loss_curve(
     priors: ClassPriors,
     cdfs: EmpiricalCdfPair,
@@ -186,5 +192,5 @@ def loss_curve(
     if not (isinstance(grid_size, numbers.Real) and 2 <= grid_size < np.inf
             and grid_size == int(grid_size)):
         raise ConfigError(f"grid_size must be a whole number of at least 2, got {grid_size}")
-    grid = (np.arange(grid_size) + 0.5) / grid_size
+    grid = _cost_grid(0, grid_size, grid_size)
     return LossCurve(grid=grid, loss=np.asarray(min_loss(grid, priors, cdfs, mode)), mode=mode)

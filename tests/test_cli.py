@@ -983,6 +983,35 @@ def test_module_process_exits_with_one_error_line(tmp_path, rows, args, exit_cod
     assert ended.stderr.startswith(b"error: ") and ended.stderr.count(b"\n") == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["evaluate", "golden4.csv", "--out", "missing/report.json"],
+    ["compare", "rank_disagreement.csv", "--columns", "model_a,model_b",
+     "--out", "missing/report.json"],
+    ["curves", "golden4.csv", "--out-dir", "taken"],
+], ids=["evaluate", "compare", "curves"])
+def test_unwritable_output_exits_2_with_one_error_line(fixtures_dir, tmp_path, args):
+    # a report into a missing directory, or curves into a path that names a
+    # file, raises an OSError, which main turns into one error line and 2
+    (tmp_path / "taken").write_bytes(b"a file\n")
+    command, input_csv, *flags = args
+    result = run_cli([command, str(fixtures_dir / input_csv),
+                      *flags[:-1], str(tmp_path / flags[-1])])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert (tmp_path / "taken").read_bytes() == b"a file\n"
+
+
+def test_error_exit_codes_match_the_readme():
+    # each error type carries the code of README's exit-code table
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("Exit codes:"):].split("\n\n")[0]
+    for error, meaning in ((hmetric.InputError, "malformed input"),
+                           (hmetric.ConfigError, "configuration error"),
+                           (hmetric.DegenerateDataError, "degenerate data")):
+        assert f"`{error.exit_code}` {meaning}" in " ".join(table.split()), error
+
+
 def test_module_process_logs_when_asked(fixtures_dir, tmp_path):
     ended = _module_process(["-m", "hmetric.cli", "evaluate", str(fixtures_dir / "golden4.csv"),
                              "--out", "r.json"], tmp_path, HMETRIC_LOG="info")

@@ -5,7 +5,8 @@ no file; _mc.py alone makes random streams, so the seed's chunk layout is
 in one module; and in hmeasure.py only the calibrated class sums call the
 bare partial pair, every other partial moment going through
 distributions._beta_moments; no code sums by a matrix product, whose
-order of addition BLAS picks by its thread count and CPU kernel; no
+order of addition BLAS picks by its thread count and CPU kernel; only
+cli.main exits, so the exit codes are decided in one place; no
 module imports a name at its top that it never uses; and no module
 imports dataclasses, whose generated methods every start would compile
 (the value types build on _record.py instead)."""
@@ -68,6 +69,17 @@ def test_partial_pair_called_only_in_calibrated_coefficients():
         if isinstance(node, ast.Call) and _called_name(node) == "_partial_pair"
     }
     assert callers == {"_calibrated_coefficients"}
+
+
+def test_only_cli_main_exits():
+    exits = {
+        f"{path.name}:{getattr(top, 'name', type(top).__name__)}"
+        for path in SRC.glob("*.py")
+        for top in ast.parse(path.read_bytes()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and _called_name(node) in {"exit", "SystemExit"}
+    }
+    assert exits == {"cli.py:main"}
 
 
 MATRIX_PRODUCTS = {"dot", "vdot", "tensordot", "matmul", "einsum", "inner"}
