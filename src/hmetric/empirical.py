@@ -382,12 +382,8 @@ def _read_plain(content: bytes, header: list[str], kept: list[str]):
     head = content[start:end]
     if end <= start or end + 1 == len(content) or b'"' in head or b"\r" in head[:-1]:
         return None
-    # the body is ASCII: checked whole in a file that is ASCII from its
-    # first byte, and by numpy's max over the bytes in place from the
-    # header's newline past a byte-order mark or a UTF-8 header
-    if not (content.isascii() if start == 0 and head.isascii()
-            else np.frombuffer(content, np.uint8, offset=end).max() < 0x80):
-        return None
+    if np.frombuffer(content, np.uint8, offset=end).max() >= 0x80:
+        return None  # a non-ASCII body, found by numpy's max over the bytes in place
     if content.find(b"\r", end) >= 0 and content.count(b"\r", end) != content.count(b"\r\n", end):
         return None  # a lone CR
     label_idx = header.index("label")

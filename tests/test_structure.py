@@ -6,7 +6,8 @@ in one module; and in hmeasure.py only the calibrated class sums call the
 bare partial pair, every other partial moment going through
 distributions._beta_moments; no code sums by a matrix product, whose
 order of addition BLAS picks by its thread count and CPU kernel; only
-cli.main exits, so the exit codes are decided in one place; no
+cli.main picks an exit code, and only it and cli.process_main end the
+process, so the exit codes are decided in one place; no
 module imports a name at its top that it never uses; and no module
 imports dataclasses, whose generated methods every start would compile
 (the value types build on _record.py instead)."""
@@ -71,15 +72,25 @@ def test_partial_pair_called_only_in_calibrated_coefficients():
     assert callers == {"_calibrated_coefficients"}
 
 
+def _exits(node):
+    """Whether a node ends the process: a call to exit, os._exit or
+    SystemExit, or a raise of the bare name SystemExit."""
+    if isinstance(node, ast.Call):
+        return _called_name(node) in {"exit", "_exit", "SystemExit"}
+    return (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Name)
+            and node.exc.id == "SystemExit")
+
+
 def test_only_cli_main_exits():
     exits = {
         f"{path.name}:{getattr(top, 'name', type(top).__name__)}"
         for path in SRC.glob("*.py")
         for top in ast.parse(path.read_bytes()).body
         for node in ast.walk(top)
-        if isinstance(node, ast.Call) and _called_name(node) in {"exit", "SystemExit"}
+        if _exits(node)
     }
-    assert exits == {"cli.py:main"}
+    # main picks every exit code; process_main only ends the process with it
+    assert exits == {"cli.py:main", "cli.py:process_main"}
 
 
 MATRIX_PRODUCTS = {"dot", "vdot", "tensordot", "matmul", "einsum", "inner"}
