@@ -12,6 +12,8 @@ scores, and screening, reads the column's tie-grouped table.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from ._record import Record
@@ -98,6 +100,18 @@ def _sum(terms: np.ndarray):
     return np.add.reduce(terms).item()
 
 
+def _atom_sums(cdfs, pooled: bool) -> tuple[int, int]:
+    """The sums of c[k] cum0[k] and c[k] cum1[k] over the table's groups,
+    for the atom counts c = count0 + count1 (pooled) or count1: exact
+    integers, added block by block (cdfs.blocks), as the AUC's are."""
+    sum0 = sum1 = 0
+    for _, cum0, cum1, count0, count1 in cdfs.blocks():
+        counts = count0 + count1 if pooled else count1
+        sum0 += _sum(counts * cum0)
+        sum1 += _sum(counts * cum1)
+    return sum0, sum1
+
+
 def _expected_cdfs(u, cdfs) -> tuple[float, float]:
     """E_u[F0(t)] and E_u[F1(t)] for each supported threshold law.
 
@@ -109,12 +123,12 @@ def _expected_cdfs(u, cdfs) -> tuple[float, float]:
     if isinstance(u, PointMass):
         return float(cdfs.f0(u.t)), float(cdfs.f1(u.t))
     if isinstance(u, PooledScoreThresholds):
-        counts, n = cdfs.count0 + cdfs.count1, n0 + n1
-        return _sum(counts * cdfs.cum0) / (n * n0), _sum(counts * cdfs.cum1) / (n * n1)
+        sum0, sum1 = _atom_sums(cdfs, pooled=True)
+        return sum0 / ((n0 + n1) * n0), sum1 / ((n0 + n1) * n1)
     if isinstance(u, RankUniformClass1):
         if u.weights is None:
-            count1 = cdfs.count1
-            return _sum(count1 * cdfs.cum0) / (n1 * n0), _sum(count1 * cdfs.cum1) / n1**2
+            sum0, sum1 = _atom_sums(cdfs, pooled=False)
+            return sum0 / (n1 * n0), sum1 / n1**2
         w = _rank_weights(u, n1)
         return (
             _sum(w * np.repeat(cdfs.cum0, cdfs.count1)) / n0,
@@ -190,9 +204,14 @@ def screen_at_proportion(data: LabeledScores, p: float, basis: str = "all_object
     if basis not in SCREEN_BASES:
         raise ConfigError(f"unknown screening basis {basis!r}; expected {SCREEN_BASES}")
     cdfs = empirical_cdfs(data)  # raises on single-class data
-    ranked = cdfs.cum0 + cdfs.cum1 if basis == "all_objects" else cdfs.cum0
-    k = _ceil_as_printed(p, int(ranked[-1]))
-    cut = int(np.searchsorted(ranked, k))  # the tie group holding rank k
+    cums = (cdfs.cum0, cdfs.cum1) if basis == "all_objects" else (cdfs.cum0,)
+
+    def ranked(j):  # basis objects scoring at or below u[j]
+        return sum(int(cum[j]) for cum in cums)
+
+    k = _ceil_as_printed(p, ranked(cdfs.u.size - 1))
+    # the tie group holding rank k, found without a table-long temporary
+    cut = bisect_left(range(cdfs.u.size), k, key=ranked)
     tn, fn = int(cdfs.cum0[cut]), int(cdfs.cum1[cut])
     fp, tp = cdfs.n0 - tn, cdfs.n1 - fn
     return ScreeningResult(

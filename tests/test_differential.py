@@ -31,8 +31,11 @@ from hmetric import (
     mixture_weight_loss,
     rank_uniform_evaluation,
     read_scores_csv,
+    screen_at_proportion,
 )
+from hmetric import distributions
 from hmetric.distributions import _BLOCK
+from hmetric.thresholds import _expected_cdfs
 
 from conftest import random_dataset
 from oracles import (
@@ -153,6 +156,42 @@ def test_auc_counts_exact_over_table_blocks(big):
     res = auc_mann_whitney(big)
     assert res.auc == twice_wins / 2 / (cdfs.n0 * cdfs.n1)
     assert res.tie_pairs == tie_pairs
+
+
+def test_threshold_atom_sums_exact_over_table_blocks(big):
+    # the pooled and class-1-rank sums run over the table in blocks of
+    # _BLOCK groups; whole-table products give the same integers
+    cdfs = empirical_cdfs(big)
+    assert cdfs.u.size > 3 * _BLOCK
+    n0, n1 = cdfs.n0, cdfs.n1
+    pooled, count1 = cdfs.count0 + cdfs.count1, cdfs.count1
+    assert _expected_cdfs(PooledScoreThresholds(), cdfs) == (
+        int(np.sum(pooled * cdfs.cum0)) / ((n0 + n1) * n0),
+        int(np.sum(pooled * cdfs.cum1)) / ((n0 + n1) * n1))
+    assert _expected_cdfs(RankUniformClass1(), cdfs) == (
+        int(np.sum(count1 * cdfs.cum0)) / (n1 * n0), int(np.sum(count1 * cdfs.cum1)) / n1**2)
+
+
+@pytest.mark.parametrize("basis", ["all_objects", "class0_objects"])
+def test_screening_cut_matches_a_search_of_the_whole_counts(big, basis):
+    cdfs = empirical_cdfs(big)
+    ranked = cdfs.cum0 + cdfs.cum1 if basis == "all_objects" else cdfs.cum0
+    for p in (1e-5, 0.07, 0.25, 0.5, 0.75, 0.99999):
+        res = screen_at_proportion(big, p, basis)
+        cut = int(np.searchsorted(ranked, res.threshold_rank))
+        assert res.threshold == cdfs.u[cut]
+        assert res.confusion[0] == cdfs.cum0[cut] and res.confusion[2] == cdfs.cum1[cut]
+
+
+def test_calibrated_loss_same_bits_whatever_the_kernel_block(big, monkeypatch):
+    # the kernel's values do not depend on its block, and the sums run over
+    # the table's blocks of _BLOCK groups whatever block the kernel takes
+    priors, cdfs = empirical_priors(big), empirical_cdfs(big)
+    w = default_weight(priors)
+    want = expected_min_loss(priors, cdfs, w)
+    for block in (1000, _BLOCK, 4 * _BLOCK):
+        monkeypatch.setattr(distributions, "_POINT_BLOCK", block)
+        assert expected_min_loss(priors, cdfs, w) == want
 
 
 @pytest.mark.parametrize("mode", ["calibrated", "optimal"])

@@ -1,6 +1,7 @@
 import array
 import ast
 import csv
+import io
 import re
 from pathlib import Path
 from unittest import mock
@@ -446,6 +447,98 @@ class TestBulkReader:
         with pytest.raises(InputError, match=f"^{re.escape(f'{path}:{lineno}: {message}')}$"):
             read_scores_csv(path)
 
+
+
+class TestBlockParse:
+    """A plain file is parsed in blocks of about _PARSE_ROWS rows into the
+    kept columns: the arrays are a whole-body parse's, whatever the rows'
+    place among the blocks, and a bad row in any block sends the file to
+    the line reader, which names its line."""
+
+    @staticmethod
+    def _fixed_width(n, newline, bom=False, final=True):
+        """A plain file of n rows of one width, so that each block but the
+        last holds exactly _PARSE_ROWS rows; with the same rows' LF text."""
+        rng = np.random.default_rng(n)
+        labels = (rng.random(n) < 0.3).astype(int)
+        scores = rng.random((n, 2))
+        rows = [f"{y},{a:.15f},{b:.6f}" for y, (a, b) in zip(labels.tolist(), scores.tolist())]
+        text = newline.join(["label,model_a,model_b", *rows]) + (newline if final else "")
+        lf = "\n".join(["label,model_a,model_b", *rows, ""])
+        return ("\ufeff" * bom + text).encode("utf-8"), lf.encode("ascii")
+
+    @staticmethod
+    def _read_in_blocks(content, path="in.csv"):
+        """read_scores_csv of content with the line reader switched off,
+        and the row count of each block numpy parsed."""
+        loadtxt, sizes = np.loadtxt, []
+
+        def counted(*args, **kwargs):
+            table = loadtxt(*args, **kwargs)
+            sizes.append(len(table))
+            return table
+
+        with mock.patch.object(empirical, "_read_lines", side_effect=AssertionError("line reader")), \
+                mock.patch("numpy.loadtxt", counted):
+            return read_scores_csv(path, content=content), sizes
+
+    @pytest.mark.parametrize("block", [64, empirical._PARSE_ROWS], ids=["block64", "block"])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("newline, bom, final", [
+        pytest.param("\n", False, True, id="lf"),
+        pytest.param("\r\n", False, True, id="crlf"),
+        pytest.param("\n", True, True, id="bom"),
+        pytest.param("\r\n", True, False, id="crlf-bom-no-final-newline"),
+    ])
+    def test_blocks_give_the_whole_parse(self, monkeypatch, block, extra, newline, bom, final):
+        monkeypatch.setattr(empirical, "_PARSE_ROWS", block)
+        n = 2 * block + extra
+        content, lf = self._fixed_width(n, newline, bom, final)
+        whole = np.loadtxt(io.BytesIO(lf), delimiter=",", skiprows=1)
+        (names, columns, labels), sizes = self._read_in_blocks(content)
+        assert sizes == [block] * (n // block) + [n % block] * (n % block > 0)
+        assert names == ["model_a", "model_b"]
+        assert labels.dtype == np.int8 and labels.tobytes() == whole[:, 0].astype(np.int8).tobytes()
+        for k, name in enumerate(names, start=1):
+            assert columns[name].flags.c_contiguous
+            assert columns[name].tobytes() == whole[:, k].tobytes()
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("bad_row, message", [
+        ("1,,0.5", "missing value in column 'model_a'"),
+        ("1,0.5,", "missing value in column 'model_b'"),
+        ("1,inf,0.5", "non-finite score 'inf' in column 'model_a'"),
+        ("1,0.5,0.5,0.5", "expected 3 fields, got 4"),
+        ("1,0.5", "expected 3 fields, got 2"),
+        ("2,0.5,0.5", "label must be 0 or 1, got '2'"),
+    ])
+    def test_bad_row_in_any_block_keeps_its_line_number(self, monkeypatch, where, bad_row,
+                                                         message):
+        monkeypatch.setattr(empirical, "_PARSE_ROWS", 64)
+        content, _ = self._fixed_width(3 * 64 + 1, "\n")
+        lines = content.decode("ascii").split("\n")
+        lineno = {"first": 5, "middle": 64 + 30, "last": 3 * 64 + 2}[where]  # the file's last row
+        lines[lineno - 1] = bad_row
+        with pytest.raises(InputError, match=f"^{re.escape(f'in.csv:{lineno}: {message}')}$"):
+            read_scores_csv("in.csv", content="\n".join(lines).encode("ascii"))
+
+    def test_a_block_of_wider_rows_goes_to_the_line_reader(self, monkeypatch):
+        # a whole block of four-field rows parses, but not to the header's width
+        monkeypatch.setattr(empirical, "_PARSE_ROWS", 64)
+        content, _ = self._fixed_width(3 * 64, "\n")
+        lines = content.decode("ascii").split("\n")
+        lines[65:129] = [line + ",0.5" for line in lines[65:129]]
+        with pytest.raises(InputError, match=r"^in\.csv:66: expected 3 fields, got 4$"):
+            read_scores_csv("in.csv", content="\n".join(lines).encode("ascii"))
+
+    @given(_csv_texts(), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_small_blocks_match_line_reader(self, content, block):
+        # blocks of one to three rows' bytes, so cuts land inside rows of
+        # every length and a bad row may sit in any block
+        with mock.patch.object(empirical, "_PARSE_ROWS", block):
+            bulk = _outcome(lambda p, c: read_scores_csv(p, content=c), "in.csv", content)
+        assert bulk == _outcome(_line_reader, "in.csv", content)
 
 class _Picked(Exception):
     """What a pick raises to stop the read once it has the names."""

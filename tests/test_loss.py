@@ -124,7 +124,7 @@ class TestOptimalEnvelope:
             data = random_dataset(seed, n=40)
             priors, cdfs = _setup(data)
             env = optimal_envelope(priors, cdfs)
-            cands = np.unique(np.concatenate([[0.0, 1.0], cdfs.sorted0, cdfs.sorted1]))
+            cands = np.unique(np.concatenate([[0.0, 1.0], cdfs.u]))  # every observed score
             grid = np.linspace(0.0, 1.0, 501)
             lines = (
                 grid[:, None] * (priors.pi0 * (1 - cdfs.f0(cands)))[None, :]

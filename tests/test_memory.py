@@ -1,11 +1,11 @@
-"""Working-set bounds.  The incomplete-beta kernel, the plain CSV reader
-and its checks before numpy's parse, the header read, the line reader on
-an early bad row, a picked read, a report over several columns, the
-curves command and the curve writer are traced with tracemalloc in this
-process; each compute command's peak resident set is read from os.wait4
-in a child and taken over the peak of a child that only imports numpy
-and the report module.  Every bound was set from a measurement, with a
-margin."""
+"""Working-set bounds.  The incomplete-beta kernel, a table's build, its
+hull and its threshold sums, the plain CSV reader and its checks before
+numpy's parse, the header read, the line reader on an early bad row, a
+picked read, a report over several columns, the curves command and the
+curve writer are traced with tracemalloc in this process; each compute
+command's peak resident set is read from os.wait4 in a child and taken
+over the peak of a child that only imports numpy and the report module.
+Every bound was set from a measurement, with a margin."""
 
 import codecs
 import os
@@ -24,10 +24,11 @@ import hmetric
 from hmetric.cli import _write_rows
 from hmetric.distributions import BetaWeight
 from hmetric.config import EvalConfig
-from hmetric.empirical import LabeledScores, ingest, read_scores_csv
+from hmetric.empirical import _PARSE_ROWS, LabeledScores, ingest, read_scores_csv
 from hmetric.errors import InputError
 from hmetric.hmeasure import _calibrated_coefficients, h_measure_uncertain_priors
 from hmetric.report import build_report
+from hmetric.thresholds import PooledScoreThresholds, RankUniformClass1, _expected_cdfs
 
 MB = 1 << 20
 
@@ -53,12 +54,68 @@ def _scores_csv(n: int, seed: int) -> bytes:
 
 
 def test_partial_moments_working_set():
-    # the two results and the two incomplete betas behind them take 3.2 MB;
-    # the continued fraction's blocks added 1.1 MB more (measured 4.3 MB
-    # in all; 9.7 MB with blocks of 2**16 elements)
+    # the two results and the two incomplete betas behind them take 3.2 MB
+    # (3.05 MiB), which sets the peak: the continued fraction's blocks of
+    # 2**13 points hold less beside the results (measured 3.05 MiB in all;
+    # 4.18 with blocks of 2**14 points, 9.4 with blocks of 2**16)
     u = np.sort(np.random.default_rng(0).random(100_000))
     weight = BetaWeight(1.3, 1.7)
-    assert _traced_peak(lambda: weight.partial_moments(u)) < 6 * MB
+    assert _traced_peak(lambda: weight.partial_moments(u)) < 3.5 * MB
+
+
+def _distinct_column(n: int) -> LabeledScores:
+    """n distinct scores with 30% class 1 at random: a table of n groups."""
+    rng = np.random.default_rng(8)
+    scores = rng.random(n)
+    scores.setflags(write=False)
+    return ingest(scores, (rng.random(n) < 0.3).astype(np.int8))
+
+
+def test_table_build_holds_one_mask_beside_the_table():
+    # the running class-1 count is written over the sort's index and each
+    # sort temporary is dropped once read, so the peak over the table it
+    # returns is the group-end mask, a byte a row: measured 0.10 and 0.38
+    # MB at 1e5 and 4e5 distinct scores, where the sorted copy, the index
+    # and a cumulative count held with the table took 0.86 and 3.43 MB
+    for n in (100_000, 400_000):
+        data = _distinct_column(n)
+
+        def build():
+            data.__dict__.pop("table", None)
+            return data.table
+
+        table = build()
+        kept = table.u.nbytes + table.cum0.nbytes + table.cum1.nbytes
+        assert table.u.size == n
+        assert _traced_peak(build) < kept + 2 * n, n
+
+
+def test_hull_holds_only_masks_beside_its_corners():
+    # labels in 8 runs over distinct scores: 4 corners however many groups,
+    # so the peak is the corner masks, about two bytes a group (measured
+    # 0.19 and 0.76 MB at 1e5 and 4e5 groups), where the class counts
+    # diffed from the table took 1.62 and 6.49 MB
+    for n in (100_000, 400_000):
+        cdfs = ingest(np.arange(n) / n, (np.arange(n) * 8 // n) % 2).table
+
+        def hull():
+            cdfs.__dict__.pop("hull", None)
+            return cdfs.hull
+
+        assert hull()[0].size == 4
+        assert _traced_peak(hull) < 3 * n, n
+
+
+@pytest.mark.parametrize("law", [PooledScoreThresholds(), RankUniformClass1()],
+                         ids=["pooled", "class1-ranks"])
+def test_threshold_sums_flat_in_groups(law):
+    # the atom sums run over the table's blocks of groups: measured 0.75
+    # (pooled) and 0.63 MB (class-1 ranks) at 1e5 and 4e5 groups, where
+    # the table-long counts and products took 2.29 and 9.16 MB (pooled)
+    cdfs = [_distinct_column(n).table for n in (100_000, 400_000)]
+    peaks = [_traced_peak(partial(_expected_cdfs, law, table)) for table in cdfs]
+    assert peaks[1] < peaks[0] + 64 * 1024, peaks
+    assert peaks[1] < MB, peaks
 
 
 @pytest.mark.parametrize("mode", ["calibrated", "optimal"])
@@ -157,34 +214,53 @@ def test_beta_prior_report_holds_one_table_at_a_time(mode):
 
 def test_plain_csv_read_does_not_copy_the_body():
     n = 100_000
-    arrays = n * 3 * 8 + n * 2 * 8 + n
+    arrays = n * 2 * 8 + n
     plain = _scores_csv(n, 1)
     for content in (plain, codecs.BOM_UTF8 + plain):
         peak = _traced_peak(lambda: read_scores_csv("plain.csv", content=content))
-        # the parsed table, the two score columns and the labels, and about
-        # 1.2 KB more as measured, with or without a byte-order mark: a copy
-        # of the body held with the table would add its 2.8 MB (2.73 MB
-        # measured when the mark was stripped by copying the rest)
-        assert peak < arrays + 64 * 1024, (content[:3], peak - arrays)
+        # the two score columns and the labels, and one block's bytes and
+        # table (1.18 MB as measured), with or without a byte-order mark: a
+        # copy of the body would add its 2.8 MB (2.73 MB measured when the
+        # mark was stripped by copying the rest)
+        assert peak < arrays + 1.5 * MB, (content[:3], peak - arrays)
+
+
+def test_plain_csv_read_flat_in_rows():
+    # numpy parses a block of about _PARSE_ROWS rows at a time into the kept
+    # columns, so over those and the labels the read holds one block's
+    # bytes and table: measured 1.18 MB at 1e5 and at 4e5 rows, where the
+    # whole table took 2.29 and 9.16 MB
+    peaks = []
+    for n in (100_000, 400_000):
+        content = _scores_csv(n, 1)
+        arrays = n * 2 * 8 + n
+        peaks.append(_traced_peak(lambda: read_scores_csv("plain.csv", content=content)) - arrays)
+    assert peaks[1] < peaks[0] + 64 * 1024, peaks
+    assert peaks[1] < 1.5 * MB, peaks
 
 
 def test_plain_csv_checks_copy_nothing_before_the_parse():
     # the routing checks run before numpy's parse, so a temporary of theirs
-    # the size of the body (2.8 MB) would be gone before the table, which
-    # sets the read's peak; the peak up to the parse shows it (measured at
-    # 26 KB, most of it the header read's 8 KiB chunk and its decoding),
-    # with or without a byte-order mark
-    loadtxt, plain = np.loadtxt, _scores_csv(100_000, 1)
+    # the size of the body (2.8 MB) would be gone before the first block's
+    # table; the peak up to that block's parse, over the kept columns and
+    # labels allocated for the rows and the copy of the block's bytes that
+    # numpy reads, shows it (measured at 1.1 KB over those, with or without
+    # a byte-order mark; the header read's 8 KiB chunk is gone by then)
+    n = 100_000
+    loadtxt, plain = np.loadtxt, _scores_csv(n, 1)
+    arrays = n * 2 * 8 + n + len(plain) * _PARSE_ROWS // n
     for content in (plain, codecs.BOM_UTF8 + plain):
         at_parse = []
 
         def traced_loadtxt(*args, **kwargs):
-            at_parse.append(tracemalloc.get_traced_memory()[1])
+            if tracemalloc.is_tracing():
+                at_parse.append(tracemalloc.get_traced_memory()[1])
             return loadtxt(*args, **kwargs)
 
         with mock.patch("numpy.loadtxt", traced_loadtxt):
             _traced_peak(lambda: read_scores_csv("plain.csv", content=content))
-        assert len(at_parse) == 2 and at_parse[1] < 64 * 1024, (content[:3], at_parse)
+        assert len(at_parse) > 1 and at_parse[0] < arrays + 64 * 1024, (
+            content[:3], at_parse[0] - arrays)
 
 
 def test_header_read_leaves_the_rows_alone():
@@ -288,13 +364,17 @@ def test_curve_writer_flat_in_rows_with_runs(tmp_path):
 
 
 # Peak resident set over the import floor, in MB, on 1e5 rows: measured
-# 10.0 for evaluate, 10.0 for compare and 10.0 for curves (20.2, 13.1 and
-# 16.5 before the working set was bounded; evaluate and compare 13.0 and
-# 12.6 while a report held every column's copy and table at once).  On
-# another host, where evaluate measured 8.7, evaluate --prior beta measured
-# 20.8 calibrated and 19.8 optimal (73.6 optimal with each chunk's draws
-# taken whole; medians of 3).
-RSS_BUDGET_MB = {"evaluate": 13.0, "compare": 12.4, "curves": 13.0,
+# 6.7 for evaluate and 6.6 for compare (medians of 5), where a whole-file
+# parse, a sort's temporaries held with the table, the kernel's blocks of
+# 2**14 points and table-long hull and threshold temporaries measured 8.4
+# and 8.3 on the same host.  On another host, evaluate, compare and curves
+# measured 10.0 each when their budgets were 13.0, 12.4 and 13.0 (20.2,
+# 13.1 and 16.5 before the working set was bounded; evaluate and compare
+# 13.0 and 12.6 while a report held every column's copy and table at
+# once).  On a third host, where evaluate measured 8.7, evaluate --prior
+# beta measured 20.8 calibrated and 19.8 optimal (73.6 optimal with each
+# chunk's draws taken whole; medians of 3).
+RSS_BUDGET_MB = {"evaluate": 8.0, "compare": 8.0, "curves": 13.0,
                  "evaluate-prior-beta": 25.0, "evaluate-prior-beta-optimal": 25.0}
 
 # A child's peak resident set starts from that of the process that forked
