@@ -12,8 +12,6 @@ same table, one atom per distinct score weighted by its count."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from ._record import Record
 from .empirical import LabeledScores, empirical_cdfs, empirical_priors
 from .loss import min_loss
@@ -35,13 +33,11 @@ def auc_mann_whitney(data: LabeledScores) -> AucResult:
     """Mann-Whitney AUC from the tie-grouped counts, with half credit for
     cross-class ties: each class-1 score at u[k] beats the class-0 scores
     below u[k] and ties the count0[k] at it.  The sums are of half-integers,
-    taken in integers block by block, so they are exact."""
+    taken in integers (cdfs.sums), so they are exact."""
     cdfs = empirical_cdfs(data)  # raises on single-class data
     n0, n1 = cdfs.n0, cdfs.n1
-    twice_wins = tie_pairs = 0
-    for _, cum0, _, count0, count1 in cdfs.blocks():
-        twice_wins += int(np.add.reduce(count1 * (2 * cum0 - count0)))
-        tie_pairs += int(np.add.reduce(count0 * count1))
+    twice_wins, tie_pairs = cdfs.sums(lambda u, cum0, cum1, count0, count1: (
+        count1 * (2 * cum0 - count0), count0 * count1))
     auc = twice_wins / 2.0 / (n0 * n1)
     pi0, pi1 = n0 / (n0 + n1), n1 / (n0 + n1)
     return AucResult(
@@ -67,12 +63,14 @@ def mixture_weight_loss(data: LabeledScores, mode: str = "calibrated") -> float:
     """
     priors = empirical_priors(data)
     cdfs = empirical_cdfs(data)
-    total = 0.0
-    for u, cum0, cum1, count0, count1 in cdfs.blocks():
+
+    def terms(u, cum0, cum1, count0, count1):
         if mode == "calibrated":  # threshold_loss(u, u, ...), without searching u for u
             losses = (u * priors.pi0 * (1.0 - cum0 / cdfs.n0)
                       + (1.0 - u) * priors.pi1 * (cum1 / cdfs.n1))
         else:
             losses = min_loss(u, priors, cdfs, mode=mode)
-        total += np.add.reduce((count0 + count1) * losses)
+        return ((count0 + count1) * losses,)
+
+    total, = cdfs.sums(terms)
     return float(total / data.n)

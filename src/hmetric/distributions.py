@@ -66,21 +66,15 @@ _CF_MAX_STEPS = 100_000
 # Past the split point, I_x(a, b) with b below this comes from a power
 # series instead of 1 - I_{1-x}(b, a), which would cancel.
 _SMALL_B = 0.05
-# The incomplete beta works through its broadcast elements in blocks.  A
+# The incomplete beta works through its broadcast elements in blocks: a
 # step of the continued fraction keeps about 20 block-length float arrays
-# alive, all of the kernel's memory beyond its inputs and outputs: 1.3 MB
-# in blocks of _POINT_BLOCK, taken when one shape pair serves every
-# element.  Over 1e5 points the call's traced peak is then its results'
-# 3.1 MB, against 4.2 MB in blocks of 2**14 (9.4 MB in 2**16).  The
-# calibrated loss took 5% and 8% longer than in blocks of 2**14 on 1e5 and
-# 1e6 scores (0.4 and 6 ms), and 12% and 17% in blocks of 2**12.  The
-# kernel's block changes no value, and the table's sums run in blocks of
-# _BLOCK groups whatever it is.  The shape term is computed once per call,
-# not per block, but when the shapes come one pair per run of elements,
-# each step still works out its coefficients per pair, a cost per block:
-# those calls take blocks of _RUN_BLOCK, as 16,384 priors x 110 hull
-# breaks took 16% longer in blocks of 2**14.
-_BLOCK = 1 << 14
+# alive, 1.3 MB in blocks of _POINT_BLOCK, so over 1e5 points the call's
+# traced peak is its results' 3.1 MB (4.2 MB in blocks of 2**14, 9.4 MB in
+# 2**16).  Against 2**14, the calibrated loss took 5% and 8% longer on 1e5
+# and 1e6 scores, and 12% and 17% in 2**12.  Shapes that come one pair per
+# run of elements cost a little per block, as each step works out their
+# coefficients per pair, so those calls take blocks of _RUN_BLOCK: 16,384
+# priors x 110 hull breaks took 16% longer in 2**14.  No block moves a bit.
 _POINT_BLOCK = 1 << 13
 _RUN_BLOCK = 1 << 16
 
@@ -319,9 +313,8 @@ def _partial_pair(a, b, x, term=None, cdf=False):
     and one continued fraction per element (_pair_flat); the second is
     within 1e-12 relative also as x -> 1, where 1 - betainc(a, b + 1, x)
     would lose its digits.  The shape term is taken once per shape pair,
-    then blocks of _POINT_BLOCK elements (_BLOCK when each element has its
-    own shapes, _RUN_BLOCK when the shapes come one pair per run of
-    elements) go through, each with its distinct shape
+    then blocks of _POINT_BLOCK elements (_RUN_BLOCK when the shapes come
+    one pair per run of elements) go through, each with its distinct shape
     pairs and the run index k of every element.  No step depends on the
     other elements of the call, so a value is the same bits whatever it is
     broadcast with.  term, when given, is the shape term of a single pair
@@ -339,7 +332,7 @@ def _partial_pair(a, b, x, term=None, cdf=False):
     term = _shape_term(sa, sb) if term is None else term
     outs = [np.empty(xs.size) for _ in range(3 if cdf else 2)]
     run = xs.size // max(sa.size, 1)
-    block = _POINT_BLOCK if sa.size == 1 else _BLOCK if run == 1 else _RUN_BLOCK
+    block = _POINT_BLOCK if sa.size == 1 or run == 1 else _RUN_BLOCK
     for lo in range(0, xs.size, block):
         hi = min(lo + block, xs.size)
         if sa.size == 1:

@@ -38,9 +38,12 @@ import numpy as np
 
 from ._record import Record
 from .config import NORMALIZATIONS
-from .distributions import _BLOCK, TabulatedWeight
+from .distributions import TabulatedWeight
 from .errors import ConfigError, DegenerateDataError, InputError
 
+# EmpiricalCdfPair.sums adds in runs of this many groups: the runs fix a
+# float sum's order of addition, so its bits, and bound its temporaries.
+_BLOCK = 1 << 14
 # Plain files are parsed in blocks of about this many rows, so that numpy's
 # table of a block, not of the file, is held beside the kept columns.
 _PARSE_ROWS = 1 << 14
@@ -155,15 +158,22 @@ class EmpiricalCdfPair(Record):
         """Class-1 scores in ascending order."""
         return np.repeat(self.u, self.count1)
 
-    def blocks(self, size: int = _BLOCK):
-        """(u, cum0, cum1, count0, count1) of each run of size groups, in
-        order, so that a sum over the groups holds one run's temporaries."""
+    def sums(self, terms, size: int = _BLOCK) -> tuple:
+        """The sums over the groups of each array terms(u, cum0, cum1,
+        count0, count1) returns for a run of size groups: its reduce along
+        the last axis, added in run order.  An integer sum is an exact
+        Python int, any other a float or an array."""
+        totals = {}
         for lo in range(0, self.u.size, size):
             run = slice(lo, lo + size)
             cum0, cum1 = self.cum0[run], self.cum1[run]
-            yield (self.u[run], cum0, cum1,
-                   np.diff(cum0, prepend=self.cum0[lo - 1] if lo else 0),
-                   np.diff(cum1, prepend=self.cum1[lo - 1] if lo else 0))
+            parts = terms(self.u[run], cum0, cum1,
+                          np.diff(cum0, prepend=self.cum0[lo - 1] if lo else 0),
+                          np.diff(cum1, prepend=self.cum1[lo - 1] if lo else 0))
+            for j, part in enumerate(parts):
+                part = np.add.reduce(part, axis=-1)
+                totals[j] = totals.get(j, 0) + (part.item() if part.dtype.kind in "iu" else part)
+        return tuple(totals.values())
 
     def _cdf(self, cum, c):
         k = np.searchsorted(self.u, c, side="right")
@@ -265,12 +275,15 @@ def ingest(scores, labels, normalization: str = "reject") -> LabeledScores:
         raise InputError(
             f"scores and labels must be parallel, got lengths {scores.size} and {labels.size}"
         )
-    if np.any(~np.isfinite(scores)):
-        bad = int(np.flatnonzero(~np.isfinite(scores))[0])
-        raise InputError(f"non-finite score at position {bad}")
-    if not np.all(np.isin(labels, (0, 1))):
-        bad = int(np.flatnonzero(~np.isin(labels, (0, 1)))[0])
-        raise InputError(f"labels must be 0 or 1; offending value at position {bad}")
+    # one mask per rule, its first offender by argmin; np.all and np.argmin
+    # also take the scalar False numpy < 1.25 gives for string labels
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise InputError(f"non-finite score at position {np.argmin(finite)}")
+    binary = (labels == 0) | (labels == 1)
+    if not np.all(binary):
+        raise InputError(f"labels must be 0 or 1; offending value at position {np.argmin(binary)}")
+    del finite, binary  # a byte a row each, not held through the copy below
     labels = labels.astype(np.int8)  # a copy, whatever the caller passed
 
     if normalization == "minmax":
@@ -282,8 +295,9 @@ def ingest(scores, labels, normalization: str = "reject") -> LabeledScores:
     elif normalization == "logistic":
         scores = _sigmoid(scores)
     else:
-        if np.any(scores < 0.0) or np.any(scores > 1.0):
-            bad = int(np.flatnonzero((scores < 0.0) | (scores > 1.0))[0])
+        inside = (scores >= 0.0) & (scores <= 1.0)
+        if not inside.all():
+            bad = np.argmin(inside)
             raise InputError(
                 f"score {scores[bad]} at position {bad} outside [0, 1]; "
                 "pass normalization='minmax' or 'logistic' to rescale"

@@ -27,8 +27,8 @@ import numpy as np
 
 from ._record import Record
 from .config import THRESHOLD_MODES
-from .distributions import _BLOCK, WeightFunction, _check_unit
-from .empirical import ClassPriors, EmpiricalCdfPair
+from .distributions import WeightFunction, _check_unit
+from .empirical import _BLOCK, ClassPriors, EmpiricalCdfPair
 from .errors import ConfigError
 
 __all__ = [
@@ -129,15 +129,14 @@ def min_loss(c, priors: ClassPriors, cdfs: EmpiricalCdfPair, mode: str = "calibr
 
 def _class_sums(cdfs: EmpiricalCdfPair, pair, size: int = _BLOCK):
     """The sums of count0 f and count1 g over the column's distinct scores u,
-    for (f, g) = pair(u), the calibrated loss's per-score form: each run of
-    size groups of the table (cdfs.blocks) adds its reduce along the last
-    axis, in order, so a sum holds one run's temporaries at a time."""
-    sum0 = sum1 = 0.0
-    for u, _, _, count0, count1 in cdfs.blocks(size):
+    for (f, g) = pair(u), the calibrated loss's per-score form, added by
+    the table (cdfs.sums) in runs of size groups."""
+
+    def terms(u, cum0, cum1, count0, count1):
         f, g = pair(u)
-        sum0 += np.add.reduce(count0 * f, axis=-1)
-        sum1 += np.add.reduce(count1 * g, axis=-1)
-    return sum0, sum1
+        return count0 * f, count1 * g
+
+    return cdfs.sums(terms, size)
 
 
 def expected_min_loss(

@@ -94,22 +94,16 @@ def _rank_weights(u: RankUniformClass1, n1: int) -> np.ndarray:
     return w / total
 
 
-def _sum(terms: np.ndarray):
-    """The sum of an array, added in numpy's fixed pairwise order: an int
-    for integer terms, exact, and a float otherwise."""
-    return np.add.reduce(terms).item()
-
-
 def _atom_sums(cdfs, pooled: bool) -> tuple[int, int]:
     """The sums of c[k] cum0[k] and c[k] cum1[k] over the table's groups,
     for the atom counts c = count0 + count1 (pooled) or count1: exact
-    integers, added block by block (cdfs.blocks), as the AUC's are."""
-    sum0 = sum1 = 0
-    for _, cum0, cum1, count0, count1 in cdfs.blocks():
+    integers (cdfs.sums), as the AUC's are."""
+
+    def terms(u, cum0, cum1, count0, count1):
         counts = count0 + count1 if pooled else count1
-        sum0 += _sum(counts * cum0)
-        sum1 += _sum(counts * cum1)
-    return sum0, sum1
+        return counts * cum0, counts * cum1
+
+    return cdfs.sums(terms)
 
 
 def _expected_cdfs(u, cdfs) -> tuple[float, float]:
@@ -131,8 +125,8 @@ def _expected_cdfs(u, cdfs) -> tuple[float, float]:
             return sum0 / (n1 * n0), sum1 / n1**2
         w = _rank_weights(u, n1)
         return (
-            _sum(w * np.repeat(cdfs.cum0, cdfs.count1)) / n0,
-            _sum(w * np.repeat(cdfs.cum1, cdfs.count1)) / n1,
+            np.sum(w * np.repeat(cdfs.cum0, cdfs.count1)) / n0,
+            np.sum(w * np.repeat(cdfs.cum1, cdfs.count1)) / n1,
         )
     if isinstance(u, TabulatedThresholds):
         # F0/F1 are constant between pooled scores, so splitting there and

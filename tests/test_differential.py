@@ -34,7 +34,7 @@ from hmetric import (
     screen_at_proportion,
 )
 from hmetric import distributions
-from hmetric.distributions import _BLOCK
+from hmetric.empirical import _BLOCK
 from hmetric.thresholds import _expected_cdfs
 
 from conftest import random_dataset

@@ -221,7 +221,7 @@ class TestBetainc:
     def test_broadcast_matches_elementwise(self, monkeypatch):
         # blocks smaller than a row of x, so rows of shapes straddle them;
         # no step depends on the rest of the batch, so the bits are equal
-        monkeypatch.setattr(distributions, "_BLOCK", 64)
+        monkeypatch.setattr(distributions, "_POINT_BLOCK", 64)
         monkeypatch.setattr(distributions, "_RUN_BLOCK", 64)
         rng = np.random.default_rng(11)
         a = rng.uniform(1.0, 3.0, (40, 1))
@@ -364,7 +364,7 @@ class TestPartialPair:
 
     def test_broadcast_matches_elementwise(self, monkeypatch):
         # shapes from 1e-3, so the small-shape series runs in the batch too
-        monkeypatch.setattr(distributions, "_BLOCK", 64)
+        monkeypatch.setattr(distributions, "_POINT_BLOCK", 64)
         monkeypatch.setattr(distributions, "_RUN_BLOCK", 64)
         rng = np.random.default_rng(13)
         a, b = np.exp(rng.uniform(np.log(1e-3), np.log(50.0), (2, 60, 1)))
@@ -380,7 +380,7 @@ class TestPartialPair:
         np.testing.assert_array_equal(np.array(pair), got.reshape(2, -1))
 
     def test_broadcast_matches_betainc(self, monkeypatch):
-        monkeypatch.setattr(distributions, "_BLOCK", 64)
+        monkeypatch.setattr(distributions, "_POINT_BLOCK", 64)
         monkeypatch.setattr(distributions, "_RUN_BLOCK", 64)
         rng = np.random.default_rng(12)
         a = rng.uniform(1.0, 3.0, (40, 1))

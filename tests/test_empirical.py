@@ -59,6 +59,27 @@ class TestIngest:
         with pytest.raises(InputError, match="labels"):
             ingest([0.1, 0.2], [0, 2])
 
+    @pytest.mark.parametrize("labels,bad", [
+        (np.array([True, False, True]), None),
+        ([1, 0.5, 1], 1),
+        ([1, 0, np.nan], 2),
+        (np.array(["1", "0", "1"]), 0),  # no string equals a number
+        (np.array([1, "1", 1], dtype=object), 1),
+        (np.array([1, None, 1], dtype=object), 1),
+    ], ids=["bool", "half", "nan", "str", "object-str", "object-none"])
+    def test_label_kinds_accepted_or_rejected_at_their_position(self, labels, bad):
+        if bad is None:
+            assert ingest([0.1, 0.2, 0.3], labels).labels.tolist() == [1, 0, 1]
+        else:
+            with pytest.raises(InputError, match=f"offending value at position {bad}$"):
+                ingest([0.1, 0.2, 0.3], labels)
+
+    def test_score_rules_name_the_first_offender(self):
+        with pytest.raises(InputError, match="^non-finite score at position 1$"):
+            ingest([0.1, np.inf, np.nan], [0, 1, 2])
+        with pytest.raises(InputError, match=r"^score 1\.5 at position 1 outside"):
+            ingest([0.1, 1.5, -1.0], [0, 1, 1])
+
     def test_empty(self):
         with pytest.raises(InputError, match="nonempty"):
             ingest([], [])
@@ -204,6 +225,51 @@ class TestEmpiricalCdfs:
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateDataError):
             empirical_cdfs(ingest([0.1, 0.2], [1, 1]))
+
+
+class TestTableSums:
+    """EmpiricalCdfPair.sums over a table of more than three runs of
+    _BLOCK groups, with ties in both classes."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        rng = np.random.default_rng(21)
+        scores = rng.integers(0, 100_000, 80_000) / 100_000
+        table = ingest(scores, rng.random(80_000) < 0.3).table
+        assert table.u.size > 3 * empirical._BLOCK
+        assert table.count0.max() > 1 and table.count1.max() > 1
+        return table
+
+    def test_integer_sums_are_exact_python_ints(self, table):
+        got = table.sums(lambda u, cum0, cum1, count0, count1: (
+            count1 * (2 * cum0 - count0), count0 * cum1, count0 + count1))
+        cum0, cum1 = table.cum0.tolist(), table.cum1.tolist()
+        count0, count1 = table.count0.tolist(), table.count1.tolist()
+        want = (sum(c1 * (2 * k0 - c0) for c1, k0, c0 in zip(count1, cum0, count0)),
+                sum(c0 * k1 for c0, k1 in zip(count0, cum1)),
+                table.n0 + table.n1)
+        assert got == want
+        assert [type(total) for total in got] == [int] * 3
+
+    @pytest.mark.parametrize("size", [None, 1000])
+    def test_float_sums_add_the_runs_in_order(self, table, size):
+        size = size or empirical._BLOCK
+        got = table.sums(lambda u, cum0, cum1, count0, count1: (
+            count0 * u, count1 * (1.0 - u)), size)
+        want = [0.0, 0.0]
+        for lo in range(0, table.u.size, size):
+            run = slice(lo, lo + size)
+            want[0] += np.add.reduce(table.count0[run] * table.u[run])
+            want[1] += np.add.reduce(table.count1[run] * (1.0 - table.u[run]))
+        assert list(got) == want
+
+    def test_a_term_of_rows_sums_each_row(self, table):
+        rows = np.arange(1.0, 25.0)[:, None]
+        got, = table.sums(lambda u, cum0, cum1, count0, count1: (count0 * u * rows,))
+        assert got.shape == (24,)
+        for j in (0, 7, 23):
+            want, = table.sums(lambda u, cum0, cum1, count0, count1: (count0 * u * rows[j],))
+            assert got[j] == want
 
 
 class TestReadScoresCsv:

@@ -4,13 +4,14 @@ csv reader, and distributions.py, which computes the cost weights, reads
 no file; _mc.py alone makes random streams, so the seed's chunk layout is
 in one module; and in hmeasure.py only the calibrated class sums call the
 bare partial pair, every other partial moment going through
-distributions._beta_moments; no code sums by a matrix product, whose
-order of addition BLAS picks by its thread count and CPU kernel; only
-cli.main picks an exit code, and only it and cli.process_main end the
-process, so the exit codes are decided in one place; no
-module imports a name at its top that it never uses; and no module
-imports dataclasses, whose generated methods every start would compile
-(the value types build on _record.py instead)."""
+distributions._beta_moments; a sum over a column's table is added only
+by EmpiricalCdfPair.sums, in runs of empirical._BLOCK groups; no code
+sums by a matrix product, whose order of addition BLAS picks by its
+thread count and CPU kernel; only cli.main picks an exit code, and only
+it and cli.process_main end the process, so the exit codes are decided
+in one place; no module imports a name at its top that it never uses;
+and no module imports dataclasses, whose generated methods every start
+would compile (the value types build on _record.py instead)."""
 
 import ast
 from pathlib import Path
@@ -91,6 +92,25 @@ def test_only_cli_main_exits():
     }
     # main picks every exit code; process_main only ends the process with it
     assert exits == {"cli.py:main", "cli.py:process_main"}
+
+
+def test_table_sums_only_through_empirical_sums():
+    # the run of groups that fixes the order of a table sum's addition is
+    # empirical's, and no module loops over the table's runs itself
+    assigned = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in _nodes(path)
+        if isinstance(node, ast.Name) and node.id == "_BLOCK" and isinstance(node.ctx, ast.Store)
+    }
+    assert assigned == {"empirical.py"}
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in SRC.glob("*.py")
+        for node in _nodes(path)
+        if isinstance(node, ast.Attribute) and node.attr == "blocks"
+    ]
+    assert reads == []
 
 
 MATRIX_PRODUCTS = {"dot", "vdot", "tensordot", "matmul", "einsum", "inner"}
