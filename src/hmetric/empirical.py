@@ -206,30 +206,41 @@ class EmpiricalCdfPair(Record):
         lies on or above the segment joining those two, so it is no
         vertex either, and the test compares counts without multiplying
         them.  The monotone chain then runs over the rest, in their
-        lexicographic order, turning on exact integer counts.  The steps
-        are told apart by comparing neighbouring cumulative counts, so the
-        masks are the only table-long temporaries."""
-        cum0, cum1 = self.cum0, self.cum1
-        corner = np.ones(cum0.size, dtype=bool)
-        np.greater(cum1[1:], cum1[:-1], out=corner[:-1])  # left by a class-1 step
-        corner[1:-1] &= cum0[1:-1] > cum0[:-2]  # entered by a class-0 step
-        corner[0] &= cum0[0] > 0
-        corner[-1] = True  # the path's end
-        xs = np.append(0, cum0[corner])
-        ys = np.append(0, cum1[corner])
-        dx, dy = np.diff(xs), np.diff(ys)
-        keep = np.ones(xs.size, dtype=bool)
-        keep[1:-1] = (dx[1:] < dx[:-1]) | (dy[1:] > dy[:-1])
-        xs, ys = xs[keep].tolist(), ys[keep].tolist()
-        chain = [0]
-        for k in range(1, len(xs)):
-            while len(chain) >= 2:
-                i, j = chain[-2], chain[-1]
-                if (xs[j] - xs[i]) * (ys[k] - ys[i]) > (ys[j] - ys[i]) * (xs[k] - xs[i]):
-                    break
-                chain.pop()
-            chain.append(k)
-        f0, f1 = np.asarray(xs)[chain] / self.n0, np.asarray(ys)[chain] / self.n1
+        lexicographic order, turning on exact integer counts.
+
+        The table is taken a run of _BLOCK groups at a time: the masks,
+        the run's corners and their Python ints are the only temporaries,
+        so beside the chain's vertices the working set is flat in the
+        table's size.  The steps are told apart by comparing neighbouring
+        cumulative counts, and the run's last corner, whose next corner
+        is in the next run, is kept: the chain drops it if it is no
+        vertex."""
+        cum0, cum1, size = self.cum0, self.cum1, self.cum0.size
+        chain = [(0, 0)]  # the vertices so far, as exact Python ints
+        last = (0, 0)  # the corner before the run's first
+        for lo in range(0, size, _BLOCK):
+            hi = min(lo + _BLOCK, size)
+            corner = np.ones(hi - lo, dtype=bool)
+            after = cum1[lo + 1:hi + 1]  # one short in the last run
+            np.greater(after, cum1[lo:lo + after.size], out=corner[:after.size])  # left by class 1
+            corner[1:] &= cum0[lo + 1:hi] > cum0[lo:hi - 1]  # entered by a class-0 step
+            corner[0] &= cum0[lo] > (cum0[lo - 1] if lo else 0)
+            corner[-1] |= hi == size  # the path's end
+            xs = np.concatenate(([last[0]], cum0[lo:hi][corner]))
+            ys = np.concatenate(([last[1]], cum1[lo:hi][corner]))
+            dx, dy = np.diff(xs), np.diff(ys)
+            keep = np.ones(dx.size, dtype=bool)
+            keep[:-1] = (dx[1:] < dx[:-1]) | (dy[1:] > dy[:-1])
+            last = xs[-1], ys[-1]
+            for x, y in zip(xs[1:][keep].tolist(), ys[1:][keep].tolist()):
+                while len(chain) >= 2:
+                    (x0, y0), (x1, y1) = chain[-2], chain[-1]
+                    if (x1 - x0) * (y - y0) > (y1 - y0) * (x - x0):
+                        break
+                    chain.pop()
+                chain.append((x, y))
+        xs, ys = zip(*chain)
+        f0, f1 = np.array(xs) / self.n0, np.array(ys) / self.n1
         for arr in (f0, f1):
             arr.setflags(write=False)
         return f0, f1

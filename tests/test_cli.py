@@ -11,11 +11,13 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import row_chunks, run_cli
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from jsonschema import validate
 
 import hmetric
 from hmetric import REPORT_SCHEMA, empirical
-from hmetric.cli import _COMMANDS, CSV_CHUNK, MAX_RESOLUTION, _write_rows
+from hmetric.cli import _COMMANDS, CSV_CHUNK, MAX_RESOLUTION, MIN_RESOLUTION, _write_rows
 from hmetric.config import BETA_PRIOR_DEFAULTS, EvalConfig
 from hmetric.loss import CURVE_GRID
 
@@ -409,8 +411,10 @@ class TestCurves:
         assert "curves need a concrete prior; use empirical or fixed" in result.stderr
         assert "seed" not in result.stderr
 
-    @pytest.mark.parametrize("n", [0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1,
-                                   2 * CSV_CHUNK + 3])
+    # row counts about the smallest curve grid and about a chunk
+    @pytest.mark.parametrize("n", [0, 1, MIN_RESOLUTION - 1, MIN_RESOLUTION, MIN_RESOLUTION + 1,
+                                   2 * MIN_RESOLUTION + 3, CSV_CHUNK - 1, CSV_CHUNK,
+                                   CSV_CHUNK + 1, 2 * CSV_CHUNK + 3])
     def test_csv_rows_across_chunks(self, tmp_path, n):
         rng = np.random.default_rng(n)
         xs, ys = rng.random(n), rng.random(n) ** 9
@@ -438,6 +442,70 @@ class TestCurves:
         want = "fpr,tpr\r\n" + "".join(
             "{:.10g},{:.10g}\r\n".format(x, y) for x, y in zip(xs.tolist(), ys.tolist()))
         assert (tmp_path / "roc.csv").read_bytes() == want.encode("utf-8")
+
+    # hmetric._csvrows against Python's format: the bytes of _write_rows
+    # on (values, values reversed), which puts both columns through the
+    # fast path, the fallback and runs of equal bits.
+
+    @staticmethod
+    def _assert_rows_match_format(path, values):
+        xs = np.ascontiguousarray(values, dtype=np.float64)
+        ys = xs[::-1].copy()
+        _write_rows(path, "x,y", row_chunks(xs, ys))
+        want = "x,y\r\n" + "".join(
+            "{:.10g},{:.10g}\r\n".format(x, y) for x, y in zip(xs.tolist(), ys.tolist()))
+        assert path.read_bytes() == want.encode("ascii")
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example([0, 1 << 63, 0x7FF8000000000000, 0x7FF0000000000000, 0xFFF0000000000000, 1,
+              0x000FFFFFFFFFFFFF, 0x3FF0000000000000])  # 0, -0, NaN, +-inf, subnormals, 1
+    def test_rows_match_format_on_any_float64(self, tmp_path, bit_patterns):
+        self._assert_rows_match_format(
+            tmp_path / "rows.csv", np.array(bit_patterns, dtype=np.uint64).view(np.float64))
+
+    @given(st.lists(st.tuples(st.integers(10**9, 10**10 - 1), st.integers(-16, 16)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example([(1234567890, 0), (9999999999, -9), (9999999999, 0), (1000000000, -5)])
+    def test_rows_match_format_at_rounding_halves(self, tmp_path, decimals):
+        # the eleventh significant digit is a 5: the float nearest each
+        # such decimal, and its neighbours, lie within an ulp of a tie
+        ties = np.array([float(f"{digits}5e{exponent - 10}") for digits, exponent in decimals])
+        self._assert_rows_match_format(tmp_path / "rows.csv", np.concatenate(
+            [ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)]))
+
+    def test_rows_match_format_near_powers_of_ten(self, tmp_path):
+        powers = np.array([float(f"1e{k}") for k in range(-6, 12)])
+        near = [powers]
+        for direction in (np.inf, -np.inf):
+            step = powers
+            for _ in range(3):
+                step = np.nextafter(step, direction)
+                near.append(step)
+        self._assert_rows_match_format(tmp_path / "rows.csv", np.concatenate(near))
+
+    @pytest.mark.parametrize("n", [3, 7, 1000, 70_001, 999_999])
+    def test_rows_match_format_on_rates(self, tmp_path, n):
+        # the ROC's coordinates: 1 - k/n
+        k = np.unique(np.linspace(0, n, min(n + 1, 3 * CSV_CHUNK + 7)).round())
+        self._assert_rows_match_format(tmp_path / "rows.csv", 1.0 - k / n)
+
+    @pytest.mark.parametrize("direction", [np.inf, -np.inf], ids=["up", "down"])
+    def test_rows_do_not_depend_on_the_last_bit_of_log10(self, tmp_path, direction):
+        # a CPU's log10 may return its result's neighbour: near a power of
+        # ten that moves floor(log10 x) by one, and the text stays the same
+        rng = np.random.default_rng(4)
+        powers = np.array([float(f"1e{k}") for k in range(-6, 12)])
+        values = np.concatenate([
+            powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf),
+            np.nextafter(np.nextafter(powers, -np.inf), -np.inf),
+            10.0 ** rng.uniform(-6, 11, 5000), 1.0 - np.arange(5000) / 4999])
+        log10 = np.log10
+        with mock.patch.object(np, "log10", lambda x: np.nextafter(log10(x), direction)):
+            self._assert_rows_match_format(tmp_path / "rows.csv", values)
 
     @pytest.mark.parametrize("column", ["fine", "coarse"])
     def test_roc_rows_over_chunks_with_shared_scores(self, tmp_path, column):
@@ -804,6 +872,26 @@ def test_only_report_commands_load_report_code(fixtures_dir, tmp_path, args, loa
     assert _fresh_interpreter(code, *args) == f"0 {loaded}"
     if loaded:
         validate(_read_report(tmp_path / "report.json"), REPORT_SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "args,loaded",
+    [
+        (["--help"], False),
+        (["curves", "golden4.csv", "--out-dir", "{tmp}/curves"], True),
+        (["evaluate", "golden4.csv", "--out", "{tmp}/report.json"], False),
+        (["compare", "rank_disagreement.csv", "--columns", "model_a,model_b",
+          "--out", "{tmp}/report.json"], False),
+    ],
+)
+def test_only_curves_loads_the_csv_text_module(fixtures_dir, tmp_path, args, loaded):
+    # hmetric._csvrows writes the text of curve CSVs, and nothing else runs it
+    args = [str(fixtures_dir / a) if a.endswith(".csv") and "{" not in a
+            else a.format(tmp=tmp_path) for a in args]
+    code = ("import sys\nfrom hmetric.cli import main\n"
+            "try:\n    main(sys.argv[1:])\nexcept SystemExit as exc:\n"
+            "    print(exc.code, 'hmetric._csvrows' in sys.modules)")
+    assert _fresh_interpreter(code, *args) == f"0 {loaded}"
 
 
 @pytest.mark.parametrize("content", [None, b"label,s,t\n0,0.1,0.2\n1,oops,0.8\n"],

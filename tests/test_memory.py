@@ -104,9 +104,10 @@ def test_table_build_holds_one_mask_beside_the_table():
 
 def test_hull_holds_only_masks_beside_its_corners():
     # labels in 8 runs over distinct scores: 4 corners however many groups,
-    # so the peak is the corner masks, about two bytes a group (measured
-    # 0.19 and 0.76 MB at 1e5 and 4e5 groups), where the class counts
-    # diffed from the table took 1.62 and 6.49 MB
+    # so the peak is the corner masks (measured 0.03 MB at 1e5 and 4e5
+    # groups with a block's masks at a time; 0.19 and 0.76 MB with the
+    # table's), where the class counts diffed from the table took 1.62 and
+    # 6.49 MB
     for n in (100_000, 400_000):
         cdfs = ingest(np.arange(n) / n, (np.arange(n) * 8 // n) % 2).table
 
@@ -116,6 +117,25 @@ def test_hull_holds_only_masks_beside_its_corners():
 
         assert hull()[0].size == 4
         assert _traced_peak(hull) < 3 * n, n
+
+
+def test_hull_flat_in_groups_with_random_labels():
+    # random labels put a corner at about one group in five: the hull runs
+    # over the table a block of groups at a time, feeding the chain each
+    # block's corners, so the peak stays put (measured 0.28 and 0.29 MB at
+    # 1e5 and 4e5 groups, where every corner's Python ints at once took
+    # 1.71 and 6.88 MB)
+    peaks = []
+    for n in (100_000, 400_000):
+        cdfs = _distinct_column(n).table
+
+        def hull():
+            cdfs.__dict__.pop("hull", None)
+            return cdfs.hull
+
+        peaks.append(_traced_peak(hull))
+    assert peaks[1] < peaks[0] + 64 * 1024, peaks
+    assert peaks[1] < MB / 2, peaks
 
 
 @pytest.mark.parametrize("law", [PooledScoreThresholds(), RankUniformClass1()],
@@ -357,7 +377,9 @@ def test_curve_writer_flat_in_rows(tmp_path):
         xs, ys = rng.random(n), rng.random(n)
         peaks.append(_traced_peak(
             lambda: _write_rows(tmp_path / "roc.csv", "fpr,tpr", row_chunks(xs, ys))))
-    # 0.1 MB at both sizes; two lists of 2e5 Python floats took 12.8 MB
+    # 0.72 MB at both sizes, with chunks of 4,096 rows laid out as bytes
+    # (0.1 MB with chunks of 1,024 rows formatted value by value); two lists
+    # of 2e5 Python floats took 12.8 MB
     assert peaks[1] < peaks[0] + 64 * 1024
     assert peaks[1] < MB
 
