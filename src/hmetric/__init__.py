@@ -18,8 +18,6 @@ _EXPORTS = {
     "BetaWeight": "distributions",
     "TabulatedWeight": "distributions",
     "WeightFunction": "distributions",
-    "beta_pdf": "distributions",
-    "regularized_incomplete_beta": "distributions",
     "LabeledScores": "empirical",
     "ClassPriors": "empirical",
     "EmpiricalCdfPair": "empirical",

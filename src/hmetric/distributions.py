@@ -1,9 +1,9 @@
 """Cost-weight distributions on the open unit interval.
 
-Provides the beta family (density, regularized incomplete beta) plus
+Provides the beta weight, the vectorised regularized incomplete beta and
 tabulated piecewise-linear weights.  Everything a cost weight must
-answer for the loss pipeline lives behind one interface: density, cdf,
-mean and partial moments.
+answer for the loss pipeline lives behind one interface, WeightFunction:
+density, cdf, mean and partial moments.
 
 The incomplete beta comes from one numpy kernel (_pair_flat), after
 DiDonato and Morris, "Algorithm 708: significant digit computation of the
@@ -30,8 +30,6 @@ __all__ = [
     "WeightFunction",
     "BetaWeight",
     "TabulatedWeight",
-    "beta_pdf",
-    "regularized_incomplete_beta",
     "betainc",
 ]
 
@@ -376,67 +374,53 @@ def _beta_moments(a, b, u, term=None):
     return (a / (a + b)) * below, (b / (a + b)) * above
 
 
-def _beta_pdf_arr(c, a, b):
-    """Beta density on interior points; no domain checks."""
-    c = np.asarray(c, dtype=float)
-    return np.exp(_log_front(a, b, c, 1.0 - c, _shape_term(a, b))) / (c * (1.0 - c))
-
-
-def beta_pdf(c: float, p: BetaParams) -> float:
-    """Beta density at an interior cost.
-
-    Raises a domain error for c outside the open interval (0, 1): with a
-    shape below one the density diverges at the endpoints, and no caller
-    legitimately needs an endpoint value.
-    """
-    if not (np.isfinite(c) and 0.0 < c < 1.0):
-        raise InputError(f"cost must lie strictly inside (0, 1), got {c}")
-    return float(_beta_pdf_arr(c, p.alpha, p.beta))
-
-
-def regularized_incomplete_beta(x: float, p: BetaParams) -> float:
-    """CDF of the beta distribution at x, i.e. I_x(alpha, beta): betainc
-    at one point, the same bits as betainc gives it in any broadcast
-    (I_x(a + 1, b) + F / a, DLMF 8.17.20).  I_0 = 0 and I_1 = 1; relative
-    error within 1e-12, including integer shapes in the tens of thousands.
-    """
-    if not (np.isfinite(x) and 0.0 <= x <= 1.0):
-        raise InputError(f"x must lie in [0, 1], got {x}")
-    return float(betainc(p.alpha, p.beta, x))
-
-
-class WeightFunction:
-    """A distribution of misclassification costs on (0, 1).
-
-    Subclasses answer density/cdf/mean queries and give the exact
-    partial moments
-        m0(u) = integral of c w(c) over (0, u)
-        m1(u) = integral of (1 - c) w(c) over (u, 1).
-    Instances are immutable after construction, so one instance serves
-    every column of a report.
-    """
-
-    def density(self, c):
-        raise NotImplementedError
-
-    def cdf(self, c):
-        raise NotImplementedError
-
-    def mean(self) -> float:
-        raise NotImplementedError
-
-    def partial_moments(self, upper):
-        raise NotImplementedError
-
-    def describe(self) -> dict:
-        raise NotImplementedError
-
-
 def _check_unit(name, value):
     v = np.asarray(value, dtype=float)
     if np.any(~np.isfinite(v)) or np.any(v < 0.0) or np.any(v > 1.0):
         raise InputError(f"{name} must lie in [0, 1], got {value}")
     return v
+
+
+class WeightFunction:
+    """A distribution of misclassification costs on (0, 1).
+
+    density, cdf and partial_moments keep one contract for every weight:
+    they take the argument as a float array, cdf's and partial_moments'
+    checked to lie in [0, 1], and give floats for a scalar argument.  A
+    subclass computes only the hooks _density, _cdf and _partial_moments
+    on that array, the last the exact partial moments
+        m0(u) = integral of c w(c) over (0, u)
+        m1(u) = integral of (1 - c) w(c) over (u, 1),
+    and mean and describe.  Instances are immutable after construction,
+    so one instance serves every column of a report.
+    """
+
+    def density(self, c):
+        out = self._density(np.asarray(c, dtype=float))
+        return float(out) if np.isscalar(c) else out
+
+    def cdf(self, c):
+        out = self._cdf(_check_unit("upper integration limit", c))
+        return float(out) if np.isscalar(c) else out
+
+    def partial_moments(self, upper):
+        m0, m1 = self._partial_moments(_check_unit("upper integration limit", upper))
+        return (float(m0), float(m1)) if np.isscalar(upper) else (m0, m1)
+
+    def _density(self, c):
+        raise NotImplementedError
+
+    def _cdf(self, c):
+        raise NotImplementedError
+
+    def _partial_moments(self, u):
+        raise NotImplementedError
+
+    def mean(self) -> float:
+        raise NotImplementedError
+
+    def describe(self) -> dict:
+        raise NotImplementedError
 
 
 class BetaWeight(WeightFunction):
@@ -445,8 +429,8 @@ class BetaWeight(WeightFunction):
     Partial moments come in closed form from the shape-shift identity
     c b(c; a, b) = (a / (a + b)) b(c; a + 1, b), so m0 and m1 reduce to
     regularized incomplete betas with one shape raised by one, which one
-    continued fraction gives together (_beta_moments).  Their shape term
-    is computed once, here, not once per call.
+    continued fraction gives together (_beta_moments).  Their shape term,
+    which the density shares, is computed once, here, not once per call.
     """
 
     def __init__(self, alpha: float, beta: float):
@@ -461,16 +445,15 @@ class BetaWeight(WeightFunction):
     def beta(self) -> float:
         return self.params.beta
 
-    def density(self, c):
-        c_arr = np.asarray(c, dtype=float)
-        if np.any(c_arr <= 0.0) or np.any(c_arr >= 1.0):
+    def _density(self, c):
+        # NaN fails the comparison, so it is rejected with the endpoints
+        if not np.all((c > 0.0) & (c < 1.0)):
             raise InputError("beta weight density is defined on the open interval (0, 1)")
-        out = _beta_pdf_arr(c_arr, self.alpha, self.beta)
-        return float(out) if np.isscalar(c) else out
+        front = _log_front(self.alpha, self.beta, c, 1.0 - c, self._term[0])
+        return np.exp(front) / (c * (1.0 - c))
 
-    def cdf(self, c):
-        out = betainc(self.alpha, self.beta, _check_unit("upper integration limit", c))
-        return float(out) if np.isscalar(c) else out
+    def _cdf(self, c):
+        return betainc(self.alpha, self.beta, c)
 
     def mean(self) -> float:
         return self.alpha / (self.alpha + self.beta)
@@ -481,12 +464,8 @@ class BetaWeight(WeightFunction):
             raise InputError("mode is interior only for shapes above one")
         return (a - 1.0) / (a + b - 2.0)
 
-    def partial_moments(self, upper):
-        u = _check_unit("upper integration limit", upper)
-        m0, m1 = _beta_moments(self.alpha, self.beta, u, self._term)
-        if np.isscalar(upper):
-            return float(m0), float(m1)
-        return m0, m1
+    def _partial_moments(self, u):
+        return _beta_moments(self.alpha, self.beta, u, self._term)
 
     def describe(self) -> dict:
         return {"kind": "beta", "alpha": self.alpha, "beta": self.beta}
@@ -542,14 +521,11 @@ class TabulatedWeight(WeightFunction):
                 f"tabulated density must integrate to 1 within 1e-9, got {self.total_mass!r}"
             )
 
-    def density(self, c):
-        c_arr = np.asarray(c, dtype=float)
-        out = np.interp(c_arr, self.grid, self.density_values, left=0.0, right=0.0)
-        return float(out) if np.isscalar(c) else out
+    def _density(self, c):
+        return np.interp(c, self.grid, self.density_values, left=0.0, right=0.0)
 
     def _mass_below(self, u):
         """Exact mass and first-moment integrals of the interpolant on (0, u)."""
-        u = np.asarray(u, dtype=float)
         idx = np.clip(np.searchsorted(self.grid, u, side="right") - 1, 0, len(self._seg_h) - 1)
         t = np.clip(u - self.grid[idx], 0.0, self._seg_h[idx])
         d0 = self._seg_d0[idx]
@@ -561,25 +537,16 @@ class TabulatedWeight(WeightFunction):
         cm = np.where(below, 0.0, self._cum_cm[idx] + part_cm)
         return mass, cm
 
-    def cdf(self, c):
-        c_arr = _check_unit("upper integration limit", c)
-        mass, _ = self._mass_below(c_arr)
-        out = mass / self.total_mass
-        return float(out) if np.isscalar(c) else out
+    def _cdf(self, c):
+        return self._mass_below(c)[0] / self.total_mass
 
     def mean(self) -> float:
         return float(self._cum_cm[-1]) / self.total_mass
 
-    def partial_moments(self, upper):
-        u = _check_unit("upper integration limit", upper)
+    def _partial_moments(self, u):
         mass, cm = self._mass_below(u)
-        m0 = cm
         # m1(u) = total (1-c)-moment minus the (1-c)-moment below u
-        total_m1 = self.total_mass - self._cum_cm[-1]
-        m1 = total_m1 - (mass - cm)
-        if np.isscalar(upper):
-            return float(m0), float(m1)
-        return m0, m1
+        return cm, (self.total_mass - self._cum_cm[-1]) - (mass - cm)
 
     def describe(self) -> dict:
         return {

@@ -67,11 +67,12 @@ def _check_q(q):
     return q_arr
 
 
-class _QuadratureWeight:
+class _QuadratureWeight(WeightFunction):
     """Partial moments of a raw nonnegative density by tanh-sinh quadrature
-    on (eps, 1 - eps).  Unnormalized densities are accepted, but c w(c) must
-    carry less mass on (eps/10, eps) than on (eps, 10 eps), and (1 - c) w(c)
-    the same at 1, or the truncated moments would not converge."""
+    on (eps, 1 - eps), to which a limit in [0, 1] is clipped.  Unnormalized
+    densities are accepted, but c w(c) must carry less mass on (eps/10, eps)
+    than on (eps, 10 eps), and (1 - c) w(c) the same at 1, or the truncated
+    moments would not converge."""
 
     def __init__(self, density: Callable[[float], float]):
         # one Python call per node, as for a scalar quadrature, so densities
@@ -106,18 +107,14 @@ class _QuadratureWeight:
             raise InputError("weight is not usable: partial moments do not converge numerically")
         return sums
 
-    def partial_moments(self, upper):
-        u = np.asarray(upper, dtype=float)
+    def _partial_moments(self, u):
         points = np.clip(u.ravel(), self.eps, 1.0 - self.eps)
         breaks = np.union1d(points, _BREAKS)
         sums = self._segment_integrals(breaks)
         below0 = np.concatenate(([0.0], np.cumsum(sums[0])))
         above1 = np.concatenate((np.cumsum(sums[1][::-1])[::-1], [0.0]))
         at = np.searchsorted(breaks, points)
-        m0, m1 = below0[at].reshape(u.shape), above1[at].reshape(u.shape)
-        if np.isscalar(upper):
-            return float(m0), float(m1)
-        return m0, m1
+        return below0[at].reshape(u.shape), above1[at].reshape(u.shape)
 
     def describe(self) -> dict:
         return {"kind": "callable", "eps": self.eps}
@@ -183,9 +180,7 @@ def rule_from_weight(w: WeightLike) -> ScoringRule:
         return src.partial_moments(q)[0]
 
     def loss1(u):
-        u_arr = np.asarray(u, dtype=float)
-        out = src.partial_moments(1.0 - u_arr)[1]
-        return float(out) if np.isscalar(u) else out
+        return src.partial_moments(1.0 - np.asarray(u, dtype=float))[1]
 
     return ScoringRule(loss0=loss0, loss1=loss1, origin={"from_weight": src.describe()})
 

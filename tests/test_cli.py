@@ -710,6 +710,18 @@ def test_flag_value_may_start_with_a_dash(fixtures_dir, flag, message):
     assert result.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flag,message", [
+    (["--weight", "tabulated"], "tabulated weight needs a path: --weight tabulated:<csv path>"),
+    (["--weight", "beta"], "--weight beta requires --alpha and --beta"),
+    (["--screen", "0.1,x"], "bad screening proportion 'x'"),
+])
+def test_flags_parsed_by_the_cli_exit_3_with_their_message(fixtures_dir, flag, message):
+    # --weight and --screen are parsed before the config sees them
+    result = run_cli(["evaluate", str(fixtures_dir / "golden4.csv"), *flag])
+    assert result.exit_code == 3, result.stderr
+    assert (result.stdout, result.stderr) == ("", f"error: {message}\n")
+
+
 def test_out_forms_write_the_same_report(fixtures_dir, tmp_path):
     # no --out, --out - and --out=PATH
     golden4, path = str(fixtures_dir / "golden4.csv"), tmp_path / "report.json"

@@ -75,6 +75,7 @@ def test_default_config_valid():
         ({"u_dists": "pooled"}, "u_dists must be a sequence, got 'pooled'"),
         ({"u_dists": None}, "u_dists must be a sequence, got None"),
         ({"screen_proportions": 0.25}, "screen_proportions must be a sequence, got 0.25"),
+        ({"u_dists": ["point:abc"]}, "^bad threshold distribution spec 'point:abc'$"),
     ],
 )
 def test_rejections(kwargs, message):

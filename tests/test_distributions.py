@@ -15,9 +15,8 @@ from hmetric import (
     HmetricError,
     InputError,
     TabulatedWeight,
-    beta_pdf,
     load_tabulated_weight,
-    regularized_incomplete_beta,
+    rule_from_weight,
 )
 from hmetric import distributions, expected_loss, ingest, min_loss, threshold_loss
 from hmetric.config import MAX_WEIGHT_SHAPE, MIN_WEIGHT_SHAPE
@@ -41,20 +40,23 @@ M1_05_15 = 0.14389670460540310949
 
 class TestBetaPdf:
     def test_uniform(self):
-        assert beta_pdf(0.5, BetaParams(1, 1)) == pytest.approx(1.0, abs=1e-14)
+        assert BetaWeight(1, 1).density(0.5) == pytest.approx(1.0, abs=1e-14)
 
     def test_symmetric_two_two(self):
-        assert beta_pdf(0.5, BetaParams(2, 2)) == pytest.approx(1.5, abs=1e-14)
+        assert BetaWeight(2, 2).density(0.5) == pytest.approx(1.5, abs=1e-14)
 
     def test_oracle_value(self):
-        assert beta_pdf(0.3, BetaParams(1.7, 1.3)) == pytest.approx(
+        assert BetaWeight(1.7, 1.3).density(0.3) == pytest.approx(
             BETA_PDF_03_17_13, abs=1e-10
         )
 
-    @pytest.mark.parametrize("c", [0.0, 1.0, -0.1, 1.1, float("nan")])
+    @pytest.mark.parametrize("c", [0.0, 1.0, -0.1, 1.1, float("nan"),
+                                   pytest.param(np.array([0.5, np.nan]), id="array-nan")])
     def test_domain_errors(self, c):
-        with pytest.raises(InputError):
-            beta_pdf(c, BetaParams(0.5, 2.0))
+        # NaN fails the open-interval test, alone and inside an array
+        with pytest.raises(InputError, match=re.escape(
+                "beta weight density is defined on the open interval (0, 1)")):
+            BetaWeight(0.5, 2.0).density(c)
 
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 2.0), (1.0, 0.0), (float("nan"), 1.0),
                                      (2e6, 1.0), (1.0, 1e14)])
@@ -62,6 +64,10 @@ class TestBetaPdf:
         with pytest.raises(InputError):
             BetaParams(a, b)
 
+    def test_mode_only_for_shapes_above_one(self):
+        assert BetaWeight(2.0, 3.0).mode() == pytest.approx(1.0 / 3.0)
+        with pytest.raises(InputError, match="^mode is interior only for shapes above one$"):
+            BetaWeight(1.0, 3.0).mode()
 
     def test_large_shapes_against_mpmath(self):
         # within 3 sd of the mean at shapes up to 4e4, where
@@ -73,22 +79,23 @@ class TestBetaPdf:
         want = [mp_beta_density(*args) for args in zip(c, a, b)]
         got = [BetaWeight(*ab).density(ci) for ci, *ab in zip(c, a, b)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        assert beta_pdf(c[0], BetaParams(a[0], b[0])) == got[0]
+        # a one-element array gives the scalar's bits
+        assert BetaWeight(a[0], b[0]).density(c[:1])[0] == got[0]
 
 
 class TestRegularizedIncompleteBeta:
     def test_total_mass(self):
         for a, b in [(0.5, 0.5), (1, 1), (3.2, 0.7), (10, 10)]:
-            assert regularized_incomplete_beta(1.0, BetaParams(a, b)) == 1.0
-            assert regularized_incomplete_beta(0.0, BetaParams(a, b)) == 0.0
+            assert BetaWeight(a, b).cdf(1.0) == 1.0
+            assert BetaWeight(a, b).cdf(0.0) == 0.0
 
     def test_symmetric_midpoint(self):
         for shape in [0.5, 1.0, 1.5, 3.0, 7.5]:
-            p = BetaParams(shape, shape)
-            assert regularized_incomplete_beta(0.5, p) == pytest.approx(0.5, abs=1e-12)
+            w = BetaWeight(shape, shape)
+            assert w.cdf(0.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_oracle_value(self):
-        got = regularized_incomplete_beta(0.3, BetaParams(2.5, 1.5))
+        got = BetaWeight(2.5, 1.5).cdf(0.3)
         assert got == pytest.approx(INCBETA_03_25_15, rel=1e-12)
 
     def test_against_quadrature(self):
@@ -100,7 +107,7 @@ class TestRegularizedIncompleteBeta:
             expected = quad(
                 lambda c: beta_density(c, a, b), 0.0, x, epsabs=1e-13, epsrel=1e-12
             )[0]
-            got = regularized_incomplete_beta(x, BetaParams(a, b))
+            got = BetaWeight(a, b).cdf(x)
             assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_symmetry_identity(self):
@@ -109,8 +116,8 @@ class TestRegularizedIncompleteBeta:
             a = rng.uniform(0.3, 8.0)
             b = rng.uniform(0.3, 8.0)
             x = rng.uniform(0.0, 1.0)
-            left = regularized_incomplete_beta(x, BetaParams(a, b))
-            right = 1.0 - regularized_incomplete_beta(1.0 - x, BetaParams(b, a))
+            left = BetaWeight(a, b).cdf(x)
+            right = 1.0 - BetaWeight(b, a).cdf(1.0 - x)
             assert left == pytest.approx(right, abs=1e-12)
 
     def test_large_integer_shapes_against_binomial_tail(self):
@@ -124,7 +131,7 @@ class TestRegularizedIncompleteBeta:
             sd = np.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
             x = float(mean + rng.uniform(-3.0, 3.0) * sd)
             expected = binomial_tail_betainc(a, b, x)
-            got = regularized_incomplete_beta(x, BetaParams(a, b))
+            got = BetaWeight(a, b).cdf(x)
             assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @given(
@@ -138,15 +145,15 @@ class TestRegularizedIncompleteBeta:
     # forward continued fraction put them out of order
     @example(x=0.30000000000000004, y=0.3, a=0.5, b=0.5)
     def test_monotone_and_bounded(self, x, y, a, b):
-        p = BetaParams(a, b)
+        w = BetaWeight(a, b)
         lo, hi = sorted([x, y])
-        v_lo = regularized_incomplete_beta(lo, p)
-        v_hi = regularized_incomplete_beta(hi, p)
+        v_lo = w.cdf(lo)
+        v_hi = w.cdf(hi)
         assert 0.0 <= v_lo <= v_hi <= 1.0
 
     def test_domain_error(self):
         with pytest.raises(InputError):
-            regularized_incomplete_beta(1.5, BetaParams(1, 1))
+            BetaWeight(1, 1).cdf(1.5)
 
     def test_fraction_from_tail_matches_forward(self):
         # the backward pass evaluates the approximants Lentz's method stopped
@@ -161,7 +168,7 @@ class TestRegularizedIncompleteBeta:
         for shapes in [(a, b, counts), (ak, bk, None)]:
             got = distributions._fraction(*shapes, x, lam, from_tail=True)
             np.testing.assert_allclose(got, forward, rtol=1e-14, atol=0)
-        got = [regularized_incomplete_beta(xi, BetaParams(ai, bi)) for xi, ai, bi in zip(x, ak, bk)]
+        got = [BetaWeight(ai, bi).cdf(xi) for xi, ai, bi in zip(x, ak, bk)]
         np.testing.assert_array_equal(got, betainc(ak, bk, x))
 
 
@@ -418,6 +425,10 @@ class TestTabulatedWeight:
             TabulatedWeight(grid, -dens)
         with pytest.raises(InputError, match="integrate to 1"):
             TabulatedWeight(grid, dens * 1.5)
+        with pytest.raises(InputError, match="^grid and density must be one-dimensional and"):
+            TabulatedWeight(grid, dens[:-1])
+        with pytest.raises(InputError, match="^grid and density must be finite$"):
+            TabulatedWeight(grid, np.where(np.arange(grid.size) == 7, np.nan, dens))
 
     def test_density_interpolation(self):
         grid, dens = self._beta22_table()
@@ -523,6 +534,7 @@ def _unit_checked_calls():
         "BetaWeight.partial_moments": (upper, beta.partial_moments),
         "TabulatedWeight.cdf": (upper, table.cdf),
         "TabulatedWeight.partial_moments": (upper, table.partial_moments),
+        "rule_from_weight.loss0": (upper, rule_from_weight(lambda c: 6.0 * c * (1.0 - c)).loss0),
         "threshold_loss.cost": ("cost", lambda v: threshold_loss(v, 0.5, priors, cdfs)),
         "threshold_loss.threshold": ("threshold", lambda v: threshold_loss(0.5, v, priors, cdfs)),
         "min_loss.calibrated": ("cost", lambda v: min_loss(v, priors, cdfs)),

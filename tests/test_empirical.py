@@ -84,6 +84,14 @@ class TestIngest:
         with pytest.raises(InputError, match="nonempty"):
             ingest([], [])
 
+    @pytest.mark.parametrize("scores, normalization, message", [
+        ([[0.1, 0.2], [0.3, 0.4]], "reject", "scores and labels must be one-dimensional"),
+        ([0.1, 0.2], "bogus", "unknown normalization 'bogus'; expected one of "),
+    ], ids=["2d", "normalization"])
+    def test_structure_rejected(self, scores, normalization, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}"):
+            ingest(scores, [0, 1], normalization=normalization)
+
     def test_single_class_allowed_at_ingest(self):
         data = ingest([0.1, 0.2], [0, 0])
         assert data.n1 == 0
@@ -647,6 +655,8 @@ class TestScoreNames:
         (b"label,s\n0,0.1\n1,0.9\xff\n", "in.csv:3: not UTF-8 text"),
         (b"s,t\n0.1,0.2\n", "in.csv: header must contain a 'label' column"),
         (b"", "in.csv: empty file, expected a header row"),
+        (b"label\n0\n1\n", "in.csv: need at least one score column besides 'label'"),
+        (b"label,s,s\n0,0.1,0.2\n", "in.csv: duplicate column names in header"),
     ])
     def test_rejections_match_the_reader(self, content, message):
         for read in (_names_picked, lambda c: read_scores_csv("in.csv", content=c)):

@@ -116,6 +116,8 @@ class TestMinLoss:
         priors, cdfs = _setup(golden4)
         with pytest.raises(ConfigError):
             min_loss(0.5, priors, cdfs, "bogus")
+        with pytest.raises(ConfigError, match="^unknown threshold mode 'bogus'"):
+            expected_min_loss(priors, cdfs, BetaWeight(2.0, 2.0), mode="bogus")
 
 
 class TestOptimalEnvelope:

@@ -93,6 +93,10 @@ class TestBuildReport:
             build_report({"only": data.scores}, np.asarray(data.labels),
                          EvalConfig(), compare=True)
 
+    def test_no_columns_rejected(self):
+        with pytest.raises(ConfigError, match="^need at least one score column$"):
+            build_report({}, np.array([0, 1]), EvalConfig())
+
     def test_single_weight_instance_shared(self, monkeypatch):
         calls = []
         original = report_mod.resolve_weight

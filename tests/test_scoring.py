@@ -43,6 +43,8 @@ class TestPointwiseLoss:
             pointwise_loss(0.0, 0, BetaWeight(1, 1))
         with pytest.raises(InputError):
             pointwise_loss(0.5, 2, BetaWeight(1, 1))
+        with pytest.raises(InputError, match="^expected a weight function or density callable"):
+            pointwise_loss(0.5, 0, "not a weight")
 
 
 class TestExpectedLoss:
@@ -130,8 +132,16 @@ class TestPropernessCheck:
         with pytest.raises(ConfigError):
             properness_check(BetaWeight(1, 1), [0.5], grid_step=0.01)
 
+    def test_eta_validated(self):
+        with pytest.raises(InputError, match=r"^eta must lie in \[0, 1\], got 1.5$"):
+            properness_check(BetaWeight(1, 1), [1.5])
+
 
 class TestRuleFromWeight:
+    def test_loss_label_validated(self):
+        with pytest.raises(InputError, match="^label must be 0 or 1, got 2$"):
+            squared_error_rule().loss(0.5, 2)
+
     def test_squared_error_from_constant_weight(self):
         rule = rule_from_weight(lambda c: 2.0)
         named = squared_error_rule()

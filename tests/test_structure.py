@@ -10,8 +10,10 @@ sums by a matrix product, whose order of addition BLAS picks by its
 thread count and CPU kernel; only cli.main picks an exit code, and only
 it and cli.process_main end the process, so the exit codes are decided
 in one place; no module imports a name at its top that it never uses;
-and no module imports dataclasses, whose generated methods every start
-would compile (the value types build on _record.py instead)."""
+no module imports dataclasses, whose generated methods every start
+would compile (the value types build on _record.py instead); and
+WeightFunction alone checks and converts a cost weight's argument, each
+weight class defining only the hooks it computes."""
 
 import ast
 from pathlib import Path
@@ -162,4 +164,34 @@ def test_no_module_imports_dataclasses():
         if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
         or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
     ]
+    assert found == []
+
+
+def _weight_classes():
+    """{name: ClassDef} of WeightFunction and every class in src/ that
+    derives from it, directly or through another weight class."""
+    classes = {node.name: node for path in SRC.glob("*.py") for node in _nodes(path)
+               if isinstance(node, ast.ClassDef)}
+    found = {"WeightFunction"}
+    while True:
+        more = {name for name, node in classes.items()
+                if any(getattr(base, "id", None) in found for base in node.bases)} - found
+        if not more:
+            return {name: classes[name] for name in found}
+        found |= more
+
+
+def test_weight_function_alone_checks_and_converts_the_argument():
+    weights = _weight_classes()
+    assert {"BetaWeight", "TabulatedWeight", "_QuadratureWeight"} < set(weights)
+    public = {"density", "cdf", "partial_moments"}
+    defined = sorted(f"{name}.{node.name}" for name, cls in weights.items()
+                     if name != "WeightFunction" for node in cls.body
+                     if isinstance(node, ast.FunctionDef) and node.name in public)
+    assert defined == []
+    checks = {"isscalar", "_check_unit"}
+    found = sorted(f"{name}:{node.lineno}" for name, cls in weights.items()
+                   if name != "WeightFunction" for node in ast.walk(cls)
+                   if isinstance(node, ast.Attribute) and node.attr in checks
+                   or isinstance(node, ast.Name) and node.id in checks)
     assert found == []
